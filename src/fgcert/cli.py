@@ -26,7 +26,7 @@ from .affine import (
     irreducibility_certificate,
     two_generation_certificate,
 )
-from .congruence import CongruenceInput, NOracle, certify
+from .congruence import CongruenceInput, NOracle, certify, exact_decimal
 from .homs import (
     compose_auts,
     hom,
@@ -73,18 +73,25 @@ def load_manifest() -> dict:
 @dataclass
 class Runner:
     """Accumulates CheckResults; stringifies expected/computed so that
-    status == pass exactly when the normalized strings agree."""
+    status == pass exactly when the normalized strings agree.
+
+    A check's ``elapsedMillis`` is the time since the previous check, or
+    since the runner was made: callers compute the value they pass in
+    before calling ``check``, so that interval holds its work.
+    """
 
     deterministic: bool
     checks: list = field(default_factory=list)
+    last: float = field(default_factory=time.monotonic)
 
     def check(self, check_id: str, ref: str, expected, computed) -> bool:
-        start = time.monotonic()
         if callable(computed):
             computed = computed()
         exp, comp = str(expected), str(computed)
         status = "pass" if exp == comp else "fail"
-        elapsed = 0 if self.deterministic else int((time.monotonic() - start) * 1000)
+        now = time.monotonic()
+        elapsed = 0 if self.deterministic else int((now - self.last) * 1000)
+        self.last = now
         self.checks.append({
             "id": check_id,
             "ref": ref,
@@ -499,7 +506,7 @@ def affine_certify(r: int, prime: int | None, xi: int | None,
         "xi": params.xi,
         "deltaOrder": delta["order"],
         "deltaRelations": delta["passed"],
-        "groupOrder": str(gamma_order(params)),
+        "groupOrder": exact_decimal(gamma_order(params)),
         "irreducible": irred["passed"],
         "twoGeneration": twogen,
         "geometricSumsNonzero": geom["passed"],

@@ -134,6 +134,24 @@ def build_m(input: CongruenceInput, max_cosets: int = 100_000) -> MOracle:
     return MOracle(build_n(input, max_cosets=max_cosets))
 
 
+_CHUNK_DIGITS = 1000
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def exact_decimal(value: int) -> str:
+    """The decimal digits of ``value``, equal to ``str(value)`` but free
+    of CPython's int->str digit limit (4300 digits by default, which the
+    bound already exceeds at n = 4).  Splits off 1000 digits at a time
+    instead of raising the limit, which is process-global state."""
+    if value < 0:
+        return "-" + exact_decimal(-value)
+    chunks = []
+    while value >= _CHUNK:
+        value, low = divmod(value, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    return str(value) + "".join(reversed(chunks))
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Exact order data for F/M and the divisibility verdict."""
@@ -154,10 +172,10 @@ class Certificate:
             "p": self.p,
             "indexOfN": self.index_of_n,
             "rankOfN": self.rank_of_n,
-            "orderOfF2ModNpN": str(self.order_mod_npn),
+            "orderOfF2ModNpN": exact_decimal(self.order_mod_npn),
             "imageOrderIn4Torus": self.image_order_in_4torus,
-            "orderOfF2ModM": str(self.order_mod_m),
-            "bound": str(self.bound),
+            "orderOfF2ModM": exact_decimal(self.order_mod_m),
+            "bound": exact_decimal(self.bound),
             "divides": self.divides,
         }
 

@@ -94,21 +94,28 @@ class FreeGroupRingElement:
 def fox_coordinates(w: Word) -> tuple[FreeGroupRingElement, ...]:
     """The unique coordinates with w - 1 = sum (x_i - 1) * w_i.
 
-    Length recursion: extending u by x_i multiplies every coordinate by
-    x_i on the right and adds 1 (resp. -x_i^-1 for the inverse letter)
-    at position i.
+    Closed form (Fox, Free differential calculus I, 1953): w_i is the
+    sum of the suffixes after each letter x_i of w minus the sum of the
+    suffixes starting at each letter x_i^-1.  Suffixes of a reduced word
+    are reduced and have distinct lengths, and a suffix cannot occur
+    with both signs (that needs x_i x_i^-1 in w), so every coefficient
+    is +-1 and the terms come out in length order, the canonical order,
+    when the suffixes are walked from the right.
     """
     alpha = w.alphabet
-    coords = [FreeGroupRingElement.zero(alpha) for _ in range(alpha.rank)]
-    for gen, sign in w.letters():
-        letter = alpha.generator(gen, sign)
-        coords = [c.times_word(letter) for c in coords]
-        if sign > 0:
-            delta = FreeGroupRingElement.one(alpha)
+    terms: list[list[tuple[Word, int]]] = [[] for _ in range(alpha.rank)]
+    syllables = w.syllables
+    for s in range(len(syllables) - 1, -1, -1):
+        gen, exp = syllables[s]
+        tail = syllables[s + 1:]
+        out = terms[gen]
+        if exp > 0:
+            out.append((Word._trusted(alpha, tail), 1))
+            out.extend((Word._trusted(alpha, ((gen, k),) + tail), 1) for k in range(1, exp))
         else:
-            delta = FreeGroupRingElement.monomial(letter, -1)
-        coords[gen] = coords[gen] + delta
-    return tuple(coords)
+            out.extend((Word._trusted(alpha, ((gen, k),) + tail), -1)
+                       for k in range(-1, exp - 1, -1))
+    return tuple(FreeGroupRingElement(alpha, tuple(t)) for t in terms)
 
 
 def fox_identity_holds(w: Word) -> bool:
@@ -277,12 +284,34 @@ class PhiElement:
         return PhiElement(m, self.rank, top_inv, bottom)
 
 
+def _finite_coordinates(w: Word, m: int) -> tuple[tuple[int, ...],
+                                                  tuple[FiniteGroupRingElement, ...]]:
+    """The exponent sums of w mod m and its Fox coordinates pushed to
+    Z_m[(Z/m)^n], read off the closed form of ``fox_coordinates``: a
+    suffix maps to its exponent vector, kept as a running sum from the
+    right, with no free-group ring element in between."""
+    n = w.alphabet.rank
+    coeffs: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
+    vec = [0] * n
+    for gen, exp in reversed(w.syllables):
+        d = coeffs[gen]
+        base = vec[gen]
+        if exp > 0:
+            ks, sign = range(exp), 1
+        else:
+            ks, sign = range(-1, exp - 1, -1), -1
+        for k in ks:
+            vec[gen] = (base + k) % m
+            key = tuple(vec)
+            d[key] = d.get(key, 0) + sign
+        vec[gen] = (base + exp) % m
+    return tuple(vec), tuple(FiniteGroupRingElement.from_dict(m, n, d) for d in coeffs)
+
+
 def magnus_image(w: Word, m: int) -> PhiElement:
     """The image of a word in the finite Magnus group."""
-    n = w.alphabet.rank
-    top = tuple(s % m for s in w.exponent_sums())
-    bottom = tuple(push_to_finite(c, m) for c in fox_coordinates(w))
-    return PhiElement(m, n, top, bottom)
+    top, bottom = _finite_coordinates(w, m)
+    return PhiElement(m, w.alphabet.rank, top, bottom)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +338,11 @@ def j_of_endo(h: FreeHom, m: int | None = None) -> list[list]:
     if not h.is_endo():
         raise WordError("J matrix needs an endomorphism")
     n = h.domain.rank
-    cols = [fox_coordinates(img) for img in h.images]
     if m is None:
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-    return [[push_to_finite(cols[j][i], m) for j in range(n)] for i in range(n)]
+        cols = [fox_coordinates(img) for img in h.images]
+    else:
+        cols = [_finite_coordinates(img, m)[1] for img in h.images]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def j_identity(alpha: Alphabet, m: int | None = None) -> list[list]:

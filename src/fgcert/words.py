@@ -102,13 +102,23 @@ class Word:
     def from_syllables(alpha: Alphabet, syllables: Iterable[tuple[int, int]]) -> "Word":
         return Word(alpha, _reduce(syllables))
 
+    @staticmethod
+    def _trusted(alpha: Alphabet, syllables: tuple[tuple[int, int], ...]) -> "Word":
+        """A word from syllables already known to be valid and reduced
+        (``_reduce`` of valid words, an inverse, a suffix); skips the
+        ``__post_init__`` checks, which stay at the boundary."""
+        w = object.__new__(Word)
+        object.__setattr__(w, "alphabet", alpha)
+        object.__setattr__(w, "syllables", syllables)
+        return w
+
     def _check(self, other: "Word") -> None:
         if self.alphabet != other.alphabet:
             raise WordError("alphabet mismatch")
 
     def __mul__(self, other: "Word") -> "Word":
         self._check(other)
-        return Word(self.alphabet, _reduce(self.syllables + other.syllables))
+        return Word._trusted(self.alphabet, _reduce(self.syllables + other.syllables))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -119,7 +129,8 @@ class Word:
         return result
 
     def inverse(self) -> "Word":
-        return Word(self.alphabet, tuple((g, -e) for g, e in reversed(self.syllables)))
+        return Word._trusted(self.alphabet,
+                             tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def conjugated_by(self, t: "Word") -> "Word":
         """Right conjugation t^-1 * self * t."""

@@ -1,8 +1,11 @@
 import json
+import random
+from decimal import Decimal
 
 from click.testing import CliRunner
 
-from fgcert.cli import main
+from fgcert.affine import AffineParams, gamma_order
+from fgcert.cli import Runner, load_manifest, main, make_report, run_magnus
 from fgcert.quotients import ALPHA_BETA, FiniteQuotient
 
 
@@ -48,6 +51,14 @@ def test_verify_deterministic_with_seed(tmp_path):
     assert all(c["elapsedMillis"] == 0 for c in report["checks"])
 
 
+def test_elapsed_millis_is_measured_without_seed():
+    runner = Runner(deterministic=False)
+    run_magnus(runner, load_manifest(), random.Random(0), quick=True)
+    report = make_report("magnus", 0, runner)
+    elapsed = {c["id"]: c["elapsedMillis"] for c in report["checks"]}
+    assert elapsed["magnus.fox-identity"] > 0
+
+
 def test_congruence_certify_trivial_k(tmp_path):
     out = tmp_path / "cert.json"
     res = run("congruence", "certify", "--p", "5", "--samples", "50",
@@ -83,6 +94,18 @@ def test_affine_certify():
     assert cert["xi"] == 3
     assert cert["irreducible"] is True
     assert cert["twoGeneration"]["passed"] is True
+
+
+def test_affine_certify_group_order_past_the_digit_limit(tmp_path):
+    # p^462 has about 4,310 digits: past int.__str__'s default limit
+    r, p, xi = 23, 2147484517, 886862778
+    out = tmp_path / "cert.json"
+    res = run("affine", "certify", "--r", str(r), "--p", str(p), "--xi", str(xi),
+              "--out", str(out))
+    assert res.exit_code == 0, res.output
+    cert = json.loads(out.read_text())
+    assert len(cert["groupOrder"]) > 4300
+    assert cert["groupOrder"] == str(Decimal(gamma_order(AffineParams(r, p, xi))))
 
 
 def test_affine_certify_find_p():

@@ -1,13 +1,16 @@
 import random
+from decimal import Decimal
 
 import pytest
 
 from fgcert.congruence import (
+    Certificate,
     CongruenceError,
     CongruenceInput,
     NOracle,
     build_m,
     certify,
+    exact_decimal,
 )
 from fgcert.quotients import ALPHA_BETA, FiniteQuotient, trivial_quotient
 from fgcert.words import alphabet, parse_word, random_word
@@ -104,3 +107,33 @@ def test_certificate_json_uses_decimal_strings():
     assert isinstance(data["bound"], str)
     assert int(data["orderOfF2ModNpN"]) * data["imageOrderIn4Torus"] == int(
         data["orderOfF2ModM"])
+
+
+def test_exact_decimal_matches_str_below_the_limit():
+    rng = random.Random(4)
+    values = [0, 1, -1, 9, 10, 10 ** 999, 10 ** 1000 - 1, 10 ** 1000, 10 ** 1000 + 1,
+              -(10 ** 2000), 10 ** 4299 - 1, 144 * 5 ** 37]
+    values += [rng.randrange(-10 ** 4299, 10 ** 4299) for _ in range(200)]
+    for v in values:
+        assert exact_decimal(v) == str(v)
+
+
+def test_exact_decimal_past_the_limit():
+    assert exact_decimal(10 ** 5000) == "1" + "0" * 5000
+    bound = 5 ** 9217 * 144 * 4 ** 4  # the bound at n = 4, p = 5
+    digits = exact_decimal(bound)
+    assert len(digits) > 4300
+    assert digits == str(Decimal(bound))  # libmpdec's conversion, not int.__str__
+
+
+def test_index4_sized_certificate_serialises():
+    n, p = 4, 5
+    bound = 144 * n ** 4 * p ** (36 * n ** 4 + 1)
+    order = 36 * n ** 4 * p ** 3000
+    cert = Certificate(n=n, p=p, index_of_n=36 * n ** 4, rank_of_n=3000,
+                       order_mod_npn=order, image_order_in_4torus=16,
+                       order_mod_m=16 * order, bound=bound, divides=True)
+    got = cert.to_json()
+    assert got["bound"] == str(Decimal(bound))
+    assert int(got["orderOfF2ModM"]) == 16 * order
+    assert int(got["orderOfF2ModNpN"]) == order

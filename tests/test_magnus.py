@@ -28,10 +28,10 @@ XY = alphabet("x", "y")
 XYZ = alphabet("x", "y", "z")
 
 
-def words(alpha=XY, max_length=20):
+def words(alpha=XY, max_length=20, max_exponent=2):
     syllable = st.tuples(
         st.integers(0, alpha.rank - 1),
-        st.integers(-2, 2).filter(lambda e: e != 0))
+        st.integers(-max_exponent, max_exponent).filter(lambda e: e != 0))
 
     def build(sylls):
         w = alpha.identity()
@@ -40,6 +40,55 @@ def words(alpha=XY, max_length=20):
         return w
 
     return st.lists(syllable, max_size=max_length).map(build)
+
+
+def fox_by_recursion(w):
+    """Reference: extend the word letter by letter; each letter x_i
+    multiplies every coordinate by x_i on the right and adds 1 (resp.
+    -x_i^-1 for the inverse letter) at position i."""
+    alpha = w.alphabet
+    coords = [FreeGroupRingElement.zero(alpha) for _ in range(alpha.rank)]
+    for gen, sign in w.letters():
+        letter = alpha.generator(gen, sign)
+        coords = [c.times_word(letter) for c in coords]
+        if sign > 0:
+            delta = FreeGroupRingElement.one(alpha)
+        else:
+            delta = FreeGroupRingElement.monomial(letter, -1)
+        coords[gen] = coords[gen] + delta
+    return tuple(coords)
+
+
+@pytest.mark.parametrize("text", ["x^7 y^-5 x^3", "x^-4 y^6 x^-1 y", "1", "y^-9"])
+def test_closed_form_matches_recursion_large_exponents(text):
+    w = parse_word(text, XY)
+    assert fox_coordinates(w) == fox_by_recursion(w)
+
+
+@given(words(max_exponent=7))
+def test_closed_form_matches_recursion(w):
+    assert fox_coordinates(w) == fox_by_recursion(w)
+
+
+@given(words(XYZ, 12, max_exponent=7))
+def test_closed_form_matches_recursion_rank3(w):
+    assert fox_coordinates(w) == fox_by_recursion(w)
+
+
+@given(st.sampled_from([XY, XYZ]).flatmap(lambda a: words(a, 12, max_exponent=6)))
+def test_magnus_image_matches_pushed_recursion(w):
+    for m in (2, 3, 4, 5):
+        img = magnus_image(w, m)
+        assert img.top == tuple(s % m for s in w.exponent_sums())
+        assert img.bottom == tuple(push_to_finite(c, m) for c in fox_by_recursion(w))
+
+
+@given(words(max_length=5, max_exponent=4), words(max_length=5, max_exponent=4))
+def test_finite_j_matches_pushed_free_j(u, v):
+    h = hom(XY, str(u), str(v))
+    free = j_of_endo(h)
+    for m in (2, 3, 4, 5):
+        assert j_of_endo(h, m) == [[push_to_finite(e, m) for e in row] for row in free]
 
 
 def test_fox_coordinates_of_generators():

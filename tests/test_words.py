@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fgcert.words import (
+    Word,
     WordError,
     alphabet,
     commutator,
@@ -110,6 +111,28 @@ def test_exponent_sums_additive(w):
     sums = w.exponent_sums()
     assert (w * x).exponent_sums() == (sums[0] + 1, sums[1])
     assert (w * y.inverse()).exponent_sums() == (sums[0], sums[1] - 1)
+
+
+def test_boundary_constructors_still_validate():
+    with pytest.raises(WordError):
+        Word(XY, ((0, 1), (0, 1)))
+    with pytest.raises(WordError):
+        Word(XY, ((0, 0),))
+    with pytest.raises(WordError):
+        Word(XY, ((2, 1),))
+    with pytest.raises(WordError):
+        Word.from_syllables(XY, [(5, 1)])
+    with pytest.raises(WordError):
+        Word.from_syllables(XY, [(-1, 2)])
+
+
+@given(words(), words())
+def test_products_and_inverses_are_valid_words(a, b):
+    # results built without re-validation equal the validated constructor's
+    for w in (a * b, a.inverse(), (a * b).inverse()):
+        assert w == Word(XY, w.syllables)
+        assert type(w.syllables) is tuple
+        assert all(type(s) is tuple for s in w.syllables)
 
 
 def test_alphabet_mismatch_rejected():
