@@ -43,13 +43,21 @@ def multiplicative_order(x: int, p: int) -> int:
 
 
 def smallest_root_of_order(r: int, p: int) -> int:
-    for x in range(2, p):
-        if pow(x, r, p) == 1 and multiplicative_order(x, p) == r:
-            return x
+    """The smallest x > 1 of order r mod p, for primes r and p with
+    r | p-1.  The elements of order r are the powers h^k, 0 < k < r, of
+    any one of them: h = g^((p-1)/r) for the first g with h != 1."""
+    if r < 2 or (p - 1) % r:
+        raise AffineError(f"no element of order {r} mod {p}")
+    for g in range(2, p):
+        h = pow(g, (p - 1) // r, p)
+        if h != 1:
+            return min(pow(h, k, p) for k in range(1, r))
     raise AffineError(f"no element of order {r} mod {p}")
 
 
 def smallest_prime_1_mod(r: int) -> int:
+    if r < 2:
+        raise AffineError(f"r = {r} must be an odd prime")
     p = r + 1
     while True:
         if p % r == 1 and _is_prime(p):
@@ -64,6 +72,15 @@ def primitive_root(r: int) -> int:
     raise AffineError(f"no primitive root mod {r}")
 
 
+def _check_r_p(r: int, p: int) -> None:
+    if not _is_prime(r) or r <= 2:
+        raise AffineError(f"r = {r} must be an odd prime")
+    if not _is_prime(p):
+        raise AffineError(f"p = {p} must be prime")
+    if (p - 1) % r:
+        raise AffineError(f"r = {r} must divide p - 1 = {p - 1}")
+
+
 @dataclass(frozen=True)
 class AffineParams:
     """r, p prime with r | p-1, and xi of multiplicative order r mod p."""
@@ -73,13 +90,9 @@ class AffineParams:
     xi: int
 
     def __post_init__(self):
-        if not _is_prime(self.r) or self.r <= 2:
-            raise AffineError(f"r = {self.r} must be an odd prime")
-        if not _is_prime(self.p):
-            raise AffineError(f"p = {self.p} must be prime")
-        if (self.p - 1) % self.r:
-            raise AffineError(f"r = {self.r} must divide p - 1 = {self.p - 1}")
-        if multiplicative_order(self.xi, self.p) != self.r:
+        _check_r_p(self.r, self.p)
+        # r is prime, so xi has order r exactly when xi != 1 and xi^r = 1
+        if self.xi % self.p == 1 or pow(self.xi, self.r, self.p) != 1:
             raise AffineError(f"xi = {self.xi} does not have order {self.r} mod {self.p}")
 
     @staticmethod
@@ -87,6 +100,7 @@ class AffineParams:
         if p is None:
             p = smallest_prime_1_mod(r)
         if xi is None:
+            _check_r_p(r, p)
             xi = smallest_root_of_order(r, p)
         return AffineParams(r, p, xi)
 

@@ -19,6 +19,7 @@ from importlib import resources
 import click
 
 from .affine import (
+    AffineError,
     AffineParams,
     build_delta,
     gamma_order,
@@ -26,7 +27,7 @@ from .affine import (
     irreducibility_certificate,
     two_generation_certificate,
 )
-from .congruence import CongruenceInput, NOracle, certify, exact_decimal
+from .congruence import CongruenceError, CongruenceInput, NOracle, certify, exact_decimal
 from .homs import (
     compose_auts,
     hom,
@@ -63,6 +64,16 @@ from .words import alphabet, parse_word, random_word
 
 TOOL_VERSION = "0.1.0"
 SUITES = ("section2", "congruence", "largeness", "magnus", "affine", "all")
+
+
+def load_quotient(path: str, option: str) -> FiniteQuotient:
+    """The finite quotient in a JSON file; a malformed one is a usage error."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return FiniteQuotient.from_json(json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise click.BadParameter(f"not a finite quotient ({type(exc).__name__}: {exc})",
+                                     param_hint=f"'{option}'")
 
 
 def load_manifest() -> dict:
@@ -451,10 +462,12 @@ def congruence_certify(k_path: str | None, prime: int, samples: int,
     if k_path is None:
         quotient = trivial_quotient(ALPHA_BETA)
     else:
-        with open(k_path, encoding="utf-8") as fh:
-            quotient = FiniteQuotient.from_json(json.load(fh))
-    inp = CongruenceInput(quotient, prime)
-    oracle = NOracle(inp)
+        quotient = load_quotient(k_path, "--k-quotient")
+    try:
+        inp = CongruenceInput(quotient, prime)
+        oracle = NOracle(inp)
+    except (CongruenceError, SchreierError) as exc:
+        raise click.UsageError(str(exc))
     cert = certify(inp, n_oracle=oracle)
 
     rng = random.Random(seed)
@@ -495,7 +508,10 @@ def affine_certify(r: int, prime: int | None, xi: int | None,
     """Certify irreducibility and two-generation for the given (r, p)."""
     if prime is None and not find_p:
         raise click.UsageError("give --p or --find-p")
-    params = AffineParams.choose(r, prime, xi)
+    try:
+        params = AffineParams.choose(r, prime, xi)
+    except AffineError as exc:
+        raise click.UsageError(str(exc))
     delta = build_delta(params)
     irred = irreducibility_certificate(params)
     twogen = two_generation_certificate(params)
@@ -532,8 +548,7 @@ def quotients() -> None:
 @click.option("--max-cosets", type=int, default=100_000, show_default=True)
 def quotients_schreier(path: str, max_cosets: int) -> None:
     """Print the Schreier system of the base-point stabilizer."""
-    with open(path, encoding="utf-8") as fh:
-        quotient = FiniteQuotient.from_json(json.load(fh))
+    quotient = load_quotient(path, "--quotient")
     from .quotients import kernel_subgroup
 
     try:

@@ -18,7 +18,7 @@ with [F : N' N^p] = [F : N] * p^rank(N) by the Schreier formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .quotients import (
     ALPHA_BETA,
@@ -47,30 +47,17 @@ class CongruenceInput:
 
     k_quotient: FiniteQuotient
     p: int
+    # orbit size of the base point = index of K
+    k_index: int = field(init=False)
 
     def __post_init__(self):
         if self.k_quotient.alphabet != ALPHA_BETA:
             raise CongruenceError("K quotient must be over the alphabet (a, b)")
         if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p ** 0.5) + 1)):
             raise CongruenceError(f"p = {self.p} is not prime")
-        n = self.k_index
-        if (6 * n) % self.p == 0:
-            raise CongruenceError(f"p = {self.p} divides 6n = {6 * n}")
-
-    @property
-    def k_index(self) -> int:
-        """Orbit size of the base point = index of K."""
-        seen = {self.k_quotient.base_point}
-        stack = [self.k_quotient.base_point]
-        while stack:
-            pt = stack.pop()
-            for gen in range(self.k_quotient.alphabet.rank):
-                for sign in (1, -1):
-                    nxt = self.k_quotient.step(pt, gen, sign)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-        return len(seen)
+        object.__setattr__(self, "k_index", len(self.k_quotient.orbit()))
+        if (6 * self.k_index) % self.p == 0:
+            raise CongruenceError(f"p = {self.p} divides 6n = {6 * self.k_index}")
 
 
 class NOracle:
@@ -120,9 +107,12 @@ class MOracle:
     def contains(self, w: Word) -> bool:
         if any(s % 4 for s in w.exponent_sums()):
             return False
-        if not self.n_oracle.schreier.contains(w):
+        coset, letters = self.n_oracle.schreier.sweep(w)
+        if coset != 0:
             return False
-        vec = self.n_oracle.schreier.rewrite(w).exponent_sums()
+        vec = [0] * self.n_oracle.rank
+        for idx, sign in letters:
+            vec[idx] += sign
         return all(v % self.p == 0 for v in vec)
 
 
@@ -182,9 +172,9 @@ class Certificate:
 
 def _subgroup_order_mod4(vectors) -> int:
     """Order of the subgroup of (Z/4)^2 generated by the given vectors."""
+    gens = {(a % 4, b % 4) for a, b in vectors}
     elements = {(0, 0)}
     frontier = [(0, 0)]
-    gens = [tuple(v % 4 for v in vec) for vec in vectors]
     while frontier:
         cur = frontier.pop()
         for g in gens:
@@ -201,9 +191,8 @@ def certify(input: CongruenceInput, max_cosets: int = 100_000,
     n = input.k_index
     p = input.p
     order_mod_npn = oracle.index * p ** oracle.rank
-    image_vectors = [
-        tuple(p * s for s in g.exponent_sums()) for g in oracle.schreier.generators
-    ]
+    image_vectors = [tuple(p * s for s in vec)
+                     for vec in oracle.schreier.generator_exponent_sums()]
     image_order = _subgroup_order_mod4(image_vectors)
     order_mod_m = order_mod_npn * image_order
     bound = 144 * n ** 4 * p ** (36 * n ** 4 + 1)

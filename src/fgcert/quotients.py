@@ -11,14 +11,22 @@ trying generators in index order, positive letter before negative; this
 fixes the transversal {1, x, y, xy} for the rank-2 mod-2 kernel and
 makes every golden value deterministic.  Schreier generators are
 enumerated in (transversal position, generator) lexicographic order.
+
+The search runs on ints only.  Letter l = 2*gen + (sign < 0) indexes the
+per-letter tables of every action and of the coset table, the
+transversal is kept as BFS-tree parent pointers, and transversal and
+Schreier-generator words are built only when read (Sims, *Computation
+with Finitely Presented Groups*, 1994, ch. 5).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Protocol, Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property
+from operator import getitem
+from typing import Protocol, Sequence
 
-from .words import Alphabet, Word, WordError, alphabet
+from .words import Alphabet, Word, WordError, alphabet, parse_word, substitute
 
 
 class SchreierError(ValueError):
@@ -26,11 +34,20 @@ class SchreierError(ValueError):
 
 
 class CosetAction(Protocol):
-    """A right action of a free group on a pointed set."""
+    """A right action of a free group on a pointed finite set: the
+    product of permutation actions on the points of its components,
+    with the tuple of their base points as base point."""
 
-    def base(self) -> Hashable: ...
+    def components(self) -> tuple["FiniteQuotient", ...]: ...
 
-    def step(self, state: Hashable, gen: int, sign: int) -> Hashable: ...
+
+def _act(tables: Sequence[Sequence[int]], state: int, w: Word) -> int:
+    """Image of ``state`` under ``w`` for per-letter int tables."""
+    for gen, exp in w.syllables:
+        table = tables[2 * gen + (exp < 0)]
+        for _ in range(abs(exp)):
+            state = table[state]
+    return state
 
 
 @dataclass(frozen=True)
@@ -55,27 +72,33 @@ class FiniteQuotient:
                 raise SchreierError(f"not a permutation of 0..{self.size - 1}: {p}")
         if not 0 <= self.base_point < self.size:
             raise SchreierError("base point out of range")
-        object.__setattr__(
-            self, "_inverse_perms",
-            tuple(tuple(_invert_perm(p)) for p in self.perms))
+        # per-letter tables: generator i, then its inverse
+        tables = []
+        for p in self.perms:
+            tables += [p, tuple(_invert_perm(p))]
+        object.__setattr__(self, "_tables", tuple(tables))
 
-    def base(self):
-        return self.base_point
-
-    def step(self, state: int, gen: int, sign: int) -> int:
-        if sign > 0:
-            return self.perms[gen][state]
-        return self._inverse_perms[gen][state]
+    def components(self) -> tuple["FiniteQuotient", ...]:
+        return (self,)
 
     def act_word(self, state: int, w: Word) -> int:
         if w.alphabet != self.alphabet:
             raise WordError("alphabet mismatch")
-        for gen, sign in w.letters():
-            state = self.step(state, gen, sign)
-        return state
+        return _act(self._tables, state, w)
 
     def fixes_base(self, w: Word) -> bool:
         return self.act_word(self.base_point, w) == self.base_point
+
+    def orbit(self) -> list[int]:
+        """The orbit of the base point, in breadth-first order."""
+        seen = {self.base_point}
+        orbit = [self.base_point]
+        for pt in orbit:
+            for table in self._tables:
+                if table[pt] not in seen:
+                    seen.add(table[pt])
+                    orbit.append(table[pt])
+        return orbit
 
     @staticmethod
     def from_json(data: dict) -> "FiniteQuotient":
@@ -140,54 +163,134 @@ def abelian_quotient(alpha: Alphabet, moduli: Sequence[int]) -> FiniteQuotient:
     return FiniteQuotient(alpha, total, tuple(perms))
 
 
-@dataclass(frozen=True)
 class SchreierSystem:
     """Coset table, prefix-closed transversal, Schreier generators and
-    the Reidemeister rewriting map of a finite-index subgroup."""
+    the Reidemeister rewriting map of a finite-index subgroup.
 
-    alphabet: Alphabet
-    index: int
-    transversal: tuple[Word, ...]
-    table: dict  # (coset, gen, sign) -> coset
-    generators: tuple[Word, ...]
-    sub_alphabet: Alphabet
-    # (coset, gen) -> index into generators, or None for identity entries
-    scan: dict = field(repr=False, default_factory=dict)
+    The system is stored as ints, letter l = 2*gen + (sign < 0):
+
+    * ``table[l][c]`` is the coset reached from coset c by letter l;
+    * ``parent[c]`` and ``parent_letter[c]`` give the BFS-tree edge into
+      coset c (-1 at coset 0); the transversal word t_c spells the tree
+      path from coset 0;
+    * ``edges[i] = (c, gen)`` is the off-tree edge of Schreier generator
+      i, the word t_c x_gen t_c'^-1 with c' = c x_gen;
+    * ``scan[gen][c]`` is the generator on edge (c, gen), or -1 on a
+      tree edge.
+
+    Transversal and generator words are built on first read and cached.
+    """
+
+    def __init__(self, alphabet: Alphabet, table: Sequence[list[int]],
+                 parent: list[int], parent_letter: list[int],
+                 edges: Sequence[tuple[int, int]], sub_alphabet: Alphabet):
+        if len(edges) != sub_alphabet.rank:
+            raise SchreierError("one name per Schreier generator required")
+        self.alphabet = alphabet
+        self.index = len(parent)
+        self.table = table
+        self.parent = parent
+        self.parent_letter = parent_letter
+        self.edges = tuple(edges)
+        self.sub_alphabet = sub_alphabet
+        self.scan = [[-1] * self.index for _ in range(alphabet.rank)]
+        for i, (c, gen) in enumerate(self.edges):
+            self.scan[gen][c] = i
+        self._transversal_words: list[Word | None] = [None] * self.index
+        self._transversal_words[0] = alphabet.identity()
+        self._generator_words: list[Word | None] = [None] * len(self.edges)
+
+    @cached_property
+    def transversal(self) -> tuple[Word, ...]:
+        """Coset representatives: t_c is the tree path to coset c."""
+        return tuple(map(self._transversal_word, range(self.index)))
+
+    @cached_property
+    def generators(self) -> tuple[Word, ...]:
+        return tuple(map(self._generator_word, range(len(self.edges))))
+
+    def _transversal_word(self, c: int) -> Word:
+        words = self._transversal_words
+        path = []
+        while words[c] is None:
+            path.append(c)
+            c = self.parent[c]
+        syllables = words[c].syllables
+        for c in reversed(path):
+            gen, negative = divmod(self.parent_letter[c], 2)
+            sign = -1 if negative else 1
+            # a tree path is reduced: t_c x^-1 x would be t_c, not a new coset
+            if syllables and syllables[-1][0] == gen:
+                syllables = syllables[:-1] + ((gen, syllables[-1][1] + sign),)
+            else:
+                syllables = syllables + ((gen, sign),)
+            words[c] = Word._trusted(self.alphabet, syllables)
+        return words[c]
+
+    def _generator_word(self, i: int) -> Word:
+        w = self._generator_words[i]
+        if w is None:
+            c, gen = self.edges[i]
+            w = (self._transversal_word(c) * self.alphabet.generator(gen)
+                 * self._transversal_word(self.table[2 * gen][c]).inverse())
+            self._generator_words[i] = w
+        return w
 
     def schreier_generator_count(self) -> int:
-        return len(self.generators)
+        return len(self.edges)
+
+    def generator_exponent_sums(self) -> list[tuple[int, ...]]:
+        """Exponent vector of each Schreier generator t_c x t_c'^-1, read
+        off the tree as the vector of t_c plus e_x minus that of t_c'."""
+        rank = self.alphabet.rank
+        vectors = [(0,) * rank]
+        for c in range(1, self.index):  # a parent precedes its children
+            gen, negative = divmod(self.parent_letter[c], 2)
+            v = list(vectors[self.parent[c]])
+            v[gen] += -1 if negative else 1
+            vectors.append(tuple(v))
+        out = []
+        for c, gen in self.edges:
+            v = [a - b for a, b in zip(vectors[c], vectors[self.table[2 * gen][c]])]
+            v[gen] += 1
+            out.append(tuple(v))
+        return out
 
     def coset_of(self, w: Word) -> int:
         if w.alphabet != self.alphabet:
             raise WordError("alphabet mismatch")
-        c = 0
-        for gen, sign in w.letters():
-            c = self.table[(c, gen, sign)]
-        return c
+        return _act(self.table, 0, w)
 
     def contains(self, w: Word) -> bool:
         return self.coset_of(w) == 0
 
-    def _scan_letter(self, coset: int, gen: int, sign: int):
-        """Next coset plus the Schreier letter consumed, as
-        (coset', generator index or None, +-1)."""
-        if sign > 0:
-            nxt = self.table[(coset, gen, 1)]
-            return nxt, self.scan[(coset, gen)], 1
-        nxt = self.table[(coset, gen, -1)]
-        return nxt, self.scan[(nxt, gen)], -1
-
-    def rewrite(self, w: Word) -> Word:
-        """Reidemeister rewriting of a subgroup element into a word over
-        the Schreier-generator alphabet."""
+    def sweep(self, w: Word) -> tuple[int, list[tuple[int, int]]]:
+        """The coset w leads to from coset 0, and the Schreier letters
+        (generator index, +-1) it sweeps out on the way."""
         if w.alphabet != self.alphabet:
             raise WordError("alphabet mismatch")
         coset = 0
         letters: list[tuple[int, int]] = []
-        for gen, sign in w.letters():
-            coset, idx, s = self._scan_letter(coset, gen, sign)
-            if idx is not None:
-                letters.append((idx, s))
+        for gen, exp in w.syllables:
+            scan = self.scan[gen]
+            if exp > 0:
+                table = self.table[2 * gen]
+                for _ in range(exp):
+                    if scan[coset] >= 0:
+                        letters.append((scan[coset], 1))
+                    coset = table[coset]
+            else:
+                table = self.table[2 * gen + 1]
+                for _ in range(-exp):
+                    coset = table[coset]
+                    if scan[coset] >= 0:
+                        letters.append((scan[coset], -1))
+        return coset, letters
+
+    def rewrite(self, w: Word) -> Word:
+        """Reidemeister rewriting of a subgroup element into a word over
+        the Schreier-generator alphabet."""
+        coset, letters = self.sweep(w)
         if coset != 0:
             raise SchreierError(f"word not in the subgroup: {w}")
         return Word.from_syllables(self.sub_alphabet, letters)
@@ -196,27 +299,16 @@ class SchreierSystem:
         """Substitute each Schreier generator by its word and reduce."""
         if sub_word.alphabet != self.sub_alphabet:
             raise WordError("alphabet mismatch")
-        result = self.alphabet.identity()
-        for gen, exp in sub_word.syllables:
-            result = result * self.generators[gen] ** exp
-        return result
+        return substitute(self.alphabet, self._generator_word, sub_word)
 
     def reordered(self, perm: Sequence[int], names: Sequence[str] | None = None) -> "SchreierSystem":
         """Same subgroup with Schreier generators listed in a new order:
         new generator i is old generator perm[i]."""
-        if sorted(perm) != list(range(len(self.generators))):
+        if sorted(perm) != list(range(len(self.edges))):
             raise SchreierError("perm must be a permutation of the generators")
-        old_to_new = {old: new for new, old in enumerate(perm)}
         names = tuple(names) if names else tuple(f"e{i + 1}" for i in range(len(perm)))
-        return SchreierSystem(
-            alphabet=self.alphabet,
-            index=self.index,
-            transversal=self.transversal,
-            table=self.table,
-            generators=tuple(self.generators[p] for p in perm),
-            sub_alphabet=Alphabet(names),
-            scan={k: (None if v is None else old_to_new[v]) for k, v in self.scan.items()},
-        )
+        return SchreierSystem(self.alphabet, self.table, self.parent, self.parent_letter,
+                              [self.edges[p] for p in perm], Alphabet(names))
 
 
 def schreier_rank(index: int, rank: int) -> int:
@@ -232,55 +324,50 @@ def build_schreier_system(action: CosetAction, alpha: Alphabet, *,
     """Build the Schreier system of the base-point stabilizer.
 
     BFS order: cosets in discovery order, edges tried generator index
-    ascending with the positive letter before the negative one.
+    ascending with the positive letter before the negative one.  A state
+    is the tuple of the components' points.
     """
-    base = action.base()
-    state_index = {base: 0}
-    transversal: list[Word] = [alpha.identity()]
-    table: dict = {}
-    queue = [base]
-    qpos = 0
-    while qpos < len(queue):
-        state = queue[qpos]
-        c = state_index[state]
-        qpos += 1
-        for gen in range(alpha.rank):
-            for sign in (1, -1):
-                nxt = action.step(state, gen, sign)
-                if nxt not in state_index:
-                    if len(state_index) >= max_cosets:
-                        raise SchreierError(
-                            f"coset limit exceeded ({max_cosets}); input too large")
-                    state_index[nxt] = len(transversal)
-                    transversal.append(transversal[c] * alpha.generator(gen, sign))
-                    queue.append(nxt)
-                table[(c, gen, sign)] = state_index[nxt]
-    index = len(transversal)
+    components = action.components()
+    if any(q.alphabet != alpha for q in components):
+        raise SchreierError("action over a different alphabet")
+    letters = range(2 * alpha.rank)
+    tables = [[q._tables[l] for q in components] for l in letters]
+    base = tuple(q.base_point for q in components)
+    coset_of_state = {base: 0}
+    states = [base]
+    parent, parent_letter = [-1], [-1]
+    table: list[list[int]] = [[] for _ in letters]
+    c = 0
+    while c < len(states):
+        state = states[c]
+        for l in letters:
+            nxt = tuple(map(getitem, tables[l], state))
+            c2 = coset_of_state.get(nxt)
+            if c2 is None:
+                c2 = len(states)
+                if c2 >= max_cosets:
+                    raise SchreierError(
+                        f"coset limit exceeded ({max_cosets}); input too large")
+                coset_of_state[nxt] = c2
+                states.append(nxt)
+                parent.append(c)
+                parent_letter.append(l)
+            table[l].append(c2)
+        c += 1
 
-    generators: list[Word] = []
-    scan: dict = {}
-    for c in range(index):
+    # t_c x t_c'^-1 is trivial exactly on the tree edges, in either direction
+    edges = []
+    for c in range(len(states)):
         for gen in range(alpha.rank):
-            c2 = table[(c, gen, 1)]
-            w = transversal[c] * alpha.generator(gen) * transversal[c2].inverse()
-            if w.is_identity():
-                scan[(c, gen)] = None
-            else:
-                scan[(c, gen)] = len(generators)
-                generators.append(w)
+            c2 = table[2 * gen][c]
+            if not ((parent[c2] == c and parent_letter[c2] == 2 * gen)
+                    or (parent[c] == c2 and parent_letter[c] == 2 * gen + 1)):
+                edges.append((c, gen))
 
     if gen_names is None:
-        gen_names = tuple(f"e{i + 1}" for i in range(len(generators)))
-    sub_alphabet = Alphabet(tuple(gen_names))
-    return SchreierSystem(
-        alphabet=alpha,
-        index=index,
-        transversal=tuple(transversal),
-        table=table,
-        generators=tuple(generators),
-        sub_alphabet=sub_alphabet,
-        scan=scan,
-    )
+        gen_names = tuple(f"e{i + 1}" for i in range(len(edges)))
+    return SchreierSystem(alpha, table, parent, parent_letter, edges,
+                          Alphabet(tuple(gen_names)))
 
 
 def kernel_subgroup(q: FiniteQuotient, **kwargs) -> SchreierSystem:
@@ -305,7 +392,7 @@ class SubgroupHom:
     images: tuple[Word, ...]
 
     def __post_init__(self):
-        if len(self.images) != len(self.system.generators):
+        if len(self.images) != self.system.schreier_generator_count():
             raise SchreierError("one image per Schreier generator required")
         for img in self.images:
             if img.alphabet != self.target:
@@ -314,10 +401,7 @@ class SubgroupHom:
     def evaluate_sub(self, sub_word: Word) -> Word:
         if sub_word.alphabet != self.system.sub_alphabet:
             raise WordError("alphabet mismatch")
-        result = self.target.identity()
-        for gen, exp in sub_word.syllables:
-            result = result * self.images[gen] ** exp
-        return result
+        return substitute(self.target, self.images.__getitem__, sub_word)
 
     def __call__(self, w: Word) -> Word:
         return self.evaluate_sub(self.system.rewrite(w))
@@ -335,38 +419,41 @@ class InducedAction:
     """Action of the ambient free group on cosets of the preimage, under
     a subgroup hom, of a finite-index subgroup of the target.
 
-    States are (target point, coset of the Schreier subgroup); a letter
-    moves the coset through the coset table and pushes the Schreier
-    letter it sweeps out through ``hom`` into the target quotient.  The
-    stabilizer of ``base()`` is hom^-1(stabilizer of the target base).
+    States are (target point, coset of the Schreier subgroup), numbered
+    coset * size + point.  A letter moves the coset through the coset
+    table and the point by the image of the Schreier letter it sweeps
+    out.  Each image is compiled once into a permutation of the target
+    points, so the whole action is the finite quotient ``compiled`` of
+    the ambient group.  The stabilizer of its base point is
+    hom^-1(stabilizer of the target base), conjugated by ``base_shift``.
     """
 
     def __init__(self, sub_hom: SubgroupHom, target_quotient: FiniteQuotient,
                  base_shift: Word | None = None):
         if target_quotient.alphabet != sub_hom.target:
             raise SchreierError("target quotient over wrong alphabet")
-        self.sub_hom = sub_hom
-        self.system = sub_hom.system
-        self.quotient = target_quotient
-        self._base = (target_quotient.base_point, 0)
+        system = sub_hom.system
+        size = target_quotient.size
+        images = [tuple(target_quotient.act_word(pt, img) for pt in range(size))
+                  for img in sub_hom.images]
+        identity = tuple(range(size))
+        perms = []
+        for gen in range(system.alphabet.rank):
+            table, scan = system.table[2 * gen], system.scan[gen]
+            perm: list[int] = []
+            for c in range(system.index):
+                offset = table[c] * size
+                perm.extend(offset + pt for pt in (images[scan[c]] if scan[c] >= 0 else identity))
+            perms.append(tuple(perm))
+        compiled = FiniteQuotient(system.alphabet, size * system.index, tuple(perms),
+                                  target_quotient.base_point)
         if base_shift is not None:
-            self._base = self._act_word(self._base, base_shift)
+            compiled = replace(compiled,
+                               base_point=compiled.act_word(compiled.base_point, base_shift))
+        self.compiled = compiled
 
-    def base(self):
-        return self._base
-
-    def step(self, state, gen: int, sign: int):
-        pt, coset = state
-        coset2, idx, s = self.system._scan_letter(coset, gen, sign)
-        if idx is not None:
-            img = self.sub_hom.images[idx]
-            pt = self.quotient.act_word(pt, img if s > 0 else img.inverse())
-        return (pt, coset2)
-
-    def _act_word(self, state, w: Word):
-        for gen, sign in w.letters():
-            state = self.step(state, gen, sign)
-        return state
+    def components(self) -> tuple[FiniteQuotient, ...]:
+        return (self.compiled,)
 
 
 class ProductAction:
@@ -376,11 +463,8 @@ class ProductAction:
     def __init__(self, actions: Sequence[CosetAction]):
         self.actions = list(actions)
 
-    def base(self):
-        return tuple(a.base() for a in self.actions)
-
-    def step(self, state, gen: int, sign: int):
-        return tuple(a.step(s, gen, sign) for a, s in zip(self.actions, state))
+    def components(self) -> tuple[FiniteQuotient, ...]:
+        return tuple(q for a in self.actions for q in a.components())
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +504,7 @@ def rank3_c2_kernel() -> SchreierSystem:
     # BFS scan order lists [y, z, x^2, xyx^-1, xzx^-1]; reorder to put
     # the x-conjugate right after each plain generator.
     texts = ["x^2", "y", "x y x^-1", "z", "x z x^-1"]
-    want = [str(_parse(alpha, t)) for t in texts]
+    want = [str(parse_word(t, alpha)) for t in texts]
     have = [str(g) for g in system.generators]
     perm = [have.index(w) for w in want]
     return system.reordered(perm)
-
-
-def _parse(alpha: Alphabet, text: str) -> Word:
-    from .words import parse_word
-
-    return parse_word(text, alpha)

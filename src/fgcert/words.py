@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -170,6 +170,19 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self})"
+
+
+def substitute(alpha: Alphabet, image: Callable[[int], Word], w: Word) -> Word:
+    """The image of ``w`` under the hom sending generator i to the word
+    ``image(i)`` over ``alpha``: the images are concatenated and freely
+    reduced once, in time linear in the total length."""
+    syllables: list[tuple[int, int]] = []
+    for gen, exp in w.syllables:
+        img = image(gen).syllables
+        if exp < 0:
+            img = tuple((g, -e) for g, e in reversed(img))
+        syllables.extend(img * abs(exp))
+    return Word._trusted(alpha, _reduce(syllables))
 
 
 def commutator(a: Word, b: Word) -> Word:

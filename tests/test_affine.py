@@ -47,6 +47,40 @@ def test_parameter_search():
     assert auto.p == 29 and auto.p % 7 == 1
 
 
+def smallest_root_by_scan(r, p):
+    """Reference: the first x = 2, 3, ... of multiplicative order r."""
+    for x in range(2, p):
+        if pow(x, r, p) == 1 and multiplicative_order(x, p) == r:
+            return x
+    return None
+
+
+def test_smallest_root_matches_scan():
+    cases = 0
+    for p in range(3, 2000):
+        if not all(p % d for d in range(2, int(p ** 0.5) + 1)):
+            continue
+        for r in (3, 5, 7, 11, 13):
+            if (p - 1) % r == 0:
+                assert smallest_root_of_order(r, p) == smallest_root_by_scan(r, p), (r, p)
+                cases += 1
+    assert cases > 200
+    with pytest.raises(AffineError):
+        smallest_root_of_order(5, 13)
+
+
+def test_xi_order_check_matches_multiplicative_order():
+    for r, p in [(3, 7), (5, 11), (7, 29), (11, 23)]:
+        for xi in range(-p, 2 * p):
+            has_order_r = xi % p != 0 and multiplicative_order(xi, p) == r
+            try:
+                AffineParams(r, p, xi)
+                accepted = True
+            except AffineError:
+                accepted = False
+            assert accepted == has_order_r, (r, p, xi)
+
+
 def test_delta_group_law():
     r = 5
     rng = random.Random(0)

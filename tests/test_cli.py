@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from decimal import Decimal
 
 from click.testing import CliRunner
@@ -7,6 +8,7 @@ from click.testing import CliRunner
 from fgcert.affine import AffineParams, gamma_order
 from fgcert.cli import Runner, load_manifest, main, make_report, run_magnus
 from fgcert.quotients import ALPHA_BETA, FiniteQuotient
+from fgcert.words import alphabet
 
 
 def run(*args):
@@ -130,3 +132,76 @@ def test_quotients_schreier(tmp_path):
     assert data["index"] == 2
     assert data["rank"] == 3
     assert data["generators"] == {"e1": "b", "e2": "a^2", "e3": "a b a^-1"}
+
+
+def assert_usage_error(res, text):
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert text in res.output
+
+
+def test_congruence_certify_non_prime_p_is_a_usage_error():
+    assert_usage_error(run("congruence", "certify", "--p", "4"), "p = 4 is not prime")
+
+
+def test_congruence_certify_malformed_quotient_is_a_usage_error(tmp_path):
+    path = tmp_path / "k.json"
+    for text, error in [('{"alphabet": ["a", "b"], "permutations": [[0], [0]]}',
+                         "KeyError: 'targetSize'"),
+                        ("not json", "JSONDecodeError"),
+                        ('{"alphabet": ["a", "b"], "targetSize": 2, '
+                         '"permutations": [[0, 0], [0, 1]]}', "not a permutation"),
+                        ("[1, 2]", "TypeError")]:
+        path.write_text(text)
+        res = run("congruence", "certify", "--k-quotient", str(path), "--p", "5")
+        assert_usage_error(res, "Invalid value for '--k-quotient'")
+        assert error in res.output
+
+
+def test_congruence_certify_k_over_wrong_alphabet_is_a_usage_error(tmp_path):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(FiniteQuotient(alphabet("x", "y"), 1, ((0,), (0,))).to_json()))
+    res = run("congruence", "certify", "--k-quotient", str(path), "--p", "5")
+    assert_usage_error(res, "alphabet (a, b)")
+
+
+def test_congruence_certify_past_the_coset_cap_is_a_usage_error(tmp_path):
+    # K of index 8 with the permutations generating S_8: [F:N] = 36 * 8^4
+    k = FiniteQuotient(ALPHA_BETA, 8, ((4, 6, 3, 7, 5, 0, 2, 1), (7, 4, 6, 5, 2, 1, 0, 3)))
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(k.to_json()))
+    res = run("congruence", "certify", "--k-quotient", str(path), "--p", "5")
+    assert_usage_error(res, "coset limit exceeded (100000); input too large")
+
+
+def test_quotients_schreier_malformed_quotient_is_a_usage_error(tmp_path):
+    path = tmp_path / "q.json"
+    path.write_text('{"alphabet": ["a"]}')
+    assert_usage_error(run("quotients", "schreier", "--quotient", str(path)),
+                       "Invalid value for '--quotient'")
+
+
+def test_affine_certify_bad_parameters_are_usage_errors():
+    assert_usage_error(run("affine", "certify", "--r", "4", "--p", "13"),
+                       "r = 4 must be an odd prime")
+    assert_usage_error(run("affine", "certify", "--r", "5", "--p", "13"),
+                       "r = 5 must divide p - 1")
+    assert_usage_error(run("affine", "certify", "--r", "5", "--p", "11", "--xi", "10"),
+                       "xi = 10 does not have order 5 mod 11")
+    # r = 1 used to search for a prime p = 1 mod 1 forever
+    assert_usage_error(run("affine", "certify", "--r", "1", "--find-p"),
+                       "r = 1 must be an odd prime")
+
+
+def test_affine_certify_large_p_default_xi_and_bad_xi(tmp_path):
+    out = tmp_path / "cert.json"
+    start = time.monotonic()
+    res = run("affine", "certify", "--r", "23", "--p", "2147484517", "--out", str(out))
+    assert res.exit_code == 0, res.output
+    assert time.monotonic() - start < 5
+    assert json.loads(out.read_text())["xi"] == 178019499
+    start = time.monotonic()
+    res = run("affine", "certify", "--r", "23", "--p", "2147484517", "--xi", "2")
+    assert time.monotonic() - start < 1
+    assert_usage_error(res, "xi = 2 does not have order 23 mod 2147484517")

@@ -1,0 +1,281 @@
+"""The compiled coset-table BFS against the letter-by-letter reference.
+
+``reference_system`` is the construction the compiled one replaced: a
+BFS over hashable states that steps every action one letter at a time,
+builds every transversal word and Schreier-generator word up front and
+keeps the coset table as a dict.  The actions here step on the
+permutations themselves, so nothing of the compiled tables is shared.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fgcert.congruence import CongruenceInput, MOracle, NOracle
+from fgcert.quotients import (
+    ALPHA_BETA,
+    FiniteQuotient,
+    InducedAction,
+    SchreierError,
+    SubgroupHom,
+    abelian_quotient,
+    build_schreier_system,
+    kernel_subgroup,
+    rank2_outer_hom,
+    rank3_c2_kernel,
+)
+from fgcert.words import Word, alphabet, random_word
+
+XY = alphabet("x", "y")
+XYZ = alphabet("x", "y", "z")
+
+
+class RefQuotient:
+    def __init__(self, q):
+        self.q = q
+
+    def base(self):
+        return self.q.base_point
+
+    def step(self, pt, gen, sign):
+        perm = self.q.perms[gen]
+        return perm[pt] if sign > 0 else perm.index(pt)
+
+    def act_word(self, pt, w):
+        for gen, sign in w.letters():
+            pt = self.step(pt, gen, sign)
+        return pt
+
+
+class RefInduced:
+    """States (target point, coset); a letter pushes the Schreier letter
+    it sweeps out through the images into the target quotient."""
+
+    def __init__(self, system, images, target, base_shift=None):
+        self.system, self.images, self.target = system, images, RefQuotient(target)
+        self._base = (target.base_point, 0)
+        if base_shift is not None:
+            for gen, sign in base_shift.letters():
+                self._base = self.step(self._base, gen, sign)
+
+    def base(self):
+        return self._base
+
+    def step(self, state, gen, sign):
+        pt, coset = state
+        coset2, idx, s = self.system.scan_letter(coset, gen, sign)
+        if idx is not None:
+            img = self.images[idx]
+            pt = self.target.act_word(pt, img if s > 0 else img.inverse())
+        return (pt, coset2)
+
+
+class RefProduct:
+    def __init__(self, actions):
+        self.actions = actions
+
+    def base(self):
+        return tuple(a.base() for a in self.actions)
+
+    def step(self, state, gen, sign):
+        return tuple(a.step(s, gen, sign) for a, s in zip(self.actions, state))
+
+
+class RefSystem:
+    def __init__(self, alpha, transversal, table, generators, scan):
+        self.alphabet, self.transversal, self.table = alpha, transversal, table
+        self.generators, self.scan = generators, scan
+        self.index = len(transversal)
+
+    def scan_letter(self, coset, gen, sign):
+        if sign > 0:
+            return self.table[(coset, gen, 1)], self.scan[(coset, gen)], 1
+        nxt = self.table[(coset, gen, -1)]
+        return nxt, self.scan[(nxt, gen)], -1
+
+    def rewrite(self, w):
+        """(index, sign) letters, or None outside the subgroup."""
+        coset, letters = 0, []
+        for gen, sign in w.letters():
+            coset, idx, s = self.scan_letter(coset, gen, sign)
+            if idx is not None:
+                letters.append((idx, s))
+        return letters if coset == 0 else None
+
+
+def reference_system(action, alpha, max_cosets=100_000):
+    base = action.base()
+    state_index = {base: 0}
+    transversal = [alpha.identity()]
+    table = {}
+    queue = [base]
+    for state in queue:
+        c = state_index[state]
+        for gen in range(alpha.rank):
+            for sign in (1, -1):
+                nxt = action.step(state, gen, sign)
+                if nxt not in state_index:
+                    if len(state_index) >= max_cosets:
+                        raise SchreierError(
+                            f"coset limit exceeded ({max_cosets}); input too large")
+                    state_index[nxt] = len(transversal)
+                    transversal.append(transversal[c] * alpha.generator(gen, sign))
+                    queue.append(nxt)
+                table[(c, gen, sign)] = state_index[nxt]
+    generators, scan = [], {}
+    for c in range(len(transversal)):
+        for gen in range(alpha.rank):
+            c2 = table[(c, gen, 1)]
+            w = transversal[c] * alpha.generator(gen) * transversal[c2].inverse()
+            if w.is_identity():
+                scan[(c, gen)] = None
+            else:
+                scan[(c, gen)] = len(generators)
+                generators.append(w)
+    return RefSystem(alpha, transversal, table, generators, scan)
+
+
+def assert_same_system(system, ref, words=()):
+    """Index, table, transversal, generators, scan and rewriting agree."""
+    rank = system.alphabet.rank
+    assert system.index == ref.index
+    assert {(c, l // 2, -1 if l % 2 else 1): system.table[l][c]
+            for l in range(2 * rank) for c in range(system.index)} == ref.table
+    assert [str(t) for t in system.transversal] == [str(t) for t in ref.transversal]
+    assert [str(g) for g in system.generators] == [str(g) for g in ref.generators]
+    assert {(c, gen): (None if system.scan[gen][c] < 0 else system.scan[gen][c])
+            for gen in range(rank) for c in range(system.index)} == ref.scan
+    assert system.generator_exponent_sums() == [g.exponent_sums() for g in ref.generators]
+    for w in list(words) + list(ref.generators):
+        want = ref.rewrite(w)
+        if want is None:
+            with pytest.raises(SchreierError):
+                system.rewrite(w)
+        else:
+            assert system.rewrite(w) == Word.from_syllables(system.sub_alphabet, want)
+
+
+@st.composite
+def quotients(draw):
+    alpha = draw(st.sampled_from([XY, XYZ]))
+    size = draw(st.integers(1, 12))
+    perms = tuple(tuple(draw(st.permutations(range(size)))) for _ in range(alpha.rank))
+    return FiniteQuotient(alpha, size, perms, draw(st.integers(0, size - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotients(), st.integers(0, 2 ** 32))
+def test_compiled_bfs_matches_reference(q, seed):
+    rng = random.Random(seed)
+    words = [random_word(rng, q.alphabet, 12) for _ in range(20)]
+    assert_same_system(kernel_subgroup(q), reference_system(RefQuotient(q), q.alphabet), words)
+
+
+def test_rank3_c2_kernel_matches_reordered_reference():
+    q = FiniteQuotient(XYZ, 2, ((1, 0), (0, 1), (0, 1)))
+    ref = reference_system(RefQuotient(q), XYZ)
+    perm = [2, 0, 3, 1, 4]  # BFS order y, z, x^2, xyx^-1, xzx^-1 -> x^2, y, xyx^-1, z, xzx^-1
+    ref.generators = [ref.generators[p] for p in perm]
+    ref.scan = {k: (None if v is None else perm.index(v)) for k, v in ref.scan.items()}
+    rng = random.Random(9)
+    words = [random_word(rng, XYZ, 10) for _ in range(200)]
+    assert_same_system(rank3_c2_kernel(), ref, words)
+
+
+def seeded_k(n: int, seed: int) -> FiniteQuotient:
+    """A K of index n whose permutations generate all of S_n."""
+    rng = random.Random(f"{seed}:{n}")
+    order = 1
+    for i in range(2, n + 1):
+        order *= i
+    while True:
+        perms = tuple(tuple(rng.sample(range(n), n)) for _ in range(2))
+        group = {tuple(range(n))}
+        frontier = list(group)
+        while frontier:
+            g = frontier.pop()
+            for p in perms:
+                h = tuple(p[g[i]] for i in range(n))
+                if h not in group:
+                    group.add(h)
+                    frontier.append(h)
+        if len(group) == order:
+            return FiniteQuotient(ALPHA_BETA, n, perms)
+
+
+def reference_n(k: FiniteQuotient, max_cosets=100_000) -> RefSystem:
+    """N built as before: letter-stepped actions over a reference delta."""
+    delta = reference_system(RefQuotient(abelian_quotient(XY, (2, 2))), XY)
+    images = rank2_outer_hom().images
+    conjugated = [RefInduced(delta, images, k, base_shift=t) for t in delta.transversal]
+    product = RefProduct([RefQuotient(abelian_quotient(XY, (6, 6)))] + conjugated)
+    return reference_system(product, XY, max_cosets)
+
+
+# [F:N] is 36 n^4 when K's permutations generate S_n and n != 2; at
+# n = 2 the four conjugates of the preimage of K meet in index 72.
+@pytest.mark.parametrize("n, index", [(1, 36), (2, 72), (3, 36 * 3 ** 4)])
+def test_noracle_matches_reference(n, index):
+    k = seeded_k(n, 2026)
+    oracle = NOracle(CongruenceInput(k, 5))
+    assert oracle.index == index
+    rng = random.Random(n)
+    words = [random_word(rng, XY, 12) for _ in range(200)]
+    assert_same_system(oracle.schreier, reference_n(k), words)
+    schreier = oracle.schreier
+    for w in list(schreier.generators) + words:
+        assert oracle.contains(w) == schreier.contains(w)
+
+
+def test_m_membership_matches_rewrite_definition():
+    oracle = NOracle(CongruenceInput(seeded_k(3, 2026), 5))
+    m_oracle = MOracle(oracle)
+    schreier, sub = oracle.schreier, oracle.schreier.sub_alphabet
+    rng = random.Random(12)
+    inside = 0
+    for i in range(100):
+        u = random_word(rng, sub, 4)
+        if i % 2:  # exponent sums 0 mod 5 over letters of both signs
+            for gen, s in enumerate(u.exponent_sums()):
+                u = u * sub.generator(gen, -s % 5)
+        w = schreier.expand(u) ** (4 if i % 3 else 1)
+        want = (all(s % 4 == 0 for s in w.exponent_sums())
+                and schreier.contains(w)
+                and all(v % 5 == 0 for v in schreier.rewrite(w).exponent_sums()))
+        assert m_oracle.contains(w) == want
+        inside += want
+    assert 0 < inside < 100
+    assert not m_oracle.contains(XY.generator(0, 4))
+
+
+def test_induced_action_matches_reference():
+    """A preimage through a hom on a kernel whose letters and their
+    inverses move the cosets differently."""
+    rng = random.Random(14)
+    q = abelian_quotient(XY, (3, 2))
+    system, ref = kernel_subgroup(q), reference_system(RefQuotient(q), XY)
+    for trial in range(5):
+        images = tuple(random_word(rng, ALPHA_BETA, 3) for _ in system.generators)
+        k, shift = seeded_k(3, trial), random_word(rng, XY, 5)
+        compiled = build_schreier_system(
+            InducedAction(SubgroupHom(system, ALPHA_BETA, images), k, base_shift=shift), XY)
+        words = [random_word(rng, XY, 12) for _ in range(50)]
+        assert_same_system(compiled, reference_system(RefInduced(ref, images, k, shift), XY),
+                           words)
+
+
+def test_coset_cap_on_product_action():
+    k = seeded_k(2, 2026)
+    NOracle(CongruenceInput(k, 5), max_cosets=72)
+    for build in (lambda: NOracle(CongruenceInput(k, 5), max_cosets=71),
+                  lambda: reference_n(k, max_cosets=71)):
+        with pytest.raises(SchreierError, match=r"coset limit exceeded \(71\); input too large"):
+            build()
+
+
+def test_bad_build_arguments_are_rejected():
+    with pytest.raises(SchreierError):
+        build_schreier_system(abelian_quotient(XYZ, (2, 2, 2)), XY)
+    with pytest.raises(SchreierError):
+        build_schreier_system(abelian_quotient(XY, (2, 2)), XY, gen_names=["a", "b"])
