@@ -20,15 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .intlinalg import PRIME_CAP, is_prime, mat_mul
+
 
 class AffineError(ValueError):
     """Raised for invalid parameters or a failed certificate step."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
 def multiplicative_order(x: int, p: int) -> int:
@@ -56,13 +52,14 @@ def smallest_root_of_order(r: int, p: int) -> int:
 
 
 def smallest_prime_1_mod(r: int) -> int:
+    """The smallest prime p = 1 mod r, among r+1, 2r+1, ... up to
+    PRIME_CAP."""
     if r < 2:
         raise AffineError(f"r = {r} must be an odd prime")
-    p = r + 1
-    while True:
-        if p % r == 1 and _is_prime(p):
+    for p in range(r + 1, PRIME_CAP + 1, r):
+        if is_prime(p):
             return p
-        p += 1
+    raise AffineError(f"no prime p = 1 mod {r} up to the cap 2^40 on p")
 
 
 def primitive_root(r: int) -> int:
@@ -72,10 +69,18 @@ def primitive_root(r: int) -> int:
     raise AffineError(f"no primitive root mod {r}")
 
 
-def _check_r_p(r: int, p: int) -> None:
-    if not _is_prime(r) or r <= 2:
+def _check_r(r: int) -> None:
+    if r > PRIME_CAP:
+        raise AffineError("r is above the cap 2^40 on r and p")
+    if r <= 2 or not is_prime(r):
         raise AffineError(f"r = {r} must be an odd prime")
-    if not _is_prime(p):
+
+
+def _check_r_p(r: int, p: int) -> None:
+    _check_r(r)
+    if p > PRIME_CAP:
+        raise AffineError("p is above the cap 2^40 on r and p")
+    if not is_prime(p):
         raise AffineError(f"p = {p} must be prime")
     if (p - 1) % r:
         raise AffineError(f"r = {r} must divide p - 1 = {p - 1}")
@@ -98,6 +103,7 @@ class AffineParams:
     @staticmethod
     def choose(r: int, p: int | None = None, xi: int | None = None) -> "AffineParams":
         if p is None:
+            _check_r(r)
             p = smallest_prime_1_mod(r)
         if xi is None:
             _check_r_p(r, p)
@@ -164,8 +170,9 @@ class DeltaGroup:
         return mat
 
     def matrix(self, d: tuple[int, int]) -> list[list[int]]:
+        """P_a D^b; each entry is a single product, already reduced."""
         a, b = d
-        return _mat_mul(self.perm_matrix(a), self.diag_matrix(b), self.p)
+        return mat_mul(self.perm_matrix(a), self.diag_matrix(b))
 
     def act(self, d: tuple[int, int], v: Sequence[int]) -> tuple[int, ...]:
         a, b = d
@@ -178,10 +185,8 @@ class DeltaGroup:
         return tuple(out)
 
 
-def _mat_mul(x, y, p):
-    n = len(x)
-    return [[sum(x[i][k] * y[k][j] for k in range(n)) % p for j in range(n)]
-            for i in range(n)]
+def _mod(mat, p):
+    return [[v % p for v in row] for row in mat]
 
 
 def _identity(n):
@@ -267,8 +272,8 @@ def build_delta(params: AffineParams) -> dict:
         "order": group.order,
         "d_power_r_is_identity": _mat_pow(d_mat, r, p) == _identity(r - 1),
         "s_power_r_minus_1_is_identity": _mat_pow(s_mat, r - 1, p) == _identity(r - 1),
-        "conjugation_relation": _mat_mul(
-            _mat_mul(_mat_inv_perm(group, group.a), d_mat, p), s_mat, p)
+        "conjugation_relation": _mod(mat_mul(
+            mat_mul(_mat_inv_perm(group, group.a), d_mat), s_mat), p)
         == group.matrix((1, group.a)),
     }
     checks["passed"] = all(v for k, v in checks.items() if k != "order")
@@ -278,7 +283,7 @@ def build_delta(params: AffineParams) -> dict:
 def _mat_pow(mat, n, p):
     result = _identity(len(mat))
     for _ in range(n):
-        result = _mat_mul(result, mat, p)
+        result = _mod(mat_mul(result, mat), p)
     return result
 
 
@@ -426,12 +431,7 @@ def two_generation_certificate(params: AffineParams) -> dict:
     e1_confined = all(w_elt.w_part[j][0] % p == 0 for j in range(1, copies))
     e1_present = w_elt.w_part[0][0] % p != 0
 
-    try:
-        c_mat = diagonal_projection(params, 0)
-        c_is_e11 = True
-    except AffineError:
-        c_is_e11 = False
-        raise
+    c_mat = diagonal_projection(params, 0)  # raises unless C = E_11
 
     def project(w_tuple):
         return tuple(
@@ -464,7 +464,7 @@ def two_generation_certificate(params: AffineParams) -> dict:
     per_copy = _per_copy_dims(full_basis, dim, copies, p)
 
     passed = all([
-        e1_confined, e1_present, c_is_e11, first_copy_filled,
+        e1_confined, e1_present, first_copy_filled,
         len(full_basis) == dim * copies,
         all(d == dim for d in per_copy),
     ])
@@ -473,7 +473,7 @@ def two_generation_certificate(params: AffineParams) -> dict:
         "k": k,
         "exponents": exponents,
         "e1_only_in_first_entry": e1_confined and e1_present,
-        "vandermonde_c_is_e11": c_is_e11,
+        "vandermonde_c_is_e11": True,
         "first_copy_spun_dimension": len(first_copy_basis),
         "per_copy_spun_dimensions": per_copy,
         "total_spun_dimension": len(full_basis),

@@ -142,6 +142,11 @@ def emit(report: dict, out: str | None, fmt: str) -> None:
         lines.append(f"summary: {s['pass']} passed, {s['fail']} failed, "
                      f"{s['skipped']} skipped")
         text = "\n".join(lines) + "\n"
+    _write(text, out)
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout without one."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -452,7 +457,7 @@ def congruence() -> None:
                    "base-point stabilizer is K; defaults to the trivial quotient.")
 @click.option("--p", "prime", type=int, required=True,
               help="Odd prime not dividing 6n.")
-@click.option("--samples", type=int, default=1000, show_default=True,
+@click.option("--samples", type=click.IntRange(min=0), default=1000, show_default=True,
               help="Sampled containment checks to run.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -479,12 +484,7 @@ def congruence_certify(k_path: str | None, prime: int, samples: int,
     payload = dict(cert.to_json())
     payload["samples"] = samples
     payload["samplesInK"] = inside
-    text = json.dumps(payload, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write(json.dumps(payload, indent=2) + "\n", out)
     if not cert.divides or inside != samples:
         sys.exit(1)
 
@@ -527,12 +527,7 @@ def affine_certify(r: int, prime: int | None, xi: int | None,
         "twoGeneration": twogen,
         "geometricSumsNonzero": geom["passed"],
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write(json.dumps(payload, indent=2) + "\n", out)
     if not (delta["passed"] and irred["passed"] and twogen["passed"] and geom["passed"]):
         sys.exit(1)
 
@@ -545,7 +540,7 @@ def quotients() -> None:
 @quotients.command("schreier")
 @click.option("--quotient", "path", type=click.Path(exists=True, dir_okay=False),
               required=True, help="JSON finite quotient description.")
-@click.option("--max-cosets", type=int, default=100_000, show_default=True)
+@click.option("--max-cosets", type=click.IntRange(min=1), default=100_000, show_default=True)
 def quotients_schreier(path: str, max_cosets: int) -> None:
     """Print the Schreier system of the base-point stabilizer."""
     quotient = load_quotient(path, "--quotient")
@@ -554,7 +549,7 @@ def quotients_schreier(path: str, max_cosets: int) -> None:
     try:
         system = kernel_subgroup(quotient, max_cosets=max_cosets)
     except SchreierError as exc:
-        raise click.ClickException(str(exc))
+        raise click.UsageError(str(exc))
     payload = {
         "index": system.index,
         "rank": schreier_rank(system.index, quotient.alphabet.rank),

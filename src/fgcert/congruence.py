@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .intlinalg import PRIME_CAP, is_prime, row_hnf
 from .quotients import (
     ALPHA_BETA,
     FiniteQuotient,
@@ -53,7 +54,9 @@ class CongruenceInput:
     def __post_init__(self):
         if self.k_quotient.alphabet != ALPHA_BETA:
             raise CongruenceError("K quotient must be over the alphabet (a, b)")
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p ** 0.5) + 1)):
+        if self.p > PRIME_CAP:
+            raise CongruenceError("p is above the cap 2^40 on r and p")
+        if not is_prime(self.p):
             raise CongruenceError(f"p = {self.p} is not prime")
         object.__setattr__(self, "k_index", len(self.k_quotient.orbit()))
         if (6 * self.k_index) % self.p == 0:
@@ -116,14 +119,6 @@ class MOracle:
         return all(v % self.p == 0 for v in vec)
 
 
-def build_n(input: CongruenceInput, max_cosets: int = 100_000) -> NOracle:
-    return NOracle(input, max_cosets=max_cosets)
-
-
-def build_m(input: CongruenceInput, max_cosets: int = 100_000) -> MOracle:
-    return MOracle(build_n(input, max_cosets=max_cosets))
-
-
 _CHUNK_DIGITS = 1000
 _CHUNK = 10 ** _CHUNK_DIGITS
 
@@ -171,23 +166,16 @@ class Certificate:
 
 
 def _subgroup_order_mod4(vectors) -> int:
-    """Order of the subgroup of (Z/4)^2 generated by the given vectors."""
-    gens = {(a % 4, b % 4) for a, b in vectors}
-    elements = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = ((cur[0] + g[0]) % 4, (cur[1] + g[1]) % 4)
-            if nxt not in elements:
-                elements.add(nxt)
-                frontier.append(nxt)
-    return len(elements)
+    """Order of the subgroup of (Z/4)^2 generated by the given vectors:
+    with 4Z^2 they span a lattice L of index a*d in Z^2, a and d the
+    pivots of its Hermite normal form, and the subgroup is L/4Z^2."""
+    (a, _), (_, d) = row_hnf([*{(x % 4, y % 4) for x, y in vectors}, (4, 0), (0, 4)])
+    return 16 // (a * d)
 
 
 def certify(input: CongruenceInput, max_cosets: int = 100_000,
             n_oracle: NOracle | None = None) -> Certificate:
-    oracle = n_oracle or build_n(input, max_cosets=max_cosets)
+    oracle = n_oracle or NOracle(input, max_cosets=max_cosets)
     n = input.k_index
     p = input.p
     order_mod_npn = oracle.index * p ** oracle.rank

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intlinalg import IntMatrix
-from .words import Alphabet, Word, WordError, alphabet, parse_word
+from .words import Alphabet, Word, WordError, alphabet, parse_word, substitute
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,7 @@ class FreeHom:
     def __call__(self, w: Word) -> Word:
         if w.alphabet != self.domain:
             raise WordError("word not over the domain alphabet")
-        result = self.codomain.identity()
-        for gen, exp in w.syllables:
-            result = result * self.images[gen] ** exp
-        return result
+        return substitute(self.codomain, self.images.__getitem__, w)
 
     def is_endo(self) -> bool:
         return self.domain == self.codomain
@@ -131,8 +128,7 @@ def abelianization_matrix(h: FreeHom) -> IntMatrix:
     composition maps to matrix product."""
     if not h.is_endo():
         raise WordError("abelianization matrix needs an endomorphism")
-    cols = [img.exponent_sums() for img in h.images]
-    return IntMatrix(tuple(tuple(col[i] for col in cols) for i in range(h.domain.rank)))
+    return IntMatrix.from_columns([img.exponent_sums() for img in h.images])
 
 
 def fixes_word(h: FreeHom, w: Word) -> bool:

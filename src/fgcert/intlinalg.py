@@ -8,6 +8,8 @@ Hermite normal form, so equal lattices have equal representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
+from operator import mul
 from typing import Sequence
 
 
@@ -24,6 +26,11 @@ class IntMatrix:
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
         return IntMatrix(tuple(tuple(int(v) for v in r) for r in rows))
+
+    @staticmethod
+    def from_columns(cols: Sequence[Sequence[int]]) -> "IntMatrix":
+        """The matrix whose column j is ``cols[j]``."""
+        return IntMatrix(tuple(zip(*cols)))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -44,13 +51,7 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows)) if other.rows else []
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
-        )
+        return IntMatrix(tuple(map(tuple, mat_mul(self.rows, other.rows))))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix(
@@ -76,16 +77,35 @@ class IntMatrix:
         return tuple(r[j] for r in self.rows)
 
 
-def row_hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Row-style Hermite normal form (positive pivots, entries above a
-    pivot reduced into [0, pivot)), zero rows dropped."""
-    mat = [list(map(int, r)) for r in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    """Matrix product over any ring with + and * operators: plain ints,
+    or group-ring elements, which have no additive zero to start a sum
+    from, so each entry starts from its first product."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row[1:], col[1:]), row[0] * col[0]) for col in cols]
+            for row in a]
+
+
+PRIME_CAP = 2 ** 40
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division up to isqrt(n): at most 2^20 divisions
+    up to PRIME_CAP, the largest r or p the certificates accept."""
+    if n < 2:
+        return False
+    return all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _echelon(mat: list[list[int]], ncols: int) -> int:
+    """Integer row echelon form of the first ``ncols`` columns, in place,
+    by the Euclidean algorithm down each column (Cohen, A Course in
+    Computational Algebraic Number Theory, 1993, 2.4); returns the rank.
+    Rows from the rank on are zero in those columns."""
     pivot_row = 0
     for col in range(ncols):
-        # eliminate below via the Euclidean algorithm on the column
+        if pivot_row == len(mat):
+            break
         while True:
             nonzero = [i for i in range(pivot_row, len(mat)) if mat[i][col] != 0]
             if not nonzero:
@@ -102,18 +122,28 @@ def row_hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
                     done = False
             if done:
                 break
-        if pivot_row < len(mat) and mat[pivot_row][col] != 0:
-            if mat[pivot_row][col] < 0:
-                mat[pivot_row] = [-v for v in mat[pivot_row]]
-            p = mat[pivot_row][col]
-            for i in range(pivot_row):
-                q = mat[i][col] // p
-                if q:
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[pivot_row])]
+        if mat[pivot_row][col] != 0:
             pivot_row += 1
-            if pivot_row == len(mat):
-                break
-    return [r for r in mat[:pivot_row] if any(r)]
+    return pivot_row
+
+
+def row_hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Row-style Hermite normal form (positive pivots, entries above a
+    pivot reduced into [0, pivot)), zero rows dropped."""
+    mat = [list(map(int, r)) for r in rows]
+    rank = _echelon(mat, len(mat[0])) if mat else 0
+    col = 0
+    for i in range(rank):
+        while mat[i][col] == 0:
+            col += 1
+        if mat[i][col] < 0:
+            mat[i] = [-v for v in mat[i]]
+        pivot = mat[i]
+        for k in range(i):
+            q = mat[k][col] // pivot[col]
+            if q:
+                mat[k] = [a - q * b for a, b in zip(mat[k], pivot)]
+    return mat[:rank]
 
 
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
@@ -122,40 +152,10 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     Row-reduces [m^T | I]; rows whose left block vanishes record, in the
     right block, unimodular combinations lying in the kernel.
     """
-    n = m.ncols
-    k = m.nrows
-    cols = list(zip(*m.rows)) if k else [()] * n
-    aug = [list(cols[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    reduced = _echelon_keep_all(aug, k)
-    kernel = [tuple(row[k:]) for row in reduced if not any(row[:k])]
-    return row_hnf(kernel)
-
-
-def _echelon_keep_all(mat: list[list[int]], ncols_left: int) -> list[list[int]]:
-    """Integer row echelon on the left block, keeping every row."""
-    pivot_row = 0
-    for col in range(ncols_left):
-        while True:
-            nonzero = [i for i in range(pivot_row, len(mat)) if mat[i][col] != 0]
-            if not nonzero:
-                break
-            i_min = min(nonzero, key=lambda i: abs(mat[i][col]))
-            mat[pivot_row], mat[i_min] = mat[i_min], mat[pivot_row]
-            p = mat[pivot_row][col]
-            done = True
-            for i in range(pivot_row + 1, len(mat)):
-                q = mat[i][col] // p
-                if q:
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[pivot_row])]
-                if mat[i][col] != 0:
-                    done = False
-            if done:
-                break
-        if pivot_row < len(mat) and mat[pivot_row][col] != 0:
-            pivot_row += 1
-            if pivot_row == len(mat):
-                break
-    return mat
+    n, k = m.ncols, m.nrows
+    aug = [list(col) + [int(i == j) for j in range(n)] for i, col in enumerate(zip(*m.rows))]
+    rank = _echelon(aug, k)
+    return row_hnf([row[k:] for row in aug[rank:]])
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,19 @@ to (Z/m)^n and the coefficients to Z/m yields the finite version, whose
 image group consists of 2x2 block matrices (g 0; t 1); an element is
 determined by its bottom row.
 
-Matrix multiplication over these rings is done entrywise with the ring
-operators, so the same helpers serve Z[F_n] and Z_m[(Z/m)^n].
+Matrix multiplication over these rings is ``intlinalg.mat_mul``, which
+uses only the ring operators, so it serves Z[F_n], Z_m[(Z/m)^n] and the
+integer matrices alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .homs import FreeHom, VerifiedAut, abelianization_matrix, compose
+from .intlinalg import mat_mul
 from .words import Alphabet, Word, WordError
 
 
@@ -202,13 +205,10 @@ class FiniteGroupRingElement:
         to the vector matrix_cols[j] (used for twisting by an
         automorphism acting through the abelianization)."""
         n, m = self.rank, self.modulus
+        rows = list(zip(*matrix_cols))
         d: dict[tuple[int, ...], int] = {}
         for v, c in self.terms:
-            out = [0] * n
-            for j, e in enumerate(v):
-                for i in range(n):
-                    out[i] += matrix_cols[j][i] * e
-            key = tuple(x % m for x in out)
+            key = tuple(sum(map(mul, row, v)) % m for row in rows)
             d[key] = d.get(key, 0) + c
         return FiniteGroupRingElement.from_dict(m, n, d)
 
@@ -319,30 +319,16 @@ def magnus_image(w: Word, m: int) -> PhiElement:
 # ---------------------------------------------------------------------------
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    """Matrix product over any ring with + and * operators."""
-    n, k, p = len(a), len(b), len(b[0])
-    return [[_dot(a[i], [b[t][j] for t in range(k)]) for j in range(p)] for i in range(n)]
-
-
-def _dot(row, col):
-    total = row[0] * col[0]
-    for a, b in zip(row[1:], col[1:]):
-        total = total + a * b
-    return total
-
-
 def j_of_endo(h: FreeHom, m: int | None = None) -> list[list]:
     """The n x n matrix with entry (i, j) = i-th Fox coordinate of the
     image of generator j, over Z[F_n] (m=None) or pushed to Z_m[(Z/m)^n]."""
     if not h.is_endo():
         raise WordError("J matrix needs an endomorphism")
-    n = h.domain.rank
     if m is None:
         cols = [fox_coordinates(img) for img in h.images]
     else:
         cols = [_finite_coordinates(img, m)[1] for img in h.images]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return [list(row) for row in zip(*cols)]
 
 
 def j_identity(alpha: Alphabet, m: int | None = None) -> list[list]:
@@ -433,12 +419,6 @@ def ka_check(auts: Sequence[VerifiedAut], m: int, pairs: int = 50,
 # ---------------------------------------------------------------------------
 
 
-def _mod_mat_mul(a, b, mod):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) % mod for j in range(n)]
-            for i in range(n)]
-
-
 def _mod_mat_inv3(a, mod):
     """Inverse of a 3x3 matrix over Z/mod via the adjugate; the
     determinant must be a unit."""
@@ -462,7 +442,9 @@ def local_commutator_check(p: int, k: int, s_power: int, t_power: int,
                            samples: int = 200, rng=None) -> dict:
     """In R = Z/p^k with ideals S = (p^s_power), T = (p^t_power): sample
     invertible I+A (A over S) and I+B (B over T) and verify the
-    commutator is the identity mod S*T = (p^(s_power+t_power)).
+    commutator is the identity mod S*T = (p^(s_power+t_power)).  The
+    products are not reduced mod p^k: S*T divides p^k, so reducing
+    cannot change the verdict.
     """
     import random
 
@@ -483,7 +465,7 @@ def local_commutator_check(p: int, k: int, s_power: int, t_power: int,
         ib_inv = _mod_mat_inv3(ib, mod)
         if ia_inv is None or ib_inv is None:
             continue
-        comm = _mod_mat_mul(_mod_mat_mul(ia, ib, mod), _mod_mat_mul(ia_inv, ib_inv, mod), mod)
+        comm = mat_mul(mat_mul(ia, ib), mat_mul(ia_inv, ib_inv))
         tested += 1
         ok = all((comm[i][j] - ident[i][j]) % st == 0 for i in range(3) for j in range(3))
         if not ok:

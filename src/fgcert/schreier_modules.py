@@ -26,9 +26,8 @@ def conjugation_matrix(s: SchreierSystem, g: Word) -> IntMatrix:
     rewrite(g^-1 e_j g)."""
     if not _normalizes(s, g):
         raise SchreierError(f"{g} does not normalize the subgroup")
-    cols = [abelianized_image(s, e.conjugated_by(g)) for e in s.generators]
-    n = len(cols)
-    return IntMatrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+    return IntMatrix.from_columns(
+        [abelianized_image(s, e.conjugated_by(g)) for e in s.generators])
 
 
 def _normalizes(s: SchreierSystem, g: Word) -> bool:
@@ -44,9 +43,7 @@ def action_matrix(s: SchreierSystem, aut: VerifiedAut) -> IntMatrix:
     the subgroup; column j = exponent vector of rewrite(aut(e_j))."""
     if not preserves_subgroup(s, aut):
         raise SchreierError("automorphism does not preserve the subgroup")
-    cols = [abelianized_image(s, aut(e)) for e in s.generators]
-    n = len(cols)
-    return IntMatrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+    return IntMatrix.from_columns([abelianized_image(s, aut(e)) for e in s.generators])
 
 
 def preserves_subgroup(s: SchreierSystem, aut: VerifiedAut) -> bool:
@@ -84,5 +81,4 @@ def induced_action(s: SchreierSystem, aut: VerifiedAut,
         if coords is None:
             raise SchreierError("lattice is not invariant under the action")
         cols.append(coords)
-    k = invariant.rank
-    return IntMatrix(tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)))
+    return IntMatrix.from_columns(cols)

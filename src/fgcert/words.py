@@ -121,12 +121,8 @@ class Word:
         return Word._trusted(self.alphabet, _reduce(self.syllables + other.syllables))
 
     def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.alphabet.identity()
-        for _ in range(n):
-            result = result * self
-        return result
+        base = self if n >= 0 else self.inverse()
+        return Word._trusted(self.alphabet, _reduce(base.syllables * abs(n)))
 
     def inverse(self) -> "Word":
         return Word._trusted(self.alphabet,

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 
 from fgcert.affine import (
     AffineError,
@@ -21,6 +22,7 @@ from fgcert.affine import (
     smallest_root_of_order,
     two_generation_certificate,
 )
+from fgcert.intlinalg import PRIME_CAP
 
 PARAMS = AffineParams(5, 11, 3)
 
@@ -213,3 +215,20 @@ def test_parameter_mismatch_rejected():
     other = AffineParams(3, 7, 2)
     with pytest.raises(AffineError):
         gamma_identity(PARAMS) * gamma_identity(other)
+
+
+def test_smallest_prime_1_mod_steps_through_1_mod_r():
+    r = 1000000007
+    k = next(k for k in range(1, 1000) if sympy.isprime(k * r + 1))
+    assert smallest_prime_1_mod(r) == k * r + 1 == 44000000309
+    assert [smallest_prime_1_mod(r) for r in (2, 3, 5, 7, 11, 13)] == [3, 7, 11, 29, 23, 53]
+
+
+def test_r_and_p_above_the_cap_are_rejected():
+    with pytest.raises(AffineError, match="r is above the cap"):
+        AffineParams.choose(PRIME_CAP + 15)
+    with pytest.raises(AffineError, match="p is above the cap"):
+        AffineParams.choose(5, 10 ** 400 + 1)
+    # the smallest prime = 1 mod r past the cap is not searched for
+    with pytest.raises(AffineError, match="up to the cap"):
+        smallest_prime_1_mod(PRIME_CAP - 87)

@@ -205,3 +205,44 @@ def test_affine_certify_large_p_default_xi_and_bad_xi(tmp_path):
     res = run("affine", "certify", "--r", "23", "--p", "2147484517", "--xi", "2")
     assert time.monotonic() - start < 1
     assert_usage_error(res, "xi = 2 does not have order 23 mod 2147484517")
+
+
+def test_p_above_the_cap_is_a_usage_error():
+    # trial division made 10^18 + 3 run for minutes, and 10^400 + 1
+    # overflowed a float square root
+    for p in ("1000000000000000003", str(10 ** 400 + 1)):
+        start = time.monotonic()
+        assert_usage_error(run("congruence", "certify", "--p", p),
+                           "p is above the cap 2^40 on r and p")
+        assert_usage_error(run("affine", "certify", "--r", "5", "--p", p),
+                           "p is above the cap 2^40 on r and p")
+        assert time.monotonic() - start < 2
+
+
+def test_r_above_the_cap_is_a_usage_error():
+    assert_usage_error(run("affine", "certify", "--r", str(2 ** 40 + 15), "--find-p"),
+                       "r is above the cap 2^40 on r and p")
+
+
+def test_affine_find_p_for_a_large_r_is_quick():
+    # the search steps through p = 1 mod r; the bad --xi stops the run
+    # before the certificate, whose work grows with r
+    start = time.monotonic()
+    res = run("affine", "certify", "--r", "1000000007", "--find-p", "--xi", "2")
+    assert_usage_error(res, "xi = 2 does not have order 1000000007 mod 44000000309")
+    assert time.monotonic() - start < 2
+
+
+def test_negative_samples_is_a_usage_error():
+    assert_usage_error(run("congruence", "certify", "--p", "5", "--samples", "-3"),
+                       "Invalid value for '--samples'")
+
+
+def test_quotients_schreier_coset_cap_is_a_usage_error(tmp_path):
+    q = FiniteQuotient(ALPHA_BETA, 2, ((1, 0), (0, 1)))
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(q.to_json()))
+    assert_usage_error(run("quotients", "schreier", "--quotient", str(path), "--max-cosets", "1"),
+                       "coset limit exceeded (1); input too large")
+    assert_usage_error(run("quotients", "schreier", "--quotient", str(path), "--max-cosets", "0"),
+                       "Invalid value for '--max-cosets'")

@@ -2,16 +2,19 @@ import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fgcert.congruence import (
     Certificate,
     CongruenceError,
     CongruenceInput,
+    MOracle,
     NOracle,
-    build_m,
+    _subgroup_order_mod4,
     certify,
     exact_decimal,
 )
+from fgcert.intlinalg import PRIME_CAP
 from fgcert.quotients import ALPHA_BETA, FiniteQuotient, trivial_quotient
 from fgcert.words import alphabet, parse_word, random_word
 
@@ -32,6 +35,12 @@ def test_input_validation():
         CongruenceInput(trivial_quotient(ALPHA_BETA), 2)
     with pytest.raises(CongruenceError):
         CongruenceInput(trivial_quotient(F2), 5)  # wrong alphabet
+
+
+def test_p_above_the_cap_is_rejected_before_the_primality_test():
+    for p in (PRIME_CAP + 1, 1000000000000000003, 10 ** 400 + 1):
+        with pytest.raises(CongruenceError, match="above the cap 2\\^40"):
+            CongruenceInput(trivial_quotient(ALPHA_BETA), p)
 
 
 def test_k_index():
@@ -75,7 +84,7 @@ def test_oracle_agrees_with_coset_table():
 
 
 def test_m_membership():
-    m_oracle = build_m(CongruenceInput(trivial_quotient(ALPHA_BETA), 5))
+    m_oracle = MOracle(NOracle(CongruenceInput(trivial_quotient(ALPHA_BETA), 5)))
     # x^6 is in N but its p-th power is needed for the derived-times-p layer
     assert not m_oracle.contains(parse_word("x^6", F2))
     assert not m_oracle.contains(parse_word("x^30", F2))  # 30 not divisible by 4
@@ -137,3 +146,23 @@ def test_index4_sized_certificate_serialises():
     assert got["bound"] == str(Decimal(bound))
     assert int(got["orderOfF2ModM"]) == 16 * order
     assert int(got["orderOfF2ModNpN"]) == order
+
+
+def subgroup_order_mod4_by_closure(vectors):
+    """The former closure: add generators mod 4 until nothing new appears."""
+    gens = {(a % 4, b % 4) for a, b in vectors}
+    elements = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = ((cur[0] + g[0]) % 4, (cur[1] + g[1]) % 4)
+            if nxt not in elements:
+                elements.add(nxt)
+                frontier.append(nxt)
+    return len(elements)
+
+
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), max_size=6))
+def test_subgroup_order_mod4_matches_the_closure(vectors):
+    assert _subgroup_order_mod4(vectors) == subgroup_order_mod4_by_closure(vectors)

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from fgcert.homs import (
+    FreeHom,
     VerifiedAut,
     abelianization_matrix,
     compose,
@@ -18,7 +21,7 @@ from fgcert.homs import (
     transvection_alpha,
     transvection_beta,
 )
-from fgcert.words import WordError, alphabet, commutator, parse_word
+from fgcert.words import WordError, alphabet, commutator, parse_word, random_word
 
 XY = alphabet("x", "y")
 XYZ = alphabet("x", "y", "z")
@@ -104,3 +107,25 @@ def test_nielsen_generators():
     assert str(p(parse_word("z", XYZ))) == "x"
     with pytest.raises(WordError):
         nielsen_permutation(XY, (0, 0))
+
+
+def test_substitution_matches_image_by_image_products():
+    # the former FreeHom.__call__: multiply in the images one at a time
+    def image_by_image(h, w):
+        result = h.codomain.identity()
+        for gen, exp in w.syllables:
+            img = h.images[gen] if exp > 0 else h.images[gen].inverse()
+            for _ in range(abs(exp)):
+                result = result * img
+        return result
+
+    rng = random.Random(37)
+    for _ in range(300):
+        domain = rng.choice((XY, XYZ))
+        codomain = rng.choice((XY, XYZ))
+        h = FreeHom(domain, codomain,
+                    tuple(random_word(rng, codomain, 6) for _ in range(domain.rank)))
+        w = domain.identity()
+        for _ in range(rng.randint(0, 6)):
+            w = w * domain.generator(rng.randrange(domain.rank), rng.choice((-3, -1, 1, 2)))
+        assert h(w) == image_by_image(h, w)

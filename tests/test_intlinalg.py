@@ -6,7 +6,15 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
-from fgcert.intlinalg import IntMatrix, Lattice, kernel_basis, row_hnf
+from fgcert.intlinalg import (
+    PRIME_CAP,
+    IntMatrix,
+    Lattice,
+    is_prime,
+    kernel_basis,
+    mat_mul,
+    row_hnf,
+)
 
 
 def random_matrix(rng, rows, cols, bound=6):
@@ -132,3 +140,120 @@ def test_lattice_solve_random_roundtrip():
         assert got is not None
         rebuilt = [sum(c * b[j] for c, b in zip(got, lat.basis)) for j in range(dim)]
         assert rebuilt == v
+
+
+# ---------------------------------------------------------------------------
+# The shared primitives against the copies they replaced
+# ---------------------------------------------------------------------------
+
+
+def product_by_columns(a, b):
+    """The former ``IntMatrix.__mul__`` loop."""
+    cols = list(zip(*b)) if b else []
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def product_by_dot(a, b):
+    """The former ``magnus.mat_mul`` with its ``_dot`` helper."""
+    def dot(row, col):
+        total = row[0] * col[0]
+        for x, y in zip(row[1:], col[1:]):
+            total = total + x * y
+        return total
+
+    n, k, p = len(a), len(b), len(b[0])
+    return [[dot(a[i], [b[t][j] for t in range(k)]) for j in range(p)] for i in range(n)]
+
+
+def test_mat_mul_matches_the_replaced_products():
+    rng = random.Random(23)
+    for _ in range(200):
+        n, k, p = rng.randint(0, 5), rng.randint(1, 5), rng.randint(0, 5)
+        a, b = random_matrix(rng, n, k), random_matrix(rng, k, p)
+        expected = product_by_columns(a, b)
+        assert mat_mul(a, b) == [list(r) for r in expected]
+        if n:  # an IntMatrix without rows has no columns either
+            assert (IntMatrix.from_rows(a) * IntMatrix.from_rows(b)).rows == expected
+        if n and p:
+            assert mat_mul(a, b) == product_by_dot(a, b)
+
+
+def test_matrix_product_without_columns():
+    three_by_zero = IntMatrix(((), (), ()))
+    assert (three_by_zero * IntMatrix(())).rows == ((), (), ())
+    assert (IntMatrix(()) * IntMatrix(())).rows == ()
+
+
+def test_from_columns():
+    m = IntMatrix.from_columns([(1, 2, 3), (4, 5, 6)])
+    assert m.rows == ((1, 4), (2, 5), (3, 6))
+    assert m.column(1) == (4, 5, 6)
+    assert IntMatrix.from_columns([]).rows == ()
+
+
+def row_hnf_by_column(rows):
+    """The former ``row_hnf``: Euclid down each column, then at once the
+    pivot sign and the reduction of the entries above it."""
+    mat = [list(map(int, r)) for r in rows]
+    if not mat:
+        return []
+    ncols = len(mat[0])
+    pivot_row = 0
+    for col in range(ncols):
+        while True:
+            nonzero = [i for i in range(pivot_row, len(mat)) if mat[i][col] != 0]
+            if not nonzero:
+                break
+            i_min = min(nonzero, key=lambda i: abs(mat[i][col]))
+            mat[pivot_row], mat[i_min] = mat[i_min], mat[pivot_row]
+            p = mat[pivot_row][col]
+            done = True
+            for i in range(pivot_row + 1, len(mat)):
+                q = mat[i][col] // p
+                if q:
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[pivot_row])]
+                if mat[i][col] != 0:
+                    done = False
+            if done:
+                break
+        if pivot_row < len(mat) and mat[pivot_row][col] != 0:
+            if mat[pivot_row][col] < 0:
+                mat[pivot_row] = [-v for v in mat[pivot_row]]
+            p = mat[pivot_row][col]
+            for i in range(pivot_row):
+                q = mat[i][col] // p
+                if q:
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[pivot_row])]
+            pivot_row += 1
+            if pivot_row == len(mat):
+                break
+    return [r for r in mat[:pivot_row] if any(r)]
+
+
+def test_row_hnf_matches_the_per_column_version():
+    rng = random.Random(29)
+    deficient = 0
+    for _ in range(400):
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 6)
+        rows = random_matrix(rng, nrows, ncols)
+        # rank-deficient inputs: zero rows, repeated rows, combinations
+        if nrows and rng.random() < 0.4:
+            rows[rng.randrange(nrows)] = [0] * ncols
+        if nrows >= 2 and rng.random() < 0.4:
+            i, j = rng.sample(range(nrows), 2)
+            c = rng.randint(-3, 3)
+            rows[i] = [c * v for v in rows[j]]
+        if nrows and sympy.Matrix(rows).rank() < min(nrows, ncols):
+            deficient += 1
+        assert row_hnf(rows) == row_hnf_by_column(rows), rows
+    assert deficient > 100
+    assert row_hnf([[0, 0], [0, 0]]) == row_hnf_by_column([[0, 0], [0, 0]]) == []
+
+
+def test_is_prime_matches_sympy():
+    assert [n for n in range(100_000) if is_prime(n)] == list(sympy.primerange(100_000))
+    near_cap = range(PRIME_CAP - 99, PRIME_CAP - 59, 2)
+    assert len(near_cap) == 20
+    assert [is_prime(n) for n in near_cap] == [sympy.isprime(n) for n in near_cap]
+    assert any(is_prime(n) for n in near_cap)
+    assert not is_prime(-7) and not is_prime(0) and not is_prime(1)

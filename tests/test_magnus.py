@@ -9,6 +9,7 @@ from fgcert.magnus import (
     FreeGroupRingElement,
     PhiElement,
     RingError,
+    _mod_mat_inv3,
     acts_trivially_mod,
     fox_coordinates,
     fox_identity_holds,
@@ -244,3 +245,56 @@ def test_mat_mul_over_group_ring():
     x = FreeGroupRingElement.monomial(XY.generator(0))
     prod = mat_mul([[one, x]], [[x], [one]])
     assert prod == [[x + x]]
+
+
+def test_mat_mul_matches_dot_products_over_the_group_ring():
+    # the former magnus.mat_mul, entry by entry through its _dot helper
+    def dot(row, col):
+        total = row[0] * col[0]
+        for a, b in zip(row[1:], col[1:]):
+            total = total + a * b
+        return total
+
+    rng = random.Random(31)
+    for _ in range(30):
+        a, b = ([[FreeGroupRingElement.monomial(random_word(rng, XY, 4), rng.randint(-2, 2))
+                  for _ in range(2)] for _ in range(2)] for _ in range(2))
+        assert mat_mul(a, b) == [[dot(a[i], [b[0][j], b[1][j]]) for j in range(2)]
+                                 for i in range(2)]
+
+
+def local_commutator_mod_reduced(p, k, s_power, t_power, samples, rng):
+    """The former check, every product reduced mod p^k."""
+    def mod_mat_mul(a, b, mod):
+        return [[sum(a[i][t] * b[t][j] for t in range(3)) % mod for j in range(3)]
+                for i in range(3)]
+
+    mod = p ** k
+    st_ = p ** min(s_power + t_power, k)
+    ident = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    failures = tested = 0
+    while tested < samples:
+        a = [[(p ** s_power) * rng.randrange(p ** (k - s_power)) % mod
+              for _ in range(3)] for _ in range(3)]
+        b = [[(p ** t_power) * rng.randrange(p ** (k - t_power)) % mod
+              for _ in range(3)] for _ in range(3)]
+        ia = [[(ident[i][j] + a[i][j]) % mod for j in range(3)] for i in range(3)]
+        ib = [[(ident[i][j] + b[i][j]) % mod for j in range(3)] for i in range(3)]
+        ia_inv, ib_inv = _mod_mat_inv3(ia, mod), _mod_mat_inv3(ib, mod)
+        if ia_inv is None or ib_inv is None:
+            continue
+        comm = mod_mat_mul(mod_mat_mul(ia, ib, mod), mod_mat_mul(ia_inv, ib_inv, mod), mod)
+        tested += 1
+        if not all((comm[i][j] - ident[i][j]) % st_ == 0 for i in range(3) for j in range(3)):
+            failures += 1
+    return {"passed": failures == 0, "samples": tested, "failures": failures,
+            "modulus": mod, "ideal_product": st_}
+
+
+@pytest.mark.parametrize("case", [(3, 2, 1, 1), (2, 3, 1, 2), (5, 3, 1, 1), (2, 4, 1, 1),
+                                  (3, 3, 0, 1)])
+def test_local_commutator_matches_the_mod_reduced_check(case):
+    for seed in range(3):
+        ours = local_commutator_check(*case, samples=60, rng=random.Random(seed))
+        old = local_commutator_mod_reduced(*case, samples=60, rng=random.Random(seed))
+        assert ours == old

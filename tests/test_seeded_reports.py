@@ -1,0 +1,29 @@
+"""The seeded reports of four suites, byte for byte.
+
+The sha256 of each ``fgcert verify <suite> --seed 42`` report equals the
+digest the benchmark pins for it (``perfbench/pins.json``, copied here).
+A change to the seeded output fails this fast test, not only the
+benchmark's smoke test.
+"""
+
+import hashlib
+
+import pytest
+from click.testing import CliRunner
+
+from fgcert.cli import main
+
+PINNED_SHA256 = {
+    "section2": "2e7808b519a737329278e0c830db9a441dc048ebf6c20608ca777bf6b022fe5e",
+    "largeness": "b660e17b5e1f476364242d419c86bac00ff344fdc54022c94a0862eff762e7f2",
+    "congruence": "0f22fea41fc2b3bb2ca7e0b3cab057f9e44cd461157b804fffc904b5339ad906",
+    "affine": "60ce8536ae2297f000ac7aed718999ce4d58a30492704ec50dee1ae34e4baeb7",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(PINNED_SHA256))
+def test_seeded_report_is_byte_identical(suite, tmp_path):
+    out = tmp_path / f"{suite}.json"
+    res = CliRunner().invoke(main, ["verify", suite, "--seed", "42", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256[suite]

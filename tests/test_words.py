@@ -149,3 +149,12 @@ def test_random_words_are_reduced():
         for i in range(len(w.syllables) - 1):
             assert w.syllables[i][0] != w.syllables[i + 1][0]
         assert all(e != 0 for _, e in w.syllables)
+
+
+@given(words(), st.integers(-5, 5))
+def test_power_matches_repeated_multiplication(w, n):
+    expected = w.alphabet.identity()
+    for _ in range(abs(n)):
+        expected = expected * (w if n > 0 else w.inverse())
+    assert w ** n == expected
+    assert Word(w.alphabet, (w ** n).syllables) == expected  # reduced and valid
