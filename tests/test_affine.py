@@ -3,12 +3,17 @@ import random
 import pytest
 import sympy
 
+from fgcert import affine
 from fgcert.affine import (
+    R_CAP,
     AffineError,
     AffineParams,
     DeltaGroup,
     GammaElement,
     build_delta,
+    closure_dimensions,
+    conjugate_translation,
+    delta_group,
     delta_inverse,
     delta_mul,
     diagonal_projection,
@@ -232,3 +237,230 @@ def test_r_and_p_above_the_cap_are_rejected():
     # the smallest prime = 1 mod r past the cap is not searched for
     with pytest.raises(AffineError, match="up to the cap"):
         smallest_prime_1_mod(PRIME_CAP - 87)
+
+
+def test_r_above_the_certificate_cap_is_rejected(monkeypatch):
+    assert R_CAP == 61
+    assert AffineParams.choose(61).p == 367
+
+    def no_search(r, p):
+        raise AssertionError("searched for xi above the cap")
+
+    # the cap is checked before the search for xi, which takes r powers
+    monkeypatch.setattr(affine, "smallest_root_of_order", no_search)
+    with pytest.raises(AffineError, match="r = 67 is above the cap 61"):
+        AffineParams.choose(67)
+    with pytest.raises(AffineError, match="r = 67 is above the cap 61"):
+        AffineParams.choose(67, 269)
+    with pytest.raises(AffineError, match="r = 67 is above the cap 61"):
+        AffineParams(67, 269, 16)        # 16 has order 67 mod 269
+    # an explicit bad xi is reported before the cap
+    with pytest.raises(AffineError, match="xi = 2 does not have order 67"):
+        AffineParams(67, 269, 2)
+
+
+def test_delta_group_is_built_once(monkeypatch):
+    group = delta_group(PARAMS)
+    assert delta_group(AffineParams(5, 11, 3)) is group
+    assert delta_group(AffineParams(5, 11, 4)) is not group
+
+    def no_search(r):
+        raise AssertionError("primitive_root searched again")
+
+    monkeypatch.setattr(affine, "primitive_root", no_search)
+    rng = random.Random(4)
+    g, h = rand_gamma(rng, PARAMS), rand_gamma(rng, PARAMS)
+    assert (g * h) * h.inverse() == g
+    assert build_delta(PARAMS)["passed"]
+    assert two_generation_certificate(PARAMS)["passed"]
+
+
+# ---------------------------------------------------------------------------
+# The closure by spinning, kept as the reference for the rank
+# ---------------------------------------------------------------------------
+
+
+def spin_closure(vectors, generators, p):
+    """Reference: close vectors under linear maps by spinning; returns a
+    row-echelon basis (mod p) of the generated submodule."""
+    basis, pivots = [], []
+
+    def insert(vec):
+        v = [x % p for x in vec]
+        for piv, row in zip(pivots, basis):
+            if v[piv]:
+                f = v[piv]
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+        nz = next((i for i, a in enumerate(v) if a), None)
+        if nz is None:
+            return False
+        inv = pow(v[nz], -1, p)
+        basis.append([a * inv % p for a in v])
+        pivots.append(nz)
+        return True
+
+    queue = [tuple(v) for v in vectors]
+    for v in queue:
+        insert(v)
+    while queue:
+        v = queue.pop()
+        for gen in generators:
+            img = gen(v)
+            if insert(img):
+                queue.append(tuple(img))
+    return basis
+
+
+def spin_dimensions(params, seeds):
+    """Reference: (total, per-copy) dimensions of the Delta-submodule of W
+    that the seeds generate, by spinning flat vectors of length
+    (r-1)(r-2) under the entrywise action of D and S."""
+    group = delta_group(params)
+    dim, copies, p = params.dim, params.copies, params.p
+
+    def entrywise(d):
+        def act(flat):
+            return tuple(x for c in range(copies)
+                         for x in group.act(d, flat[c * dim:(c + 1) * dim]))
+        return act
+
+    flat = [tuple(x for v in w for x in v) for w in seeds]
+    basis = spin_closure(flat, [entrywise(group.d_gen), entrywise(group.s_gen)], p)
+    per_copy = []
+    for c in range(copies):
+        proj = [row[c * dim:(c + 1) * dim] for row in basis]
+        per_copy.append(len(spin_closure([v for v in proj if any(v)], [], p)))
+    return len(basis), per_copy
+
+
+def spin_two_generation_certificate(params):
+    """Reference: the two-generation certificate with the closure found by
+    spinning and C applied as a full matrix."""
+    group = delta_group(params)
+    p, r = params.p, params.r
+    dim, copies = params.dim, params.copies
+    l = next(m for m in range(1, r - 1) if pow(group.a, m, r) * (r - 1) % r == 1)
+    w_elt, k = affine.conjugate_translation(params, l)
+    e1_confined = all(w_elt.w_part[j][0] % p == 0 for j in range(1, copies))
+    e1_present = w_elt.w_part[0][0] % p != 0
+    c_mat = diagonal_projection(params, 0)
+
+    def project(w_part):
+        return tuple(
+            tuple(sum(c_mat[u][t] * v[t] for t in range(dim)) % p for u in range(dim))
+            for v in w_part)
+
+    first_total, first_per_copy = spin_dimensions(params, [project(w_elt.w_part)])
+    seeds, exponents = [project(w_elt.w_part)], [(l, k)]
+    for l2 in range(1, r - 1):
+        if l2 != l:
+            w2, k2 = affine.conjugate_translation(params, l2)
+            seeds.append(project(w2.w_part))
+            exponents.append((l2, k2))
+    total, per_copy = spin_dimensions(params, seeds)
+    passed = all([
+        e1_confined, e1_present, first_per_copy[0] == dim and first_total == dim,
+        total == dim * copies, all(d == dim for d in per_copy),
+    ])
+    return {
+        "l": l,
+        "k": k,
+        "exponents": exponents,
+        "e1_only_in_first_entry": e1_confined and e1_present,
+        "vandermonde_c_is_e11": True,
+        "first_copy_spun_dimension": first_total,
+        "per_copy_spun_dimensions": per_copy,
+        "total_spun_dimension": total,
+        "expected_dimension": dim * copies,
+        "passed": passed,
+    }
+
+
+def first_primes_1_mod(r, count):
+    return [p for p in range(r + 1, 100 * r, r) if sympy.isprime(p)][:count]
+
+
+@pytest.mark.parametrize("r", [3, 5, 7, 11, 13])
+def test_two_generation_matches_spin_oracle(r):
+    for p in first_primes_1_mod(r, 3):
+        params = AffineParams.choose(r, p)
+        assert two_generation_certificate(params) == spin_two_generation_certificate(params)
+
+
+def random_seeds(rng, params):
+    """Seed sets of every shape the closure can meet: empty, zero, off
+    coordinate 0, in fewer copies than r-2, with slices spanning a proper
+    subspace, and unconstrained."""
+    dim, copies, p = params.dim, params.copies, params.p
+    zero = ((0,) * dim,) * copies
+
+    def rand_vec(n, density=1.0):
+        return [rng.randrange(p) if rng.random() < density else 0 for _ in range(n)]
+
+    def from_slices(basis, count):
+        # each coordinate slice is a random combination of the basis
+        seeds = []
+        for _ in range(count):
+            coef = [rand_vec(len(basis)) for _ in range(dim)]
+            seeds.append(tuple(
+                tuple(sum(a * b[c] for a, b in zip(coef[u], basis)) % p for u in range(dim))
+                for c in range(copies)))
+        return seeds
+
+    yield "empty", [], True
+    yield "zero", [zero, zero], True
+    off_zero = [tuple(tuple(0 if u == 0 else x for u, x in enumerate(rand_vec(dim, 0.3)))
+                      for _ in range(copies)) for _ in range(2)]
+    yield "off coordinate 0", off_zero, None
+    some_copies = [tuple(tuple(rand_vec(dim)) if c % 2 else (0,) * dim
+                         for c in range(copies)) for _ in range(3)]
+    yield "odd copies only", some_copies, True
+    for m in range(1, copies):
+        basis = [rand_vec(copies, 0.5) for _ in range(m)]
+        yield f"slices in a {m}-space", from_slices(basis, rng.randint(1, copies + 1)), True
+    for count in (1, 2, copies):
+        yield f"{count} random", [tuple(tuple(rand_vec(dim, 0.2)) for _ in range(copies))
+                                  for _ in range(count)], None
+
+
+@pytest.mark.parametrize("r", [5, 7, 11, 13])
+def test_closure_dimensions_match_spin(r):
+    params = AffineParams.choose(r)
+    dim, copies = params.dim, params.copies
+    rng = random.Random(r)
+    for name, seeds, deficient in random_seeds(rng, params):
+        total, per_copy = closure_dimensions(params, seeds)
+        assert (total, per_copy) == spin_dimensions(params, seeds), name
+        if deficient:
+            assert total < dim * copies, name
+
+
+def test_deficient_seeds_fail_the_certificate(monkeypatch):
+    # conjugate translations that repeat one exponent's w give seeds
+    # whose slices span less than F_p^(r-2)
+    params = AffineParams.choose(7, 29)
+    real = {l: conjugate_translation(params, l) for l in range(1, params.r - 1)}
+    fakes = {
+        "all from one l": lambda params, l: real[1],
+        "last l repeated": lambda params, l: real[min(l, params.r - 3)],
+    }
+    for name, fake in fakes.items():
+        monkeypatch.setattr(affine, "conjugate_translation", fake)
+        cert = two_generation_certificate(params)
+        assert cert == spin_two_generation_certificate(params), name
+        assert cert["total_spun_dimension"] < cert["expected_dimension"], name
+        assert not cert["passed"], name
+
+
+@pytest.mark.parametrize("hypothesis", ["distinct_eigenvalues", "permutation_transitive"])
+def test_two_generation_needs_both_lemma_hypotheses(monkeypatch, hypothesis):
+    params = AffineParams.choose(7, 29)
+    honest = two_generation_certificate(params)
+    assert honest["passed"]
+    real = affine.irreducibility_certificate
+
+    def failing(params):
+        return {**real(params), hypothesis: False}
+
+    monkeypatch.setattr(affine, "irreducibility_certificate", failing)
+    assert two_generation_certificate(params) == {**honest, "passed": False}

@@ -233,6 +233,18 @@ def test_affine_find_p_for_a_large_r_is_quick():
     assert time.monotonic() - start < 2
 
 
+def test_r_above_the_certificate_cap_is_a_usage_error():
+    # without --xi the search for xi takes r powers and the certificate
+    # builds (r-1) x (r-1) matrices; both are refused above the cap
+    start = time.monotonic()
+    res = run("affine", "certify", "--r", "1000000007", "--find-p")
+    assert_usage_error(res, "r = 1000000007 is above the cap 61 on r for the affine certificate")
+    assert time.monotonic() - start < 2
+    for args in (("--find-p",), ("--p", "269"), ("--p", "269", "--xi", "16")):
+        assert_usage_error(run("affine", "certify", "--r", "67", *args),
+                           "r = 67 is above the cap 61 on r for the affine certificate")
+
+
 def test_negative_samples_is_a_usage_error():
     assert_usage_error(run("congruence", "certify", "--p", "5", "--samples", "-3"),
                        "Invalid value for '--samples'")
