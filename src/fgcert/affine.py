@@ -31,7 +31,7 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .intlinalg import PRIME_CAP, is_prime, mat_mul
+from .intlinalg import PRIME_CAP, Factored, is_prime, mat_mul
 
 
 # The certificate's work grows as r^4 (build_delta's matrix powers and
@@ -280,8 +280,9 @@ def gamma_generators(params: AffineParams) -> tuple[GammaElement, GammaElement]:
     return d_prime, s_prime
 
 
-def gamma_order(params: AffineParams) -> int:
-    return params.p ** (params.dim * params.copies) * params.r * (params.r - 1)
+def gamma_order(params: AffineParams) -> Factored:
+    """|Gamma| = p^((r-1)(r-2)) r (r-1); p > r, so p divides neither r nor r-1."""
+    return Factored(params.r * (params.r - 1), params.p, params.dim * params.copies)
 
 
 # ---------------------------------------------------------------------------

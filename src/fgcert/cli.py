@@ -27,7 +27,7 @@ from .affine import (
     irreducibility_certificate,
     two_generation_certificate,
 )
-from .congruence import CongruenceError, CongruenceInput, NOracle, certify, exact_decimal
+from .congruence import CongruenceError, CongruenceInput, NOracle, certify
 from .homs import (
     compose_auts,
     hom,
@@ -522,7 +522,7 @@ def affine_certify(r: int, prime: int | None, xi: int | None,
         "xi": params.xi,
         "deltaOrder": delta["order"],
         "deltaRelations": delta["passed"],
-        "groupOrder": exact_decimal(gamma_order(params)),
+        "groupOrder": gamma_order(params).decimal(),
         "irreducible": irred["passed"],
         "twoGeneration": twogen,
         "geometricSumsNonzero": geom["passed"],

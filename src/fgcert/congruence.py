@@ -14,13 +14,22 @@ obtained by coset enumeration: it factors as
     [F : N' N^p] * |image of N' N^p in F/F'F^4|
 
 with [F : N' N^p] = [F : N] * p^rank(N) by the Schreier formula.
+
+Every big number of the certificate is a small cofactor times a power
+of p, and is kept as that pair (``Factored``).  p is coprime to 6n,
+[F : N] divides 36 n^4 and the image order divides 16, so the order
+divides the bound exactly when rank(N) <= 36 n^4 + 1 and
+[F : N] * (image order) divides 144 n^4: the verdict needs no big
+integer.  The digits are written only for output, by the standard
+library's ``decimal`` in an exact context.  That is exact integer
+arithmetic, not floating point: every rounding is trapped and raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intlinalg import PRIME_CAP, is_prime, row_hnf
+from .intlinalg import PRIME_CAP, Factored, is_prime, row_hnf
 from .quotients import (
     ALPHA_BETA,
     FiniteQuotient,
@@ -35,6 +44,15 @@ from .quotients import (
 from .words import Word, WordError, alphabet
 
 F2 = alphabet("x", "y")
+
+# Cap on the decimal digits of the bound 144 n^4 p^(36 n^4 + 1), which
+# the certificate prints in full.  A valid certificate can be longer;
+# the cap is a choice about output size.  It admits the 25-point cyclic
+# K at p = 11 (14.6M digits, about a second to format and 15 MB of
+# JSON) and refuses what a small quotient file could otherwise ask for:
+# the bound has 84M digits at n = 25, p = 1000003, and 274M at n = 52,
+# p = 11 (the largest cyclic K under the coset cap).
+DIGIT_CAP = 20_000_000
 
 
 class CongruenceError(ValueError):
@@ -61,6 +79,16 @@ class CongruenceInput:
         object.__setattr__(self, "k_index", len(self.k_quotient.orbit()))
         if (6 * self.k_index) % self.p == 0:
             raise CongruenceError(f"p = {self.p} divides 6n = {6 * self.k_index}")
+        digits = order_bound(self.k_index, self.p).max_digits()
+        if digits > DIGIT_CAP:
+            raise CongruenceError(
+                f"the bound 144 n^4 p^(36 n^4 + 1) at n = {self.k_index}, p = {self.p} "
+                f"has up to {digits} digits, above the cap {DIGIT_CAP} on output digits")
+
+
+def order_bound(n: int, p: int) -> Factored:
+    """The bound 144 n^4 p^(36 n^4 + 1) on the order of F/M."""
+    return Factored(144 * n ** 4, p, 36 * n ** 4 + 1)
 
 
 class NOracle:
@@ -119,36 +147,19 @@ class MOracle:
         return all(v % self.p == 0 for v in vec)
 
 
-_CHUNK_DIGITS = 1000
-_CHUNK = 10 ** _CHUNK_DIGITS
-
-
-def exact_decimal(value: int) -> str:
-    """The decimal digits of ``value``, equal to ``str(value)`` but free
-    of CPython's int->str digit limit (4300 digits by default, which the
-    bound already exceeds at n = 4).  Splits off 1000 digits at a time
-    instead of raising the limit, which is process-global state."""
-    if value < 0:
-        return "-" + exact_decimal(-value)
-    chunks = []
-    while value >= _CHUNK:
-        value, low = divmod(value, _CHUNK)
-        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
-    return str(value) + "".join(reversed(chunks))
-
-
 @dataclass(frozen=True)
 class Certificate:
-    """Exact order data for F/M and the divisibility verdict."""
+    """Exact order data for F/M and the divisibility verdict, each big
+    number as cofactor * p^exponent."""
 
     n: int
     p: int
     index_of_n: int
     rank_of_n: int
-    order_mod_npn: int      # [F : N' N^p]
+    order_mod_npn: Factored     # [F : N' N^p] = [F : N] p^rank(N)
     image_order_in_4torus: int
-    order_mod_m: int        # [F : M]
-    bound: int
+    order_mod_m: Factored       # [F : M]
+    bound: Factored             # 144 n^4 p^(36 n^4 + 1)
     divides: bool
 
     def to_json(self) -> dict:
@@ -157,10 +168,10 @@ class Certificate:
             "p": self.p,
             "indexOfN": self.index_of_n,
             "rankOfN": self.rank_of_n,
-            "orderOfF2ModNpN": exact_decimal(self.order_mod_npn),
+            "orderOfF2ModNpN": self.order_mod_npn.decimal(),
             "imageOrderIn4Torus": self.image_order_in_4torus,
-            "orderOfF2ModM": exact_decimal(self.order_mod_m),
-            "bound": exact_decimal(self.bound),
+            "orderOfF2ModM": self.order_mod_m.decimal(),
+            "bound": self.bound.decimal(),
             "divides": self.divides,
         }
 
@@ -178,20 +189,20 @@ def certify(input: CongruenceInput, max_cosets: int = 100_000,
     oracle = n_oracle or NOracle(input, max_cosets=max_cosets)
     n = input.k_index
     p = input.p
-    order_mod_npn = oracle.index * p ** oracle.rank
-    image_vectors = [tuple(p * s for s in vec)
-                     for vec in oracle.schreier.generator_exponent_sums()]
-    image_order = _subgroup_order_mod4(image_vectors)
-    order_mod_m = order_mod_npn * image_order
-    bound = 144 * n ** 4 * p ** (36 * n ** 4 + 1)
+    # N' N^p maps onto the subgroup of (Z/4)^2 generated by p times the
+    # Schreier generators' exponent vectors, and those only matter mod 4
+    classes = oracle.schreier.generator_exponent_classes(4)
+    image_order = _subgroup_order_mod4((p * x, p * y) for x, y in classes)
+    order_mod_m = Factored(oracle.index * image_order, p, oracle.rank)
+    bound = order_bound(n, p)
     return Certificate(
         n=n,
         p=p,
         index_of_n=oracle.index,
         rank_of_n=oracle.rank,
-        order_mod_npn=order_mod_npn,
+        order_mod_npn=Factored(oracle.index, p, oracle.rank),
         image_order_in_4torus=image_order,
         order_mod_m=order_mod_m,
         bound=bound,
-        divides=bound % order_mod_m == 0,
+        divides=order_mod_m.divides(bound),
     )

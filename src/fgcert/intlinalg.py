@@ -8,6 +8,7 @@ Hermite normal form, so equal lattices have equal representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Overflow, Rounded
 from math import isqrt
 from operator import mul
 from typing import Sequence
@@ -95,6 +96,57 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     return all(n % d for d in range(2, isqrt(n) + 1))
+
+
+# The largest precision and exponent range, with every kind of rounding
+# trapped: an operation either gives the exact integer or raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, Rounded, Overflow])
+
+
+@dataclass(frozen=True)
+class Factored:
+    """The integer cofactor * p^exponent, p a prime not dividing the
+    cofactor, kept in that form so that comparing certificates never
+    builds the big integer.
+
+    Its decimal digits come from the standard library's ``decimal`` in an
+    exact context.  That is integer arithmetic, not floating point: with
+    ``MAX_PREC`` digits and rounding trapped, a result is exact or
+    raises.  libmpdec multiplies large operands by number-theoretic
+    transform, so 14.6 million digits take about a second where
+    ``int.__str__`` is quadratic, and it has no 4300-digit limit.
+    """
+
+    cofactor: int
+    p: int
+    exponent: int
+
+    def __post_init__(self):
+        if self.p < 2 or self.cofactor < 1 or self.exponent < 0 or self.cofactor % self.p == 0:
+            raise ValueError(f"not a cofactor prime to p times a power of p: {self}")
+
+    def __int__(self) -> int:
+        return self.cofactor * self.p ** self.exponent
+
+    def divides(self, other: "Factored") -> bool:
+        """Whether self divides other: p-parts and cofactors apart,
+        since neither cofactor has a factor p."""
+        if other.p != self.p:
+            raise ValueError("divisibility of values factored over different primes")
+        return self.exponent <= other.exponent and other.cofactor % self.cofactor == 0
+
+    def max_digits(self) -> int:
+        """An upper bound on the value's decimal digits, in int arithmetic
+        only: p^exponent <= (p^64)^ceil(exponent / 64), which over-counts
+        by about one digit per 64 factors of p."""
+        blocks = -(-self.exponent // 64)
+        return len(str(self.cofactor)) + blocks * len(str(self.p ** 64))
+
+    def decimal(self) -> str:
+        """The decimal digits of the value, equal to ``str(int(self))``."""
+        power = _EXACT.power(Decimal(self.p), self.exponent)
+        return str(_EXACT.multiply(Decimal(self.cofactor), power))
 
 
 def _echelon(mat: list[list[int]], ncols: int) -> int:

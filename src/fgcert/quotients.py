@@ -239,22 +239,28 @@ class SchreierSystem:
     def schreier_generator_count(self) -> int:
         return len(self.edges)
 
-    def generator_exponent_sums(self) -> list[tuple[int, ...]]:
-        """Exponent vector of each Schreier generator t_c x t_c'^-1, read
-        off the tree as the vector of t_c plus e_x minus that of t_c'."""
-        rank = self.alphabet.rank
-        vectors = [(0,) * rank]
+    def generator_exponent_classes(self, modulus: int) -> set[tuple[int, ...]]:
+        """The exponent vectors of the Schreier generators mod ``modulus``,
+        as a set.
+
+        Generator t_c x t_c'^-1 has the vector of t_c plus e_x minus that
+        of t_c'.  One pass down the tree reads each coset's vector mod
+        ``modulus``, packed into one int with coordinate g as digit g in
+        base ``modulus``; the generators meet at most modulus^(2 rank)
+        pairs of packed vectors, and only those are unpacked.
+        """
+        m = modulus
+        weights = [m ** g for g in range(self.alphabet.rank)]
+        # step[l][v]: packed vector v after letter l, which moves digit
+        # l // 2 by +-1 mod m
+        step = [[v + ((v // w + s) % m - v // w % m) * w for v in range(m ** len(weights))]
+                for w in weights for s in (1, -1)]
+        packed = [0] * self.index
         for c in range(1, self.index):  # a parent precedes its children
-            gen, negative = divmod(self.parent_letter[c], 2)
-            v = list(vectors[self.parent[c]])
-            v[gen] += -1 if negative else 1
-            vectors.append(tuple(v))
-        out = []
-        for c, gen in self.edges:
-            v = [a - b for a, b in zip(vectors[c], vectors[self.table[2 * gen][c]])]
-            v[gen] += 1
-            out.append(tuple(v))
-        return out
+            packed[c] = step[self.parent_letter[c]][packed[self.parent[c]]]
+        ends = {(step[2 * gen][packed[c]], packed[self.table[2 * gen][c]])
+                for c, gen in self.edges}
+        return {tuple((a // w - b // w) % m for w in weights) for a, b in ends}
 
     def coset_of(self, w: Word) -> int:
         if w.alphabet != self.alphabet:
@@ -354,10 +360,12 @@ def build_schreier_system(action: CosetAction, alpha: Alphabet, *,
                 parent_letter.append(l)
             table[l].append(c2)
         c += 1
+    index = len(states)
+    del states, coset_of_state  # freed before the edges and names are built
 
     # t_c x t_c'^-1 is trivial exactly on the tree edges, in either direction
     edges = []
-    for c in range(len(states)):
+    for c in range(index):
         for gen in range(alpha.rank):
             c2 = table[2 * gen][c]
             if not ((parent[c2] == c and parent_letter[c2] == 2 * gen)

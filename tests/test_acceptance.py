@@ -188,9 +188,9 @@ def test_criterion_4_congruence_certificate():
         failures.append(f"index of N = {cert.index_of_n}")
     if cert.rank_of_n != 37:
         failures.append(f"rank of N = {cert.rank_of_n}")
-    if cert.order_mod_m != expected_order:
+    if int(cert.order_mod_m) != expected_order:
         failures.append("order of F2/M is not 144 * 5^37")
-    if cert.bound != expected_order:
+    if int(cert.bound) != expected_order:
         failures.append("bound is not 144 * 5^37")
     if not cert.divides:
         failures.append("divisibility verdict false")

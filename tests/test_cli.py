@@ -107,7 +107,7 @@ def test_affine_certify_group_order_past_the_digit_limit(tmp_path):
     assert res.exit_code == 0, res.output
     cert = json.loads(out.read_text())
     assert len(cert["groupOrder"]) > 4300
-    assert cert["groupOrder"] == str(Decimal(gamma_order(AffineParams(r, p, xi))))
+    assert cert["groupOrder"] == str(Decimal(int(gamma_order(AffineParams(r, p, xi)))))
 
 
 def test_affine_certify_find_p():
@@ -243,6 +243,41 @@ def test_r_above_the_certificate_cap_is_a_usage_error():
     for args in (("--find-p",), ("--p", "269"), ("--p", "269", "--xi", "16")):
         assert_usage_error(run("affine", "certify", "--r", "67", *args),
                            "r = 67 is above the cap 61 on r for the affine certificate")
+
+
+def cyclic_k_file(tmp_path, n):
+    """K of index n with a an n-cycle and b trivial: [F:N] = 36 n^2 is
+    small, the bound 144 n^4 p^(36 n^4 + 1) is not."""
+    k = FiniteQuotient(ALPHA_BETA, n, (tuple((i + 1) % n for i in range(n)), tuple(range(n))))
+    path = tmp_path / f"cyclic{n}.json"
+    path.write_text(json.dumps(k.to_json()))
+    return str(path)
+
+
+def test_congruence_certify_cyclic_k_of_index_25(tmp_path):
+    # the bound has 14.6M digits: under the digit cap, printed in full in
+    # about 2 s (the big-integer route did not finish in 60 s)
+    n, p = 25, 11
+    out = tmp_path / "cert.json"
+    start = time.monotonic()
+    res = run("congruence", "certify", "--k-quotient", cyclic_k_file(tmp_path, n),
+              "--p", str(p), "--samples", "100", "--out", str(out))
+    assert time.monotonic() - start < 20
+    assert res.exit_code == 0, res.output
+    cert = json.loads(out.read_text())
+    assert (cert["indexOfN"], cert["divides"], cert["samplesInK"]) == (22500, True, 100)
+    e = 36 * n ** 4 + 1
+    assert len(cert["bound"]) == 14_644_594
+    assert int(cert["bound"][-40:]) == 144 * n ** 4 * pow(p, e, 10 ** 40) % 10 ** 40
+
+
+def test_congruence_certify_past_the_digit_cap_is_a_usage_error(tmp_path):
+    start = time.monotonic()
+    res = run("congruence", "certify", "--k-quotient", cyclic_k_file(tmp_path, 25),
+              "--p", "1000003")
+    assert_usage_error(res, "the bound 144 n^4 p^(36 n^4 + 1) at n = 25, p = 1000003 has up "
+                            "to 84594903 digits, above the cap 20000000 on output digits")
+    assert time.monotonic() - start < 2
 
 
 def test_negative_samples_is_a_usage_error():

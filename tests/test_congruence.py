@@ -1,10 +1,14 @@
+import json
 import random
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from fgcert import congruence
 from fgcert.congruence import (
+    DIGIT_CAP,
     Certificate,
     CongruenceError,
     CongruenceInput,
@@ -12,13 +16,30 @@ from fgcert.congruence import (
     NOracle,
     _subgroup_order_mod4,
     certify,
-    exact_decimal,
+    order_bound,
 )
-from fgcert.intlinalg import PRIME_CAP
+from fgcert.intlinalg import PRIME_CAP, Factored
 from fgcert.quotients import ALPHA_BETA, FiniteQuotient, trivial_quotient
 from fgcert.words import alphabet, parse_word, random_word
 
 F2 = alphabet("x", "y")
+DATA = Path(__file__).parent / "data"
+
+_CHUNK_DIGITS = 1000
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def exact_decimal(value: int) -> str:
+    """The decimal digits of ``value``, equal to ``str(value)`` but free
+    of CPython's int->str digit limit: 1000 digits at a time by divmod.
+    The oracle for ``Factored.decimal``, which formats without the int."""
+    if value < 0:
+        return "-" + exact_decimal(-value)
+    chunks = []
+    while value >= _CHUNK:
+        value, low = divmod(value, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    return str(value) + "".join(reversed(chunks))
 
 
 def c2_quotient():
@@ -52,10 +73,12 @@ def test_certificate_trivial_k():
     cert = certify(CongruenceInput(trivial_quotient(ALPHA_BETA), 5))
     assert cert.index_of_n == 36
     assert cert.rank_of_n == 37
-    assert cert.order_mod_npn == 36 * 5 ** 37
+    assert int(cert.order_mod_npn) == 36 * 5 ** 37
     assert cert.image_order_in_4torus == 4
-    assert cert.order_mod_m == 144 * 5 ** 37
-    assert cert.bound == 144 * 1 ** 4 * 5 ** (36 + 1)
+    assert int(cert.order_mod_m) == 144 * 5 ** 37
+    assert int(cert.bound) == 144 * 1 ** 4 * 5 ** (36 + 1)
+    assert (cert.order_mod_npn, cert.order_mod_m, cert.bound) == (
+        Factored(36, 5, 37), Factored(144, 5, 37), Factored(144, 5, 37))
     assert cert.divides
     data = cert.to_json()
     assert data["orderOfF2ModM"] == str(144 * 5 ** 37)
@@ -105,7 +128,7 @@ def test_nontrivial_k():
         assert inp.k_quotient.fixes_base(oracle.pi(w))
         assert oracle.contains(w)
     cert = certify(inp, n_oracle=oracle)
-    assert cert.order_mod_npn == 72 * 5 ** 73
+    assert int(cert.order_mod_npn) == 72 * 5 ** 73
     assert cert.divides
 
 
@@ -137,15 +160,17 @@ def test_exact_decimal_past_the_limit():
 
 def test_index4_sized_certificate_serialises():
     n, p = 4, 5
-    bound = 144 * n ** 4 * p ** (36 * n ** 4 + 1)
-    order = 36 * n ** 4 * p ** 3000
+    bound = order_bound(n, p)
+    order = Factored(36 * n ** 4, p, 3000)
     cert = Certificate(n=n, p=p, index_of_n=36 * n ** 4, rank_of_n=3000,
                        order_mod_npn=order, image_order_in_4torus=16,
-                       order_mod_m=16 * order, bound=bound, divides=True)
+                       order_mod_m=Factored(16 * 36 * n ** 4, p, 3000), bound=bound,
+                       divides=True)
     got = cert.to_json()
-    assert got["bound"] == str(Decimal(bound))
-    assert int(got["orderOfF2ModM"]) == 16 * order
-    assert int(got["orderOfF2ModNpN"]) == order
+    assert got["bound"] == str(Decimal(144 * n ** 4 * p ** (36 * n ** 4 + 1)))
+    assert len(got["bound"]) > 4300
+    assert int(got["orderOfF2ModM"]) == 16 * 36 * n ** 4 * p ** 3000
+    assert int(got["orderOfF2ModNpN"]) == int(order)
 
 
 def subgroup_order_mod4_by_closure(vectors):
@@ -166,3 +191,138 @@ def subgroup_order_mod4_by_closure(vectors):
 @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), max_size=6))
 def test_subgroup_order_mod4_matches_the_closure(vectors):
     assert _subgroup_order_mod4(vectors) == subgroup_order_mod4_by_closure(vectors)
+
+
+# ---------------------------------------------------------------------------
+# The factored certificate against the big-integer one
+# ---------------------------------------------------------------------------
+
+
+def bigint_certify(inp: CongruenceInput, oracle: NOracle) -> dict:
+    """The certificate in big integers: p ** e, the exponent vectors of
+    the generator words themselves times p, the subgroup they generate
+    mod 4 by closure, and the verdict by ``bound % order``."""
+    n, p = inp.k_index, inp.p
+    order_mod_npn = oracle.index * p ** oracle.rank
+    image_order = subgroup_order_mod4_by_closure(
+        [tuple(p * s for s in g.exponent_sums()) for g in oracle.schreier.generators])
+    order_mod_m = order_mod_npn * image_order
+    bound = 144 * n ** 4 * p ** (36 * n ** 4 + 1)
+    return {"n": n, "p": p, "index_of_n": oracle.index, "rank_of_n": oracle.rank,
+            "order_mod_npn": order_mod_npn, "image_order_in_4torus": image_order,
+            "order_mod_m": order_mod_m, "bound": bound, "divides": bound % order_mod_m == 0}
+
+
+def cyclic_k(n: int) -> FiniteQuotient:
+    """K of index n with a an n-cycle and b trivial: [F:N] = 36 n^2."""
+    return FiniteQuotient(ALPHA_BETA, n, (tuple((i + 1) % n for i in range(n)),
+                                          tuple(range(n))))
+
+
+def data_k(n: int) -> FiniteQuotient:
+    """The benchmark's K of index n (seed 1), whose permutations generate S_n."""
+    return FiniteQuotient.from_json(json.loads((DATA / f"k-index{n}.json").read_text()))
+
+
+K_UP_TO_4 = [(trivial_quotient(ALPHA_BETA), 5), (trivial_quotient(ALPHA_BETA), 7),
+             (c2_quotient(), 11), (data_k(2), 5), (data_k(3), 5), (data_k(3), 7),
+             (data_k(4), 5), (cyclic_k(3), 5), (cyclic_k(4), 7),
+             (FiniteQuotient(ALPHA_BETA, 4, ((1, 0, 3, 2), (2, 3, 0, 1))), 5)]
+
+
+@pytest.mark.parametrize("k, p", K_UP_TO_4)
+def test_factored_certificate_matches_bigint_oracle(k, p):
+    inp = CongruenceInput(k, p)
+    oracle = NOracle(inp)
+    cert = certify(inp, n_oracle=oracle)
+    want = bigint_certify(inp, oracle)
+    got = {key: getattr(cert, key) for key in want}
+    for key in ("order_mod_npn", "order_mod_m", "bound"):
+        assert got[key].p == p
+        got[key] = int(got[key])
+    assert got == want
+    data = cert.to_json()
+    for key, field in (("orderOfF2ModNpN", "order_mod_npn"), ("orderOfF2ModM", "order_mod_m"),
+                       ("bound", "bound")):
+        assert data[key] == exact_decimal(want[field])
+
+
+def assert_decimal_is(digits: str, cofactor: int, p: int, exponent: int) -> None:
+    """The decimal string of cofactor * p^exponent, checked by a second
+    route: its last 40 digits by modular power, and its length L by
+    10^(L-1) <= value < 10^L in int arithmetic."""
+    assert digits.isdigit() and digits[0] != "0"
+    tail = cofactor * pow(p, exponent, 10 ** 40) % 10 ** 40
+    assert int(digits[-40:]) == tail
+    value, length = cofactor * p ** exponent, len(digits)
+    assert 10 ** (length - 1) <= value < 10 ** length
+
+
+def test_bound_decimals_by_a_second_route():
+    for n, p in ((1, 5), (2, 5), (3, 7), (4, 5), (4, 11), (7, 11)):
+        assert_decimal_is(order_bound(n, p).decimal(), 144 * n ** 4, p, 36 * n ** 4 + 1)
+
+
+def test_cyclic_k_of_index_13_certifies():
+    """A 13-point cyclic quotient: the bound has 1.07M digits, which the
+    big-integer route took 14 s to print."""
+    n, p = 13, 11
+    inp = CongruenceInput(cyclic_k(n), p)
+    cert = certify(inp)
+    assert cert.index_of_n == 36 * n ** 2 and cert.rank_of_n == 36 * n ** 2 + 1
+    assert cert.divides
+    data = cert.to_json()
+    assert_decimal_is(data["bound"], 144 * n ** 4, p, 36 * n ** 4 + 1)
+    assert len(data["bound"]) == 1_070_764
+    order = cert.index_of_n * cert.image_order_in_4torus * p ** cert.rank_of_n
+    assert data["orderOfF2ModM"] == exact_decimal(order)
+
+
+def test_divides_is_decided_on_the_factors(monkeypatch):
+    # rank above 36 n^4 + 1, or a cofactor not dividing 144 n^4, fails
+    bound = order_bound(2, 5)
+    assert Factored(72 * 4, 5, 577).divides(bound)
+    assert not Factored(72 * 4, 5, 578).divides(bound)
+    assert not Factored(72 * 64, 5, 73).divides(bound)
+    with pytest.raises(ValueError):
+        Factored(72, 7, 3).divides(bound)
+    # every K meets the real bound, so a smaller one shows the verdict is computed
+    monkeypatch.setattr(congruence, "order_bound", lambda n, p: Factored(144 * n ** 4, p, 36))
+    assert not certify(CongruenceInput(trivial_quotient(ALPHA_BETA), 5)).divides
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 6), st.sampled_from([2, 3, 5, 7, 11, 1000003, PRIME_CAP - 87]),
+       st.integers(0, 3000))
+def test_factored_value_and_digits(cofactor, p, exponent):
+    if cofactor % p == 0:
+        with pytest.raises(ValueError):
+            Factored(cofactor, p, exponent)
+        return
+    f = Factored(cofactor, p, exponent)
+    value = int(f)
+    digits = exact_decimal(value)
+    assert f.decimal() == digits
+    assert len(digits) <= f.max_digits() <= len(digits) + exponent // 64 + 64 * 13 + 2
+
+
+@given(st.sampled_from([5, 7, 11]), st.lists(st.tuples(st.integers(1, 300), st.integers(0, 6)),
+                                             min_size=2, max_size=2))
+def test_factored_divides_matches_int_divisibility(p, pairs):
+    (c1, e1), (c2, e2) = [(c if c % p else c + 1, e) for c, e in pairs]
+    a, b = Factored(c1, p, e1), Factored(c2, p, e2)
+    assert a.divides(b) == (int(b) % int(a) == 0)
+
+
+def test_factored_rejects_a_cofactor_with_a_factor_p():
+    for args in ((10, 5, 3), (0, 5, 1), (3, 5, -1), (3, 1, 2)):
+        with pytest.raises(ValueError):
+            Factored(*args)
+
+
+def test_digit_cap_is_checked_before_n_is_built():
+    # n = 25 at p = 11: 14.6M digits, under the cap
+    assert order_bound(25, 11).max_digits() <= DIGIT_CAP
+    CongruenceInput(cyclic_k(25), 11)
+    with pytest.raises(CongruenceError, match="above the cap 20000000 on output digits"):
+        CongruenceInput(cyclic_k(25), 1000003)

@@ -5,6 +5,8 @@ BFS over hashable states that steps every action one letter at a time,
 builds every transversal word and Schreier-generator word up front and
 keeps the coset table as a dict.  The actions here step on the
 permutations themselves, so nothing of the compiled tables is shared.
+``generator_exponent_sums`` is the per-generator exponent vector list
+that the streamed classes mod m replaced.
 """
 
 import random
@@ -29,6 +31,24 @@ from fgcert.words import Word, alphabet, random_word
 
 XY = alphabet("x", "y")
 XYZ = alphabet("x", "y", "z")
+
+
+def generator_exponent_sums(system) -> list[tuple[int, ...]]:
+    """Exponent vector of each Schreier generator t_c x t_c'^-1, read
+    off the tree as the vector of t_c plus e_x minus that of t_c'."""
+    rank = system.alphabet.rank
+    vectors = [(0,) * rank]
+    for c in range(1, system.index):  # a parent precedes its children
+        gen, negative = divmod(system.parent_letter[c], 2)
+        v = list(vectors[system.parent[c]])
+        v[gen] += -1 if negative else 1
+        vectors.append(tuple(v))
+    out = []
+    for c, gen in system.edges:
+        v = [a - b for a, b in zip(vectors[c], vectors[system.table[2 * gen][c]])]
+        v[gen] += 1
+        out.append(tuple(v))
+    return out
 
 
 class RefQuotient:
@@ -146,7 +166,10 @@ def assert_same_system(system, ref, words=()):
     assert [str(g) for g in system.generators] == [str(g) for g in ref.generators]
     assert {(c, gen): (None if system.scan[gen][c] < 0 else system.scan[gen][c])
             for gen in range(rank) for c in range(system.index)} == ref.scan
-    assert system.generator_exponent_sums() == [g.exponent_sums() for g in ref.generators]
+    sums = generator_exponent_sums(system)
+    assert sums == [g.exponent_sums() for g in ref.generators]
+    for m in (2, 3, 4):
+        assert system.generator_exponent_classes(m) == {tuple(s % m for s in v) for v in sums}
     for w in list(words) + list(ref.generators):
         want = ref.rewrite(w)
         if want is None:
@@ -157,8 +180,8 @@ def assert_same_system(system, ref, words=()):
 
 
 @st.composite
-def quotients(draw):
-    alpha = draw(st.sampled_from([XY, XYZ]))
+def quotients(draw, alphabets=(XY, XYZ)):
+    alpha = draw(st.sampled_from(alphabets))
     size = draw(st.integers(1, 12))
     perms = tuple(tuple(draw(st.permutations(range(size)))) for _ in range(alpha.rank))
     return FiniteQuotient(alpha, size, perms, draw(st.integers(0, size - 1)))
@@ -226,6 +249,26 @@ def test_noracle_matches_reference(n, index):
     schreier = oracle.schreier
     for w in list(schreier.generators) + words:
         assert oracle.contains(w) == schreier.contains(w)
+
+
+def image_classes(vectors, p):
+    return {(p * x % 4, p * y % 4) for x, y in vectors}
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotients((XY,)), st.sampled_from([5, 7, 11, 13]))
+def test_streamed_classes_match_the_vectors(q, p):
+    system = kernel_subgroup(q)
+    assert (image_classes(system.generator_exponent_classes(4), p)
+            == image_classes(generator_exponent_sums(system), p))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_streamed_classes_of_n_match_the_vectors(n):
+    schreier = NOracle(CongruenceInput(seeded_k(n, 2026), 5)).schreier
+    vectors = generator_exponent_sums(schreier)
+    for p in (5, 7, 11):
+        assert image_classes(schreier.generator_exponent_classes(4), p) == image_classes(vectors, p)
 
 
 def test_m_membership_matches_rewrite_definition():

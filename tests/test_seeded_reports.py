@@ -1,15 +1,19 @@
-"""The seeded reports of four suites and two affine certificates, byte
-for byte.
+"""The seeded reports of four suites, two affine certificates and three
+congruence certificates, byte for byte.
 
 The sha256 of each ``fgcert verify <suite> --seed 42`` report equals the
 digest the benchmark pins for it (``perfbench/pins.json``, copied here).
 A change to the seeded output fails this fast test, not only the
 benchmark's smoke test.  ``verify affine`` runs only r = 3 and 5, where
 W is one copy of V or none, so the ``affine certify`` output for r = 13
-and r = 23 (default xi) is pinned too.
+and r = 23 (default xi) is pinned too.  ``verify congruence`` certifies
+only n = 1, so ``congruence certify --p 5 --samples 300`` is pinned for
+the benchmark's K of index 2, 3 and 4 (seed 1, quotient files in
+``data/``).
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -44,3 +48,20 @@ def test_affine_certificate_is_byte_identical(r, p, tmp_path):
     res = CliRunner().invoke(main, ["affine", "certify", "--r", r, "--p", p, "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_AFFINE_SHA256[(r, p)]
+
+
+PINNED_CONGRUENCE_SHA256 = {
+    2: "2d09b606a982ce53de8d90c5badb7ac709cd06f0f3abe560a4fa16f8eda333e8",
+    3: "a7692965b84a631562d23194dba7c1f0a7d0b802f7914f3634e41cd1191e0816",
+    4: "f9ee19c1a4c6296c110e67bde729e40e9b9b79b99608149164fa5455a105223b",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_CONGRUENCE_SHA256))
+def test_congruence_certificate_is_byte_identical(n, tmp_path):
+    k_path = Path(__file__).parent / "data" / f"k-index{n}.json"
+    out = tmp_path / "cert.json"
+    res = CliRunner().invoke(main, ["congruence", "certify", "--k-quotient", str(k_path),
+                                    "--p", "5", "--samples", "300", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CONGRUENCE_SHA256[n]
