@@ -141,10 +141,11 @@ class MOracle:
         coset, letters = self.n_oracle.schreier.sweep(w)
         if coset != 0:
             return False
-        vec = [0] * self.n_oracle.rank
+        # exponent sums of the swept generators; the others are 0
+        sums: dict[int, int] = {}
         for idx, sign in letters:
-            vec[idx] += sign
-        return all(v % self.p == 0 for v in vec)
+            sums[idx] = sums.get(idx, 0) + sign
+        return all(v % self.p == 0 for v in sums.values())
 
 
 @dataclass(frozen=True)

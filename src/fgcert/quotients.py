@@ -15,8 +15,10 @@ enumerated in (transversal position, generator) lexicographic order.
 The search runs on ints only.  Letter l = 2*gen + (sign < 0) indexes the
 per-letter tables of every action and of the coset table, the
 transversal is kept as BFS-tree parent pointers, and transversal and
-Schreier-generator words are built only when read (Sims, *Computation
-with Finitely Presented Groups*, 1994, ch. 5).
+Schreier-generator words are read off the tree only when asked for: a
+Schreier transversal is a spanning tree of the coset graph, so each
+representative is a path in the table, not a stored word (Sims,
+*Computation with Finitely Presented Groups*, 1994, ch. 5).
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import getitem
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
-from .words import Alphabet, Word, WordError, alphabet, parse_word, substitute
+from .words import Alphabet, Word, WordError, _reduce, alphabet, parse_word, substitute
 
 
 class SchreierError(ValueError):
@@ -178,7 +180,9 @@ class SchreierSystem:
     * ``scan[gen][c]`` is the generator on edge (c, gen), or -1 on a
       tree edge.
 
-    Transversal and generator words are built on first read and cached.
+    Words are read off the tree over the alphabet's shared unit
+    syllables: a generator word is built on first read and cached, and
+    the transversal is built when it is read.
     """
 
     def __init__(self, alphabet: Alphabet, table: Sequence[list[int]],
@@ -196,44 +200,41 @@ class SchreierSystem:
         self.scan = [[-1] * self.index for _ in range(alphabet.rank)]
         for i, (c, gen) in enumerate(self.edges):
             self.scan[gen][c] = i
-        self._transversal_words: list[Word | None] = [None] * self.index
-        self._transversal_words[0] = alphabet.identity()
         self._generator_words: list[Word | None] = [None] * len(self.edges)
 
     @cached_property
     def transversal(self) -> tuple[Word, ...]:
         """Coset representatives: t_c is the tree path to coset c."""
-        return tuple(map(self._transversal_word, range(self.index)))
+        return tuple(self._spell(reversed(self._path_up(c))) for c in range(self.index))
 
     @cached_property
     def generators(self) -> tuple[Word, ...]:
         return tuple(map(self._generator_word, range(len(self.edges))))
 
-    def _transversal_word(self, c: int) -> Word:
-        words = self._transversal_words
-        path = []
-        while words[c] is None:
-            path.append(c)
-            c = self.parent[c]
-        syllables = words[c].syllables
-        for c in reversed(path):
-            gen, negative = divmod(self.parent_letter[c], 2)
-            sign = -1 if negative else 1
-            # a tree path is reduced: t_c x^-1 x would be t_c, not a new coset
-            if syllables and syllables[-1][0] == gen:
-                syllables = syllables[:-1] + ((gen, syllables[-1][1] + sign),)
-            else:
-                syllables = syllables + ((gen, sign),)
-            words[c] = Word._trusted(self.alphabet, syllables)
-        return words[c]
+    def _path_up(self, c: int) -> list[int]:
+        """The letters of the tree path from coset 0 to coset c, last first."""
+        parent, parent_letter = self.parent, self.parent_letter
+        letters = []
+        while c:
+            letters.append(parent_letter[c])
+            c = parent[c]
+        return letters
+
+    def _spell(self, letters: Iterable[int]) -> Word:
+        """The reduced word of a letter sequence, over the shared unit syllables."""
+        units = self.alphabet.unit_syllables
+        return Word._trusted(self.alphabet, _reduce(map(units.__getitem__, letters)))
 
     def _generator_word(self, i: int) -> Word:
         w = self._generator_words[i]
         if w is None:
             c, gen = self.edges[i]
-            w = (self._transversal_word(c) * self.alphabet.generator(gen)
-                 * self._transversal_word(self.table[2 * gen][c]).inverse())
-            self._generator_words[i] = w
+            # t_c x t_c'^-1: the path to c, the letter, and the path to c'
+            # walked back up with each letter inverted (l ^ 1)
+            letters = self._path_up(c)[::-1]
+            letters.append(2 * gen)
+            letters += [l ^ 1 for l in self._path_up(self.table[2 * gen][c])]
+            w = self._generator_words[i] = self._spell(letters)
         return w
 
     def schreier_generator_count(self) -> int:

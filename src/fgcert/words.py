@@ -7,12 +7,20 @@ Conventions used throughout the package:
   is also common; we do NOT use it),
 * conjugation is right conjugation: a.conjugated_by(t) = t^-1 a t,
 * the empty word prints as "1".
+
+Syllables are immutable (generator index, nonzero exponent) pairs that
+words share rather than copy: reduction keeps each incoming pair as it
+is and builds a new pair only where two syllables merge, and the unit
+syllables (g, +-1) of an inverse come from the alphabet's one table
+``unit_syllables``.  So ``Word._trusted`` takes a tuple of tuples only;
+lists are turned into tuples at the boundary, by ``_reduce``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -47,6 +55,12 @@ class Alphabet:
         except ValueError:
             raise WordError(f"unknown generator {name!r}") from None
 
+    @cached_property
+    def unit_syllables(self) -> tuple[tuple[int, int], ...]:
+        """The 2*rank unit syllables, shared by every word over this
+        alphabet that holds them: entry 2*g + (sign < 0) is (g, sign)."""
+        return tuple((g, s) for g in range(self.rank) for s in (1, -1))
+
     def generator(self, i: int, exponent: int = 1) -> "Word":
         return Word(self, ((i, exponent),)) if exponent else Word(self, ())
 
@@ -62,17 +76,31 @@ def alphabet(*names: str) -> Alphabet:
 
 
 def _reduce(syllables: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    stack: list[list[int]] = []
-    for gen, exp in syllables:
+    """Freely reduce a syllable sequence.  Incoming tuples are kept, not
+    copied; a new pair is made only where two syllables merge, or for a
+    syllable that comes in as a list."""
+    stack: list[tuple[int, int]] = []
+    for syllable in syllables:
+        gen, exp = syllable
         if exp == 0:
             continue
         if stack and stack[-1][0] == gen:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
+            exp += stack[-1][1]
+            if exp:
+                stack[-1] = (gen, exp)
+            else:
                 stack.pop()
         else:
-            stack.append([gen, exp])
-    return tuple((g, e) for g, e in stack)
+            stack.append(syllable if type(syllable) is tuple else (gen, exp))
+    return tuple(stack)
+
+
+def _inverted(alpha: Alphabet, syllables: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The syllables of the inverse word, unit syllables taken from the
+    alphabet's shared table."""
+    units = alpha.unit_syllables
+    return tuple(units[2 * g + (e > 0)] if e == 1 or e == -1 else (g, -e)
+                 for g, e in reversed(syllables))
 
 
 @dataclass(frozen=True)
@@ -104,9 +132,10 @@ class Word:
 
     @staticmethod
     def _trusted(alpha: Alphabet, syllables: tuple[tuple[int, int], ...]) -> "Word":
-        """A word from syllables already known to be valid and reduced
-        (``_reduce`` of valid words, an inverse, a suffix); skips the
-        ``__post_init__`` checks, which stay at the boundary."""
+        """A word from a tuple of syllable tuples already known to be
+        valid and reduced (``_reduce`` of valid words, an inverse, a
+        suffix); skips the ``__post_init__`` checks, which stay at the
+        boundary."""
         w = object.__new__(Word)
         object.__setattr__(w, "alphabet", alpha)
         object.__setattr__(w, "syllables", syllables)
@@ -125,8 +154,7 @@ class Word:
         return Word._trusted(self.alphabet, _reduce(base.syllables * abs(n)))
 
     def inverse(self) -> "Word":
-        return Word._trusted(self.alphabet,
-                             tuple((g, -e) for g, e in reversed(self.syllables)))
+        return Word._trusted(self.alphabet, _inverted(self.alphabet, self.syllables))
 
     def conjugated_by(self, t: "Word") -> "Word":
         """Right conjugation t^-1 * self * t."""
@@ -139,14 +167,6 @@ class Word:
     def length(self) -> int:
         """Number of letters of the reduced word."""
         return sum(abs(e) for _, e in self.syllables)
-
-    def letters(self) -> list[tuple[int, int]]:
-        """The word as a list of (generator, +1/-1) letters."""
-        out = []
-        for gen, exp in self.syllables:
-            sign = 1 if exp > 0 else -1
-            out.extend([(gen, sign)] * abs(exp))
-        return out
 
     def exponent_sums(self) -> tuple[int, ...]:
         """Abelianized image: total exponent of each generator."""
@@ -176,7 +196,7 @@ def substitute(alpha: Alphabet, image: Callable[[int], Word], w: Word) -> Word:
     for gen, exp in w.syllables:
         img = image(gen).syllables
         if exp < 0:
-            img = tuple((g, -e) for g, e in reversed(img))
+            img = _inverted(alpha, img)
         syllables.extend(img * abs(exp))
     return Word._trusted(alpha, _reduce(syllables))
 

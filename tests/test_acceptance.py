@@ -46,6 +46,7 @@ from fgcert.schreier_modules import (
     induced_action,
 )
 from fgcert.words import alphabet, parse_word, random_word
+from word_letters import letters
 
 XY = alphabet("x", "y")
 XYZ = alphabet("x", "y", "z")
@@ -269,7 +270,7 @@ def test_criterion_6_property_suites():
         reps = {str(t) for t in s.transversal}
         for t in s.transversal:
             prefix = alpha.identity()
-            for gen, sign in t.letters():
+            for gen, sign in letters(t):
                 if str(prefix) not in reps:
                     failures.append(f"transversal not prefix-closed for {moduli}")
                     break

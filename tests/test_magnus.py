@@ -24,6 +24,7 @@ from fgcert.magnus import (
     twist_matrix,
 )
 from fgcert.words import alphabet, parse_word, random_word
+from word_letters import letters
 
 XY = alphabet("x", "y")
 XYZ = alphabet("x", "y", "z")
@@ -49,7 +50,7 @@ def fox_by_recursion(w):
     -x_i^-1 for the inverse letter) at position i."""
     alpha = w.alphabet
     coords = [FreeGroupRingElement.zero(alpha) for _ in range(alpha.rank)]
-    for gen, sign in w.letters():
+    for gen, sign in letters(w):
         letter = alpha.generator(gen, sign)
         coords = [c.times_word(letter) for c in coords]
         if sign > 0:

@@ -17,6 +17,7 @@ from fgcert.quotients import (
     trivial_quotient,
 )
 from fgcert.words import alphabet, parse_word, random_word
+from word_letters import letters
 
 XY = alphabet("x", "y")
 
@@ -79,9 +80,9 @@ def test_transversal_prefix_closed():
         s = kernel_subgroup(abelian_quotient(alpha, moduli))
         reps = {str(t) for t in s.transversal}
         for t in s.transversal:
-            letters = t.letters()
+            spelled = letters(t)
             prefix = alpha.identity()
-            for gen, sign in letters:
+            for gen, sign in spelled:
                 assert str(prefix) in reps
                 prefix = prefix * alpha.generator(gen, sign)
         # distinct cosets

@@ -6,7 +6,8 @@ builds every transversal word and Schreier-generator word up front and
 keeps the coset table as a dict.  The actions here step on the
 permutations themselves, so nothing of the compiled tables is shared.
 ``generator_exponent_sums`` is the per-generator exponent vector list
-that the streamed classes mod m replaced.
+that the streamed classes mod m replaced, and ``memoised_words`` the
+transversal-word cache that words read off the tree replaced.
 """
 
 import random
@@ -28,6 +29,7 @@ from fgcert.quotients import (
     rank3_c2_kernel,
 )
 from fgcert.words import Word, alphabet, random_word
+from word_letters import letters
 
 XY = alphabet("x", "y")
 XYZ = alphabet("x", "y", "z")
@@ -51,6 +53,36 @@ def generator_exponent_sums(system) -> list[tuple[int, ...]]:
     return out
 
 
+def memoised_words(system) -> tuple[list[Word], list[Word]]:
+    """Transversal and generator words built through a cache of
+    transversal words: each new coset extends its parent's cached word
+    by one letter, and generator i is t_c x t_c'^-1 by word products."""
+    alpha = system.alphabet
+    words = [alpha.identity()] + [None] * (system.index - 1)
+
+    def transversal_word(c):
+        path = []
+        while words[c] is None:
+            path.append(c)
+            c = system.parent[c]
+        syllables = words[c].syllables
+        for c in reversed(path):
+            gen, negative = divmod(system.parent_letter[c], 2)
+            sign = -1 if negative else 1
+            # a tree path is reduced: t_c x^-1 x would be t_c, not a new coset
+            if syllables and syllables[-1][0] == gen:
+                syllables = syllables[:-1] + ((gen, syllables[-1][1] + sign),)
+            else:
+                syllables = syllables + ((gen, sign),)
+            words[c] = Word(alpha, syllables)
+        return words[c]
+
+    generators = [transversal_word(c) * alpha.generator(gen)
+                  * transversal_word(system.table[2 * gen][c]).inverse()
+                  for c, gen in system.edges]
+    return [transversal_word(c) for c in range(system.index)], generators
+
+
 class RefQuotient:
     def __init__(self, q):
         self.q = q
@@ -63,7 +95,7 @@ class RefQuotient:
         return perm[pt] if sign > 0 else perm.index(pt)
 
     def act_word(self, pt, w):
-        for gen, sign in w.letters():
+        for gen, sign in letters(w):
             pt = self.step(pt, gen, sign)
         return pt
 
@@ -76,7 +108,7 @@ class RefInduced:
         self.system, self.images, self.target = system, images, RefQuotient(target)
         self._base = (target.base_point, 0)
         if base_shift is not None:
-            for gen, sign in base_shift.letters():
+            for gen, sign in letters(base_shift):
                 self._base = self.step(self._base, gen, sign)
 
     def base(self):
@@ -116,12 +148,12 @@ class RefSystem:
 
     def rewrite(self, w):
         """(index, sign) letters, or None outside the subgroup."""
-        coset, letters = 0, []
-        for gen, sign in w.letters():
+        coset, swept = 0, []
+        for gen, sign in letters(w):
             coset, idx, s = self.scan_letter(coset, gen, sign)
             if idx is not None:
-                letters.append((idx, s))
-        return letters if coset == 0 else None
+                swept.append((idx, s))
+        return swept if coset == 0 else None
 
 
 def reference_system(action, alpha, max_cosets=100_000):
@@ -166,6 +198,9 @@ def assert_same_system(system, ref, words=()):
     assert [str(g) for g in system.generators] == [str(g) for g in ref.generators]
     assert {(c, gen): (None if system.scan[gen][c] < 0 else system.scan[gen][c])
             for gen in range(rank) for c in range(system.index)} == ref.scan
+    memo_transversal, memo_generators = memoised_words(system)
+    assert list(system.transversal) == memo_transversal
+    assert list(system.generators) == memo_generators
     sums = generator_exponent_sums(system)
     assert sums == [g.exponent_sums() for g in ref.generators]
     for m in (2, 3, 4):
@@ -271,6 +306,19 @@ def test_streamed_classes_of_n_match_the_vectors(n):
         assert image_classes(schreier.generator_exponent_classes(4), p) == image_classes(vectors, p)
 
 
+def m_contains_by_list(m_oracle, w) -> bool:
+    """M membership through one exponent-sum entry per generator of N."""
+    if any(s % 4 for s in w.exponent_sums()):
+        return False
+    coset, letters = m_oracle.n_oracle.schreier.sweep(w)
+    if coset != 0:
+        return False
+    vec = [0] * m_oracle.n_oracle.rank
+    for idx, sign in letters:
+        vec[idx] += sign
+    return all(v % m_oracle.p == 0 for v in vec)
+
+
 def test_m_membership_matches_rewrite_definition():
     oracle = NOracle(CongruenceInput(seeded_k(3, 2026), 5))
     m_oracle = MOracle(oracle)
@@ -286,10 +334,16 @@ def test_m_membership_matches_rewrite_definition():
         want = (all(s % 4 == 0 for s in w.exponent_sums())
                 and schreier.contains(w)
                 and all(v % 5 == 0 for v in schreier.rewrite(w).exponent_sums()))
-        assert m_oracle.contains(w) == want
+        assert m_oracle.contains(w) == want == m_contains_by_list(m_oracle, w)
         inside += want
     assert 0 < inside < 100
     assert not m_oracle.contains(XY.generator(0, 4))
+    # one swept generator's sum divisible by p and the next one's not
+    for _ in range(20):
+        a, b = rng.sample(range(sub.rank), 2)
+        for e in (1, 5):
+            w = schreier.expand(sub.generator(a, 5) * sub.generator(b, e)) ** 4
+            assert m_oracle.contains(w) == m_contains_by_list(m_oracle, w) == (e == 5)
 
 
 def test_induced_action_matches_reference():
@@ -322,3 +376,26 @@ def test_bad_build_arguments_are_rejected():
         build_schreier_system(abelian_quotient(XYZ, (2, 2, 2)), XY)
     with pytest.raises(SchreierError):
         build_schreier_system(abelian_quotient(XY, (2, 2)), XY, gen_names=["a", "b"])
+
+
+def test_generator_words_of_n_share_the_unit_syllables():
+    """Off-tree edges never cancel: t_c x t_c'^-1 is reduced as it
+    stands, so its syllables only merge equal letters, and every unit
+    syllable is the alphabet's shared one."""
+    schreier = NOracle(CongruenceInput(seeded_k(3, 2026), 5)).schreier
+    units = schreier.alphabet.unit_syllables
+    transversal = schreier.transversal
+    shared = 0
+    for g, (c, gen) in zip(schreier.generators, schreier.edges):
+        c2 = schreier.table[2 * gen][c]
+        assert g.length() == transversal[c].length() + 1 + transversal[c2].length()
+        for syllable in g.syllables:
+            gen_of, exp = syllable
+            if abs(exp) == 1:
+                assert syllable is units[2 * gen_of + (exp < 0)]
+                shared += 1
+    for t in transversal:
+        for syllable in t.syllables:
+            if abs(syllable[1]) == 1:
+                assert syllable is units[2 * syllable[0] + (syllable[1] < 0)]
+    assert shared > len(schreier.edges)

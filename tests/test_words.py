@@ -6,11 +6,14 @@ from hypothesis import given, strategies as st
 from fgcert.words import (
     Word,
     WordError,
+    _reduce,
     alphabet,
     commutator,
     parse_word,
     random_word,
+    substitute,
 )
+from word_letters import letters
 
 XY = alphabet("x", "y")
 XYZ = alphabet("x", "y", "z")
@@ -22,6 +25,36 @@ def words(alpha=XY, max_length=20):
         st.integers(-3, 3).filter(lambda e: e != 0))
     return st.lists(syllable, max_size=max_length).map(
         lambda sylls: _product(alpha, sylls))
+
+
+def old_reduce(syllables):
+    """The reduction that copied every syllable: each one a fresh list,
+    rebuilt as a fresh tuple."""
+    stack = []
+    for gen, exp in syllables:
+        if exp == 0:
+            continue
+        if stack and stack[-1][0] == gen:
+            stack[-1][1] += exp
+            if stack[-1][1] == 0:
+                stack.pop()
+        else:
+            stack.append([gen, exp])
+    return tuple((g, e) for g, e in stack)
+
+
+def old_inverse(w):
+    return Word(w.alphabet, tuple((g, -e) for g, e in reversed(w.syllables)))
+
+
+def old_substitute(alpha, image, w):
+    syllables = []
+    for gen, exp in w.syllables:
+        img = image(gen).syllables
+        if exp < 0:
+            img = tuple((g, -e) for g, e in reversed(img))
+        syllables.extend(img * abs(exp))
+    return Word(alpha, old_reduce(syllables))
 
 
 def _product(alpha, sylls):
@@ -90,7 +123,7 @@ def test_powers(w, n):
 @given(words())
 def test_length_counts_letters(w):
     assert w.length() == sum(abs(e) for _, e in w.syllables)
-    assert len(w.letters()) == w.length()
+    assert len(letters(w)) == w.length()
 
 
 def test_commutator_convention():
@@ -158,3 +191,58 @@ def test_power_matches_repeated_multiplication(w, n):
         expected = expected * (w if n > 0 else w.inverse())
     assert w ** n == expected
     assert Word(w.alphabet, (w ** n).syllables) == expected  # reduced and valid
+
+
+def assert_exact_syllables(w):
+    """Every syllable is an exact tuple of two exact ints."""
+    assert type(w.syllables) is tuple
+    for syllable in w.syllables:
+        assert type(syllable) is tuple and len(syllable) == 2
+        assert all(type(v) is int for v in syllable)
+
+
+raw_syllables = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), max_size=30)
+
+
+@given(raw_syllables, st.booleans())
+def test_reduce_matches_the_copying_oracle(raw, as_lists):
+    given_syllables = [list(s) for s in raw] if as_lists else raw
+    got = _reduce(given_syllables)
+    assert got == old_reduce(raw)
+    w = Word.from_syllables(XYZ, given_syllables)
+    assert w == Word(XYZ, old_reduce(raw))
+    assert_exact_syllables(w)
+    if as_lists:  # the word does not alias its input
+        for s in given_syllables:
+            s[1] += 7
+        assert w.syllables == old_reduce(raw)
+
+
+@given(words(XYZ), words(XYZ))
+def test_inverse_and_products_match_the_oracle(a, b):
+    for w in (a, b, a * b, a * b.inverse(), b.inverse() * a, a ** 3, (a * b) ** -2):
+        inv = w.inverse()
+        assert inv == old_inverse(w)
+        assert_exact_syllables(w)
+        assert_exact_syllables(inv)
+        units = XYZ.unit_syllables
+        for syllable in inv.syllables:
+            g, e = syllable
+            if abs(e) == 1:
+                assert syllable is units[2 * g + (e < 0)]
+
+
+@given(words(XYZ), st.lists(words(XY), min_size=3, max_size=3))
+def test_substitute_matches_the_oracle(w, images):
+    got = substitute(XY, images.__getitem__, w)
+    assert got == old_substitute(XY, images.__getitem__, w)
+    assert_exact_syllables(got)
+
+
+def test_unit_syllables_are_one_table_per_alphabet():
+    units = XYZ.unit_syllables
+    assert units == ((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1))
+    assert XYZ.unit_syllables is units
+    x = XYZ.generator(0)
+    assert x.inverse().syllables[0] is units[1]
+    assert x.inverse().inverse().syllables[0] is units[0]
