@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intlinalg import PRIME_CAP, Factored, is_prime, row_hnf
+from .intlinalg import PRIME_CAP, Factored, decimals, is_prime, row_hnf
 from .quotients import (
     ALPHA_BETA,
     FiniteQuotient,
@@ -164,15 +164,18 @@ class Certificate:
     divides: bool
 
     def to_json(self) -> dict:
+        # the first two share p^rank(N), and the bound does too when
+        # rank(N) = 36 n^4 + 1
+        npn, m, bound = decimals((self.order_mod_npn, self.order_mod_m, self.bound))
         return {
             "n": self.n,
             "p": self.p,
             "indexOfN": self.index_of_n,
             "rankOfN": self.rank_of_n,
-            "orderOfF2ModNpN": self.order_mod_npn.decimal(),
+            "orderOfF2ModNpN": npn,
             "imageOrderIn4Torus": self.image_order_in_4torus,
-            "orderOfF2ModM": self.order_mod_m.decimal(),
-            "bound": self.bound.decimal(),
+            "orderOfF2ModM": m,
+            "bound": bound,
             "divides": self.divides,
         }
 

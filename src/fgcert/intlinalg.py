@@ -67,9 +67,6 @@ class IntMatrix:
     def scaled(self, c: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(c * v for v in r) for r in self.rows))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)) if self.rows else ())
-
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
@@ -145,8 +142,21 @@ class Factored:
 
     def decimal(self) -> str:
         """The decimal digits of the value, equal to ``str(int(self))``."""
-        power = _EXACT.power(Decimal(self.p), self.exponent)
-        return str(_EXACT.multiply(Decimal(self.cofactor), power))
+        return decimals([self])[0]
+
+
+def decimals(values: Sequence[Factored]) -> list[str]:
+    """The decimal digits of each value, as ``Factored.decimal``, with
+    each distinct power of p computed once: the values of one
+    certificate often share p^exponent."""
+    powers: dict[tuple[int, int], Decimal] = {}
+    out = []
+    for v in values:
+        key = (v.p, v.exponent)
+        if key not in powers:
+            powers[key] = _EXACT.power(Decimal(v.p), v.exponent)
+        out.append(str(_EXACT.multiply(Decimal(v.cofactor), powers[key])))
+    return out
 
 
 def _echelon(mat: list[list[int]], ncols: int) -> int:

@@ -81,10 +81,6 @@ class FreeGroupRingElement:
                 d[w] = d.get(w, 0) + c1 * c2
         return FreeGroupRingElement.from_dict(self.alphabet, d)
 
-    def times_word(self, w: Word) -> "FreeGroupRingElement":
-        return FreeGroupRingElement.from_dict(
-            self.alphabet, {t * w: c for t, c in self.terms})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -214,16 +210,6 @@ class FiniteGroupRingElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-
-def push_to_finite(e: FreeGroupRingElement, m: int) -> FiniteGroupRingElement:
-    """Push Z[F_n] -> Z_m[(Z/m)^n]: words to exponent vectors mod m."""
-    n = e.alphabet.rank
-    d: dict[tuple[int, ...], int] = {}
-    for w, c in e.terms:
-        v = tuple(s % m for s in w.exponent_sums())
-        d[v] = d.get(v, 0) + c
-    return FiniteGroupRingElement.from_dict(m, n, d)
 
 
 @dataclass(frozen=True)

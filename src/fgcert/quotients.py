@@ -23,12 +23,22 @@ representative is a path in the table, not a stored word (Sims,
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import getitem
 from typing import Iterable, Protocol, Sequence
 
-from .words import Alphabet, Word, WordError, _reduce, alphabet, parse_word, substitute
+from .words import (
+    Alphabet,
+    Word,
+    WordError,
+    _reduce,
+    alphabet,
+    numbered_alphabet,
+    parse_word,
+    substitute,
+)
 
 
 class SchreierError(ValueError):
@@ -175,32 +185,37 @@ class SchreierSystem:
     * ``parent[c]`` and ``parent_letter[c]`` give the BFS-tree edge into
       coset c (-1 at coset 0); the transversal word t_c spells the tree
       path from coset 0;
-    * ``edges[i] = (c, gen)`` is the off-tree edge of Schreier generator
-      i, the word t_c x_gen t_c'^-1 with c' = c x_gen;
+    * Schreier generator i is the word t_c x_gen t_c'^-1 of the off-tree
+      edge from c = ``edge_coset[i]`` by gen = ``edge_gen[i]`` to
+      c' = c x_gen; the two are flat int arrays, one entry per generator;
     * ``scan[gen][c]`` is the generator on edge (c, gen), or -1 on a
-      tree edge.
+      tree edge, one int array per generator of the alphabet.
 
-    Words are read off the tree over the alphabet's shared unit
+    ``table``, ``parent`` and ``parent_letter`` are lists, which the
+    sweep and the tree walks read faster than arrays.  The default
+    ``sub_alphabet`` is numbered, e1 .. e<rank>, its names made only when
+    read.  Words are read off the tree over the alphabet's shared unit
     syllables: a generator word is built on first read and cached, and
     the transversal is built when it is read.
     """
 
     def __init__(self, alphabet: Alphabet, table: Sequence[list[int]],
                  parent: list[int], parent_letter: list[int],
-                 edges: Sequence[tuple[int, int]], sub_alphabet: Alphabet):
-        if len(edges) != sub_alphabet.rank:
+                 edge_coset: array, edge_gen: array, sub_alphabet: Alphabet):
+        if not len(edge_coset) == len(edge_gen) == sub_alphabet.rank:
             raise SchreierError("one name per Schreier generator required")
         self.alphabet = alphabet
         self.index = len(parent)
         self.table = table
         self.parent = parent
         self.parent_letter = parent_letter
-        self.edges = tuple(edges)
+        self.edge_coset = edge_coset
+        self.edge_gen = edge_gen
         self.sub_alphabet = sub_alphabet
-        self.scan = [[-1] * self.index for _ in range(alphabet.rank)]
-        for i, (c, gen) in enumerate(self.edges):
+        self.scan = [array("i", [-1]) * self.index for _ in range(alphabet.rank)]
+        for i, (c, gen) in enumerate(zip(edge_coset, edge_gen)):
             self.scan[gen][c] = i
-        self._generator_words: list[Word | None] = [None] * len(self.edges)
+        self._generator_words: list[Word | None] = [None] * len(edge_coset)
 
     @cached_property
     def transversal(self) -> tuple[Word, ...]:
@@ -209,7 +224,7 @@ class SchreierSystem:
 
     @cached_property
     def generators(self) -> tuple[Word, ...]:
-        return tuple(map(self._generator_word, range(len(self.edges))))
+        return tuple(map(self._generator_word, range(len(self.edge_coset))))
 
     def _path_up(self, c: int) -> list[int]:
         """The letters of the tree path from coset 0 to coset c, last first."""
@@ -228,7 +243,7 @@ class SchreierSystem:
     def _generator_word(self, i: int) -> Word:
         w = self._generator_words[i]
         if w is None:
-            c, gen = self.edges[i]
+            c, gen = self.edge_coset[i], self.edge_gen[i]
             # t_c x t_c'^-1: the path to c, the letter, and the path to c'
             # walked back up with each letter inverted (l ^ 1)
             letters = self._path_up(c)[::-1]
@@ -238,7 +253,7 @@ class SchreierSystem:
         return w
 
     def schreier_generator_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_coset)
 
     def generator_exponent_classes(self, modulus: int) -> set[tuple[int, ...]]:
         """The exponent vectors of the Schreier generators mod ``modulus``,
@@ -260,7 +275,7 @@ class SchreierSystem:
         for c in range(1, self.index):  # a parent precedes its children
             packed[c] = step[self.parent_letter[c]][packed[self.parent[c]]]
         ends = {(step[2 * gen][packed[c]], packed[self.table[2 * gen][c]])
-                for c, gen in self.edges}
+                for c, gen in zip(self.edge_coset, self.edge_gen)}
         return {tuple((a // w - b // w) % m for w in weights) for a, b in ends}
 
     def coset_of(self, w: Word) -> int:
@@ -278,16 +293,17 @@ class SchreierSystem:
             raise WordError("alphabet mismatch")
         coset = 0
         letters: list[tuple[int, int]] = []
+        tables, scans = self.table, self.scan
         for gen, exp in w.syllables:
-            scan = self.scan[gen]
+            scan = scans[gen]
             if exp > 0:
-                table = self.table[2 * gen]
+                table = tables[2 * gen]
                 for _ in range(exp):
                     if scan[coset] >= 0:
                         letters.append((scan[coset], 1))
                     coset = table[coset]
             else:
-                table = self.table[2 * gen + 1]
+                table = tables[2 * gen + 1]
                 for _ in range(-exp):
                     coset = table[coset]
                     if scan[coset] >= 0:
@@ -300,7 +316,8 @@ class SchreierSystem:
         coset, letters = self.sweep(w)
         if coset != 0:
             raise SchreierError(f"word not in the subgroup: {w}")
-        return Word.from_syllables(self.sub_alphabet, letters)
+        # swept letters are valid syllables over sub_alphabet by construction
+        return Word._trusted(self.sub_alphabet, _reduce(letters))
 
     def expand(self, sub_word: Word) -> Word:
         """Substitute each Schreier generator by its word and reduce."""
@@ -311,11 +328,13 @@ class SchreierSystem:
     def reordered(self, perm: Sequence[int], names: Sequence[str] | None = None) -> "SchreierSystem":
         """Same subgroup with Schreier generators listed in a new order:
         new generator i is old generator perm[i]."""
-        if sorted(perm) != list(range(len(self.edges))):
+        if sorted(perm) != list(range(len(self.edge_coset))):
             raise SchreierError("perm must be a permutation of the generators")
-        names = tuple(names) if names else tuple(f"e{i + 1}" for i in range(len(perm)))
+        sub = Alphabet(tuple(names)) if names else numbered_alphabet("e", len(perm))
+        coset, gen = self.edge_coset, self.edge_gen
         return SchreierSystem(self.alphabet, self.table, self.parent, self.parent_letter,
-                              [self.edges[p] for p in perm], Alphabet(names))
+                              array(coset.typecode, (coset[p] for p in perm)),
+                              array(gen.typecode, (gen[p] for p in perm)), sub)
 
 
 def schreier_rank(index: int, rank: int) -> int:
@@ -362,21 +381,21 @@ def build_schreier_system(action: CosetAction, alpha: Alphabet, *,
             table[l].append(c2)
         c += 1
     index = len(states)
-    del states, coset_of_state  # freed before the edges and names are built
+    del states, coset_of_state  # freed before the edges are listed
 
     # t_c x t_c'^-1 is trivial exactly on the tree edges, in either direction
-    edges = []
+    edge_coset, edge_gen = array("i"), array("B" if alpha.rank <= 256 else "i")
     for c in range(index):
         for gen in range(alpha.rank):
             c2 = table[2 * gen][c]
             if not ((parent[c2] == c and parent_letter[c2] == 2 * gen)
                     or (parent[c] == c2 and parent_letter[c] == 2 * gen + 1)):
-                edges.append((c, gen))
+                edge_coset.append(c)
+                edge_gen.append(gen)
 
-    if gen_names is None:
-        gen_names = tuple(f"e{i + 1}" for i in range(len(edges)))
-    return SchreierSystem(alpha, table, parent, parent_letter, edges,
-                          Alphabet(tuple(gen_names)))
+    sub = (numbered_alphabet("e", len(edge_coset)) if gen_names is None
+           else Alphabet(tuple(gen_names)))
+    return SchreierSystem(alpha, table, parent, parent_letter, edge_coset, edge_gen, sub)
 
 
 def kernel_subgroup(q: FiniteQuotient, **kwargs) -> SchreierSystem:

@@ -14,12 +14,19 @@ is and builds a new pair only where two syllables merge, and the unit
 syllables (g, +-1) of an inverse come from the alphabet's one table
 ``unit_syllables``.  So ``Word._trusted`` takes a tuple of tuples only;
 lists are turned into tuples at the boundary, by ``_reduce``.
+
+An alphabet's names are a tuple, or the numbered names prefix1 ..
+prefixN of ``numbered_alphabet`` (the default Schreier-generator
+names), which are made only when read: such an alphabet has an O(1)
+``rank`` and ``index``, and equals, and hashes like, the alphabet of
+the same names spelled out.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -30,24 +37,70 @@ class WordError(ValueError):
     """Raised for malformed words, parse failures and alphabet mismatches."""
 
 
+class _NumberedNames(SequenceABC):
+    """The names prefix1 .. prefix<count>, each made when read; compares
+    and hashes as the tuple of those names."""
+
+    __slots__ = ("prefix", "count", "_hash")
+
+    def __init__(self, prefix: str, count: int):
+        self.prefix, self.count, self._hash = prefix, count, None
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(f"{self.prefix}{k + 1}" for k in range(self.count)[i])
+        k = range(self.count)[i]  # IndexError out of range, as for a tuple
+        return f"{self.prefix}{k + 1}"
+
+    def __iter__(self):
+        return (f"{self.prefix}{k}" for k in range(1, self.count + 1))
+
+    def index(self, name) -> int:
+        """Position of ``name``: its digits after the prefix, read as
+        written (ASCII, no leading zero), minus one."""
+        if isinstance(name, str) and name.startswith(self.prefix):
+            digits = name[len(self.prefix):]
+            if (digits.isascii() and digits.isdigit() and digits[0] != "0"
+                    and int(digits) <= self.count):
+                return int(digits) - 1
+        raise ValueError(f"{name!r} is not in the names")
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _NumberedNames):
+            return (self.prefix, self.count) == (other.prefix, other.count)
+        return isinstance(other, tuple) and len(other) == self.count and tuple(self) == other
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(tuple(self))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"_NumberedNames({self.prefix!r}, {self.count})"
+
+
 @dataclass(frozen=True)
 class Alphabet:
-    """An ordered tuple of distinct generator names."""
+    """An ordered sequence of distinct generator names: a tuple, or the
+    numbered names of ``numbered_alphabet``."""
 
-    names: tuple[str, ...]
+    names: Sequence[str]
+    rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "rank", len(self.names))
         if not self.names:
             raise WordError("alphabet needs at least one generator")
+        if type(self.names) is _NumberedNames:
+            return  # distinct and well formed by construction
         if len(set(self.names)) != len(self.names):
             raise WordError(f"generator names not distinct: {self.names}")
         for name in self.names:
             if not _NAME_RE.fullmatch(name):
                 raise WordError(f"bad generator name: {name!r}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.names)
 
     def index(self, name: str) -> int:
         try:
@@ -73,6 +126,15 @@ class Alphabet:
 
 def alphabet(*names: str) -> Alphabet:
     return Alphabet(tuple(names))
+
+
+def numbered_alphabet(prefix: str, count: int) -> Alphabet:
+    """The alphabet prefix1 .. prefix<count>, names made only when read."""
+    if not _NAME_RE.fullmatch(prefix):
+        raise WordError(f"bad generator name prefix: {prefix!r}")
+    if count < 1:
+        raise WordError("alphabet needs at least one generator")
+    return Alphabet(_NumberedNames(prefix, count))
 
 
 def _reduce(syllables: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

@@ -18,7 +18,8 @@ from fgcert.congruence import (
     certify,
     order_bound,
 )
-from fgcert.intlinalg import PRIME_CAP, Factored
+from fgcert import intlinalg
+from fgcert.intlinalg import PRIME_CAP, Factored, decimals
 from fgcert.quotients import ALPHA_BETA, FiniteQuotient, trivial_quotient
 from fgcert.words import alphabet, parse_word, random_word
 
@@ -304,6 +305,40 @@ def test_factored_value_and_digits(cofactor, p, exponent):
     digits = exact_decimal(value)
     assert f.decimal() == digits
     assert len(digits) <= f.max_digits() <= len(digits) + exponent // 64 + 64 * 13 + 2
+
+
+@given(st.sampled_from([2, 5, 11]),
+       st.lists(st.tuples(st.integers(1, 10 ** 6), st.sampled_from([0, 1, 7, 400, 5000])),
+                max_size=6))
+def test_decimals_match_one_value_at_a_time(p, pairs):
+    values = [Factored(c if c % p else c + 1, p, e) for c, e in pairs]
+    assert decimals(values) == [exact_decimal(int(v)) for v in values]
+
+
+class PowerCounter(type(intlinalg._EXACT)):
+    """The exact context, recording the exponent of every power it takes."""
+
+    def __init__(self, exponents):
+        exact = intlinalg._EXACT
+        super().__init__(prec=exact.prec, Emax=exact.Emax, Emin=exact.Emin,
+                         traps=[t for t, on in exact.traps.items() if on])
+        self.exponents = exponents
+
+    def power(self, a, b, modulo=None):
+        self.exponents.append(int(b))
+        return super().power(a, b, modulo)
+
+
+@pytest.mark.parametrize("k, p, powers", [(data_k(4), 5, [9217]), (cyclic_k(3), 5, [325, 2917])])
+def test_certificate_json_computes_each_power_once(monkeypatch, k, p, powers):
+    """At index 4, rank(N) = 36 n^4 + 1, so the three big numbers share
+    p^9217; for the cyclic K, [F:N] = 36 n^2 and the bound has its own."""
+    cert = certify(CongruenceInput(k, p))
+    want = cert.to_json()
+    exponents = []
+    monkeypatch.setattr(intlinalg, "_EXACT", PowerCounter(exponents))
+    assert cert.to_json() == want
+    assert exponents == powers
 
 
 @given(st.sampled_from([5, 7, 11]), st.lists(st.tuples(st.integers(1, 300), st.integers(0, 6)),

@@ -8,13 +8,9 @@ from fgcert.homs import (
     abelianization_matrix,
     compose,
     compose_auts,
-    fixes_word,
     hom,
     identity_hom,
     inner_aut,
-    nielsen_inversion,
-    nielsen_permutation,
-    nielsen_transvection,
     parse_hom,
     shear_alpha3,
     shear_beta3,
@@ -22,6 +18,7 @@ from fgcert.homs import (
     transvection_beta,
 )
 from fgcert.words import WordError, alphabet, commutator, parse_word, random_word
+from nielsen import nielsen_inversion, nielsen_permutation, nielsen_transvection
 
 XY = alphabet("x", "y")
 XYZ = alphabet("x", "y", "z")
@@ -85,8 +82,8 @@ def test_abelianization_matrix_columns():
 
 def test_transvections_fix_commutator():
     e2 = commutator(parse_word("y", XY), parse_word("x", XY))
-    assert fixes_word(transvection_alpha().forward, e2)
-    assert fixes_word(transvection_beta().forward, e2)
+    assert transvection_alpha().forward(e2) == e2
+    assert transvection_beta().forward(e2) == e2
 
 
 def test_rank3_shears():

@@ -28,7 +28,6 @@ def test_matrix_arithmetic():
     assert (a + b).rows == ((1, 3), (4, 4))
     assert (a - a).rows == ((0, 0), (0, 0))
     assert a.scaled(2).rows == ((2, 4), (6, 8))
-    assert a.transpose().rows == ((1, 3), (2, 4))
     assert a.apply((1, 0)) == (1, 3)
     assert a.column(1) == (2, 4)
 

@@ -7,7 +7,11 @@ keeps the coset table as a dict.  The actions here step on the
 permutations themselves, so nothing of the compiled tables is shared.
 ``generator_exponent_sums`` is the per-generator exponent vector list
 that the streamed classes mod m replaced, and ``memoised_words`` the
-transversal-word cache that words read off the tree replaced.
+transversal-word cache that words read off the tree replaced.  The
+compiled system keeps its off-tree edges as two flat arrays and numbers
+its generators without storing names; ``assert_same_system`` compares
+them with the (coset, generator) list and the names tuple built from
+the reference.
 """
 
 import random
@@ -28,11 +32,16 @@ from fgcert.quotients import (
     rank2_outer_hom,
     rank3_c2_kernel,
 )
-from fgcert.words import Word, alphabet, random_word
+from fgcert.words import Alphabet, Word, WordError, alphabet, random_word
 from word_letters import letters
 
 XY = alphabet("x", "y")
 XYZ = alphabet("x", "y", "z")
+
+
+def edges(system) -> list[tuple[int, int]]:
+    """(source coset, generator) of each Schreier generator's edge."""
+    return list(zip(system.edge_coset, system.edge_gen))
 
 
 def generator_exponent_sums(system) -> list[tuple[int, ...]]:
@@ -46,7 +55,7 @@ def generator_exponent_sums(system) -> list[tuple[int, ...]]:
         v[gen] += -1 if negative else 1
         vectors.append(tuple(v))
     out = []
-    for c, gen in system.edges:
+    for c, gen in edges(system):
         v = [a - b for a, b in zip(vectors[c], vectors[system.table[2 * gen][c]])]
         v[gen] += 1
         out.append(tuple(v))
@@ -79,7 +88,7 @@ def memoised_words(system) -> tuple[list[Word], list[Word]]:
 
     generators = [transversal_word(c) * alpha.generator(gen)
                   * transversal_word(system.table[2 * gen][c]).inverse()
-                  for c, gen in system.edges]
+                  for c, gen in edges(system)]
     return [transversal_word(c) for c in range(system.index)], generators
 
 
@@ -189,9 +198,19 @@ def reference_system(action, alpha, max_cosets=100_000):
 
 
 def assert_same_system(system, ref, words=()):
-    """Index, table, transversal, generators, scan and rewriting agree."""
+    """Index, table, transversal, edges, names, generators, scan and
+    rewriting agree."""
     rank = system.alphabet.rank
     assert system.index == ref.index
+    ref_edges = sorted((i, key) for key, i in ref.scan.items() if i is not None)
+    assert edges(system) == [key for _, key in ref_edges]
+    names = tuple(f"e{i + 1}" for i in range(len(ref.generators)))
+    explicit = Alphabet(names)
+    assert system.sub_alphabet == explicit and explicit == system.sub_alphabet
+    assert hash(system.sub_alphabet) == hash(explicit)
+    assert tuple(system.sub_alphabet.names) == names
+    assert system.sub_alphabet.rank == len(names)
+    assert [system.sub_alphabet.index(name) for name in names] == list(range(len(names)))
     assert {(c, l // 2, -1 if l % 2 else 1): system.table[l][c]
             for l in range(2 * rank) for c in range(system.index)} == ref.table
     assert [str(t) for t in system.transversal] == [str(t) for t in ref.transversal]
@@ -376,6 +395,52 @@ def test_bad_build_arguments_are_rejected():
         build_schreier_system(abelian_quotient(XYZ, (2, 2, 2)), XY)
     with pytest.raises(SchreierError):
         build_schreier_system(abelian_quotient(XY, (2, 2)), XY, gen_names=["a", "b"])
+    # explicit names are still validated
+    for names in (["a", "b", "c", "d", "1e"], ["a", "b", "c", "d", "a"]):
+        with pytest.raises(WordError):
+            build_schreier_system(abelian_quotient(XY, (2, 2)), XY, gen_names=names)
+    named = build_schreier_system(abelian_quotient(XY, (2, 2)), XY, gen_names="abcde")
+    assert named.sub_alphabet == alphabet(*"abcde")
+    assert str(named.rewrite(named.generators[4])) == "e"
+
+
+@settings(max_examples=100, deadline=None)
+@given(quotients(), st.integers(0, 2 ** 32))
+def test_rewrite_matches_checked_words(q, seed):
+    """Rewriting skips the syllable checks; the checked constructor
+    builds the same word from the swept letters."""
+    system = kernel_subgroup(q)
+    sub = system.sub_alphabet
+    rng = random.Random(seed)
+    for _ in range(20):
+        w = random_word(rng, q.alphabet, 12)
+        member = w * system.transversal[system.coset_of(w)].inverse()
+        got = system.rewrite(member)
+        assert got == Word.from_syllables(sub, system.sweep(member)[1])
+        assert Word(sub, got.syllables) == got  # passes the checks
+        assert system.expand(got) == member
+        if system.coset_of(w):
+            with pytest.raises(SchreierError, match="not in the subgroup"):
+                system.rewrite(w)
+
+
+def test_wide_alphabet_keeps_generators_beyond_a_byte():
+    """Past 256 generators the edge generators no longer fit in a byte."""
+    wide = alphabet(*(f"x{i}" for i in range(300)))
+    rng = random.Random(5)
+    q = FiniteQuotient(wide, 3, tuple(tuple(rng.sample(range(3), 3)) for _ in range(300)))
+    system, ref = kernel_subgroup(q), reference_system(RefQuotient(q), wide)
+    assert max(system.edge_gen) > 255
+    # assert_same_system less the classes mod m, whose table has m^rank entries
+    ref_edges = sorted((i, key) for key, i in ref.scan.items() if i is not None)
+    assert edges(system) == [key for _, key in ref_edges]
+    assert system.generators == tuple(ref.generators)
+    for w in [random_word(rng, wide, 12) for _ in range(20)] + ref.generators:
+        want = ref.rewrite(w)
+        if want is None:
+            assert not system.contains(w)
+        else:
+            assert system.rewrite(w) == Word.from_syllables(system.sub_alphabet, want)
 
 
 def test_generator_words_of_n_share_the_unit_syllables():
@@ -386,7 +451,7 @@ def test_generator_words_of_n_share_the_unit_syllables():
     units = schreier.alphabet.unit_syllables
     transversal = schreier.transversal
     shared = 0
-    for g, (c, gen) in zip(schreier.generators, schreier.edges):
+    for g, (c, gen) in zip(schreier.generators, edges(schreier)):
         c2 = schreier.table[2 * gen][c]
         assert g.length() == transversal[c].length() + 1 + transversal[c2].length()
         for syllable in g.syllables:
@@ -398,4 +463,4 @@ def test_generator_words_of_n_share_the_unit_syllables():
         for syllable in t.syllables:
             if abs(syllable[1]) == 1:
                 assert syllable is units[2 * syllable[0] + (syllable[1] < 0)]
-    assert shared > len(schreier.edges)
+    assert shared > len(schreier.generators)

@@ -46,7 +46,7 @@ def test_conjugation_by_subgroup_element_needs_no_swap():
 
 def test_action_matrix_rejects_non_preserving():
     # swapping x and y does not preserve the kernel of x -> involution
-    from fgcert.homs import nielsen_permutation
+    from nielsen import nielsen_permutation
 
     s = rank3_c2_kernel()
     swap_xy = nielsen_permutation(XYZ, (1, 0, 2))

@@ -9,7 +9,8 @@ W is one copy of V or none, so the ``affine certify`` output for r = 13
 and r = 23 (default xi) is pinned too.  ``verify congruence`` certifies
 only n = 1, so ``congruence certify --p 5 --samples 300`` is pinned for
 the benchmark's K of index 2, 3 and 4 (seed 1, quotient files in
-``data/``).
+``data/``), and so is ``quotients schreier`` of the same K, whose
+generator names are numbered on demand.
 """
 
 import hashlib
@@ -65,3 +66,18 @@ def test_congruence_certificate_is_byte_identical(n, tmp_path):
                                     "--p", "5", "--samples", "300", "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CONGRUENCE_SHA256[n]
+
+
+PINNED_SCHREIER_SHA256 = {
+    2: "73f5b9242aadb8f6fe37b24c00870cf9e3766a18716880c7d7df70e23fb81821",
+    3: "115c89350f8126a1374e87aa2f113422a9d0f5dfa094b045d7b2113e7833aa50",
+    4: "1098dd90557e4c4bc5c2bd17ffa558275c332874c1410ebba8fd793aabe50103",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_SCHREIER_SHA256))
+def test_schreier_system_output_is_byte_identical(n):
+    k_path = Path(__file__).parent / "data" / f"k-index{n}.json"
+    res = CliRunner().invoke(main, ["quotients", "schreier", "--quotient", str(k_path)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.output.encode()).hexdigest() == PINNED_SCHREIER_SHA256[n]

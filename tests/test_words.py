@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fgcert.words import (
+    Alphabet,
     Word,
     WordError,
     _reduce,
     alphabet,
     commutator,
+    numbered_alphabet,
     parse_word,
     random_word,
     substitute,
@@ -246,3 +248,46 @@ def test_unit_syllables_are_one_table_per_alphabet():
     x = XYZ.generator(0)
     assert x.inverse().syllables[0] is units[1]
     assert x.inverse().inverse().syllables[0] is units[0]
+
+
+@given(st.sampled_from(["e", "g", "x_", "ab1"]), st.integers(1, 300), st.integers(0, 2 ** 32))
+def test_numbered_names_agree_with_the_explicit_alphabet(prefix, count, seed):
+    numbered = numbered_alphabet(prefix, count)
+    names = tuple(f"{prefix}{k}" for k in range(1, count + 1))
+    explicit = Alphabet(names)
+    assert numbered == explicit and explicit == numbered and not numbered != explicit
+    assert hash(numbered) == hash(explicit) == hash(numbered_alphabet(prefix, count))
+    assert len({numbered, explicit}) == 1
+    assert numbered.rank == explicit.rank == count
+    assert tuple(numbered.names) == names and list(numbered.names) == list(names)
+    assert [numbered.index(name) for name in names] == list(range(count))
+    assert [numbered.names[i] for i in range(-count, count)] == list(names * 2)
+    assert numbered.names[1:-1:2] == names[1:-1:2]
+    assert numbered.unit_syllables == explicit.unit_syllables
+    assert numbered != numbered_alphabet(prefix, count + 1)
+    assert numbered != Alphabet(names + (f"{prefix}0",))
+    assert numbered_alphabet("q", count) != explicit
+    assert numbered_alphabet("q", count) != numbered
+    rng = random.Random(seed)
+    w = random_word(rng, numbered, 10)
+    assert str(w) == str(Word(explicit, w.syllables))
+    assert parse_word(str(w), numbered) == parse_word(str(w), explicit) == w
+
+
+def test_numbered_names_reject_unknown_names():
+    numbered = numbered_alphabet("e", 12)
+    assert numbered.index("e12") == 11
+    for name in ("e0", "e01", "e13", "e", "f1", "E1", "e-1", "e+1", "e1 ", " e1", "e1_",
+                 "e\u0661", "e1e", "ee1", ""):
+        with pytest.raises(WordError, match="unknown generator"):
+            numbered.index(name)
+        assert name not in numbered.names
+        if name.strip() == name:  # "e1 " parses as e1
+            with pytest.raises(WordError):
+                parse_word(name, numbered)
+    with pytest.raises(IndexError):
+        numbered.names[12]
+    for prefix, count in (("1e", 3), ("", 3), ("e-", 3), ("e", 0), ("e", -1)):
+        with pytest.raises(WordError):
+            numbered_alphabet(prefix, count)
+
