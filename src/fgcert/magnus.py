@@ -118,14 +118,34 @@ def fox_coordinates(w: Word) -> tuple[FreeGroupRingElement, ...]:
 
 
 def fox_identity_holds(w: Word) -> bool:
-    """Re-substitution oracle: check w - 1 = sum (x_i - 1) w_i exactly."""
+    """Re-substitution oracle: check w - 1 = sum (x_i - 1) w_i exactly.
+
+    Each term c*t of w_i contributes c at the group element x_i t and
+    -c at t.  These are counted in one dict keyed by syllable tuples,
+    and the identity holds exactly when the nonzero counts are w: +1
+    and 1: -1 (none at all for w = 1).  Since t is reduced, x_i t
+    differs from t only in its first syllable: that syllable's exponent
+    goes up by one when it is a power of x_i (and the syllable goes
+    when the exponent reaches 0), otherwise (x_i, 1) is put in front.
+    So no ring product, free reduction or sort is needed.
+    """
     alpha = w.alphabet
-    total = FreeGroupRingElement.zero(alpha)
-    for i, c in enumerate(fox_coordinates(w)):
-        xi = FreeGroupRingElement.monomial(alpha.generator(i))
-        total = total + (xi - FreeGroupRingElement.one(alpha)) * c
-    expected = FreeGroupRingElement.monomial(w) - FreeGroupRingElement.one(alpha)
-    return total == expected
+    count: dict[tuple[tuple[int, int], ...], int] = {}
+    for i, coordinate in enumerate(fox_coordinates(w)):
+        if coordinate.alphabet != alpha:
+            raise RingError("alphabet mismatch")
+        unit = (i, 1)
+        for t, c in coordinate.terms:
+            s = t.syllables
+            if s and s[0][0] == i:
+                e = s[0][1] + 1
+                xt = ((i, e),) + s[1:] if e else s[1:]
+            else:
+                xt = (unit,) + s
+            count[xt] = count.get(xt, 0) + c
+            count[s] = count.get(s, 0) - c
+    nonzero = {s: c for s, c in count.items() if c}
+    return nonzero == ({w.syllables: 1, (): -1} if w.syllables else {})
 
 
 @dataclass(frozen=True)

@@ -263,20 +263,35 @@ class SchreierSystem:
         of t_c'.  One pass down the tree reads each coset's vector mod
         ``modulus``, packed into one int with coordinate g as digit g in
         base ``modulus``; the generators meet at most modulus^(2 rank)
-        pairs of packed vectors, and only those are unpacked.
+        pairs of packed vectors, and only those are unpacked.  A letter's
+        move is computed once per packed vector it meets and kept in one
+        dict per letter, so at most one entry per coset: a table of all
+        modulus^rank vectors would be exponential in the rank.
         """
         m = modulus
         weights = [m ** g for g in range(self.alphabet.rank)]
-        # step[l][v]: packed vector v after letter l, which moves digit
-        # l // 2 by +-1 mod m
-        step = [[v + ((v // w + s) % m - v // w % m) * w for v in range(m ** len(weights))]
-                for w in weights for s in (1, -1)]
+
+        def move(l: int, v: int) -> int:
+            """Packed vector v after letter l, which moves digit l // 2 by +-1 mod m."""
+            w = weights[l >> 1]
+            digit = v // w % m
+            return v + ((digit - 1 if l & 1 else digit + 1) % m - digit) * w
+
+        # moved[l][v] = move(l, v) for the packed vectors the walk meets
+        moved: list[dict[int, int]] = [{} for _ in range(2 * len(weights))]
         packed = [0] * self.index
+        parent, parent_letter, table = self.parent, self.parent_letter, self.table
         for c in range(1, self.index):  # a parent precedes its children
-            packed[c] = step[self.parent_letter[c]][packed[self.parent[c]]]
-        ends = {(step[2 * gen][packed[c]], packed[self.table[2 * gen][c]])
+            try:
+                packed[c] = moved[parent_letter[c]][packed[parent[c]]]
+            except KeyError:
+                l, v = parent_letter[c], packed[parent[c]]
+                packed[c] = moved[l][v] = move(l, v)
+        # the letter is applied once per distinct end, not once per generator
+        ends = {(packed[c], gen, packed[table[2 * gen][c]])
                 for c, gen in zip(self.edge_coset, self.edge_gen)}
-        return {tuple((a // w - b // w) % m for w in weights) for a, b in ends}
+        return {tuple((a // w - b // w) % m for w in weights)
+                for a, b in {(move(2 * gen, v), b) for v, gen, b in ends}}
 
     def coset_of(self, w: Word) -> int:
         if w.alphabet != self.alphabet:

@@ -1,6 +1,7 @@
 """Acceptance suite: one criterion per test, one printed verdict line
 each.  All tolerances are exact."""
 
+import hashlib
 import json
 import random
 
@@ -278,6 +279,13 @@ def test_criterion_6_property_suites():
     verdict(6, "randomized structural properties", failures)
 
 
+# sha256 of ``fgcert verify all --seed 42``, the ``verify-all`` pin of
+# ``perfbench/pins.json`` copied here, as ``test_seeded_reports.py`` does
+# for the single suites: the magnus suite's seeded output is pinned in
+# tier-1 too.
+VERIFY_ALL_SHA256 = "e1a7da32b938312cd31db3b79300de41d0fd288e59a73083a223d19d86ee2631"
+
+
 def test_criterion_7_determinism(tmp_path):
     failures = []
     runner = CliRunner()
@@ -289,6 +297,8 @@ def test_criterion_7_determinism(tmp_path):
             failures.append(f"verify all exited {res.exit_code}")
     if not failures and out1.read_bytes() != out2.read_bytes():
         failures.append("reports differ between runs")
+    if not failures and hashlib.sha256(out1.read_bytes()).hexdigest() != VERIFY_ALL_SHA256:
+        failures.append("report differs from the pinned verify-all digest")
     if not failures:
         report = json.loads(out1.read_text())
         if report["summary"]["fail"]:

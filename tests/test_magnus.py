@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fgcert import magnus
 from fgcert.homs import hom, transvection_alpha, transvection_beta
 from fgcert.magnus import (
     FiniteGroupRingElement,
@@ -125,6 +126,76 @@ def test_fox_identity(w):
 @given(words(XYZ, 15))
 def test_fox_identity_rank3(w):
     assert fox_identity_holds(w)
+
+
+def fox_identity_by_ring(w):
+    """The former oracle: sum (x_i - 1) w_i through group-ring products,
+    compared with w - 1.  Reads ``magnus.fox_coordinates`` through the
+    module, so a patched one reaches both routes."""
+    alpha = w.alphabet
+    total = FreeGroupRingElement.zero(alpha)
+    for i, c in enumerate(magnus.fox_coordinates(w)):
+        xi = FreeGroupRingElement.monomial(alpha.generator(i))
+        total = total + (xi - FreeGroupRingElement.one(alpha)) * c
+    expected = FreeGroupRingElement.monomial(w) - FreeGroupRingElement.one(alpha)
+    return total == expected
+
+
+@pytest.mark.parametrize("alpha", [XY, XYZ])
+def test_fox_identity_of_the_empty_word(alpha):
+    assert fox_identity_holds(alpha.identity()) is fox_identity_by_ring(alpha.identity()) is True
+
+
+@given(st.sampled_from([XY, XYZ]).flatmap(lambda a: words(a, max_exponent=7)))
+def test_fox_identity_matches_the_ring_route(w):
+    assert fox_identity_holds(w) is fox_identity_by_ring(w) is True
+
+
+def _corrupted(coords, kind, pick):
+    """The coordinates with one term of one nonzero coordinate changed."""
+    terms = [list(c.terms) for c in coords]
+    i = [k for k, t in enumerate(terms) if t][pick % sum(1 for t in terms if t)]
+    j = pick % len(terms[i])
+    t, c = terms[i][j]
+    if kind == "sign flipped":
+        terms[i][j] = (t, -c)
+    elif kind == "term dropped":
+        del terms[i][j]
+    elif kind == "term moved":
+        del terms[i][j]
+        terms[(i + 1) % len(terms)].append((t, c))
+    elif kind == "term duplicated":
+        terms[i].append((t, c))
+    else:  # a cancelling pair +-u, u = t times a generator
+        u = t * t.alphabet.generator(pick % t.alphabet.rank)
+        terms[i] += [(u, 1), (u, -1)]
+    alpha = coords[0].alphabet
+    return tuple(FreeGroupRingElement(alpha, tuple(t)) for t in terms)
+
+
+CORRUPTIONS = {"sign flipped": False, "term dropped": False, "term moved": False,
+               "term duplicated": False, "cancelling pair added": True}
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+@settings(max_examples=60)
+@given(w=st.sampled_from([XY, XYZ]).flatmap(lambda a: words(a, 12, max_exponent=7))
+       .filter(lambda w: not w.is_identity()),
+       pick=st.integers(0, 10 ** 6))
+def test_corrupted_coordinates_get_the_ring_route_verdict(kind, w, pick):
+    coords = _corrupted(fox_coordinates(w), kind, pick)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(magnus, "fox_coordinates", lambda _: coords)
+        assert fox_identity_holds(w) is fox_identity_by_ring(w) is CORRUPTIONS[kind]
+
+
+def test_coordinates_over_another_alphabet_raise_ring_error(monkeypatch):
+    w = parse_word("x^2 y^-1 x", XY)
+    foreign = fox_coordinates(parse_word("x^2 y^-1 x", XYZ))[:2]
+    monkeypatch.setattr(magnus, "fox_coordinates", lambda _: foreign)
+    for route in (fox_identity_holds, fox_identity_by_ring):
+        with pytest.raises(RingError):
+            route(w)
 
 
 @given(words(max_length=10), words(max_length=10))

@@ -429,18 +429,23 @@ def test_wide_alphabet_keeps_generators_beyond_a_byte():
     wide = alphabet(*(f"x{i}" for i in range(300)))
     rng = random.Random(5)
     q = FiniteQuotient(wide, 3, tuple(tuple(rng.sample(range(3), 3)) for _ in range(300)))
-    system, ref = kernel_subgroup(q), reference_system(RefQuotient(q), wide)
+    system = kernel_subgroup(q)
     assert max(system.edge_gen) > 255
-    # assert_same_system less the classes mod m, whose table has m^rank entries
-    ref_edges = sorted((i, key) for key, i in ref.scan.items() if i is not None)
-    assert edges(system) == [key for _, key in ref_edges]
-    assert system.generators == tuple(ref.generators)
-    for w in [random_word(rng, wide, 12) for _ in range(20)] + ref.generators:
-        want = ref.rewrite(w)
-        if want is None:
-            assert not system.contains(w)
-        else:
-            assert system.rewrite(w) == Word.from_syllables(system.sub_alphabet, want)
+    words = [random_word(rng, wide, 12) for _ in range(20)]
+    assert_same_system(system, reference_system(RefQuotient(q), wide), words)
+
+
+def test_exponent_classes_of_a_wide_kernel_mod_2():
+    """The classes are read off the tree without a table of all
+    modulus^rank packed vectors, which is 2^300 entries here."""
+    wide = alphabet(*(f"x{i}" for i in range(300)))
+    rng = random.Random(11)
+    q = FiniteQuotient(wide, 2, tuple(rng.choice(((0, 1), (1, 0))) for _ in range(300)))
+    system = kernel_subgroup(q)
+    assert system.index == 2 and system.alphabet.rank == 300
+    want = {tuple(s % 2 for s in v) for v in generator_exponent_sums(system)}
+    assert system.generator_exponent_classes(2) == want
+    assert len(want) > 1
 
 
 def test_generator_words_of_n_share_the_unit_syllables():
