@@ -3,6 +3,8 @@ largeness data, finite triangular (Fox-derivative) embeddings, and
 order certificates for explicitly constructed finite-index subgroups.
 """
 
+__version__ = "0.1.0"
+
 from .words import Alphabet, Word, WordError, alphabet, commutator, parse_word
 from .homs import (
     FreeHom,
@@ -45,5 +47,3 @@ from .affine import (
     irreducibility_certificate,
     two_generation_certificate,
 )
-
-__version__ = "0.1.0"

@@ -33,10 +33,9 @@ from .intlinalg import PRIME_CAP, Factored, decimals, is_prime, row_hnf
 from .quotients import (
     ALPHA_BETA,
     FiniteQuotient,
-    InducedAction,
-    ProductAction,
     abelian_quotient,
     build_schreier_system,
+    induced_quotient,
     rank2_mod2_kernel,
     rank2_outer_hom,
     schreier_rank,
@@ -101,12 +100,9 @@ class NOracle:
         self.transversal = self.delta.transversal  # (1, x, y, xy)
 
         mod6 = abelian_quotient(F2, (6, 6))
-        conjugated = [
-            InducedAction(self.pi, input.k_quotient, base_shift=t)
-            for t in self.transversal
-        ]
-        product = ProductAction([mod6] + conjugated)
-        self.schreier = build_schreier_system(product, F2, max_cosets=max_cosets)
+        conjugated = [induced_quotient(self.pi, input.k_quotient, base_shift=t)
+                      for t in self.transversal]
+        self.schreier = build_schreier_system(mod6, *conjugated, max_cosets=max_cosets)
         self.index = self.schreier.index
         self.rank = schreier_rank(self.index, 2)
         n = input.k_index

@@ -1,10 +1,11 @@
 """Finite quotients, coset tables, Schreier transversals and rewriting.
 
 Subgroups are always presented through an action on a finite coset
-space: a :class:`FiniteQuotient` gives the regular (or any permutation)
-action of a free group; :class:`InducedAction` and :class:`ProductAction`
-build coset actions for preimages and intersections without coset
-enumeration from presentations.
+space, from one or more finite quotients over one alphabet: the
+stabilizer of the tuple of their base points is the intersection of
+theirs.  A :class:`FiniteQuotient` gives the regular (or any
+permutation) action of a free group; :func:`induced_quotient` compiles
+a preimage's action into one, without coset enumeration.
 
 The coset table is built by breadth-first search from the base point,
 trying generators in index order, positive letter before negative; this
@@ -13,7 +14,7 @@ makes every golden value deterministic.  Schreier generators are
 enumerated in (transversal position, generator) lexicographic order.
 
 The search runs on ints only.  Letter l = 2*gen + (sign < 0) indexes the
-per-letter tables of every action and of the coset table, the
+per-letter tables of every quotient and of the coset table, the
 transversal is kept as BFS-tree parent pointers, and transversal and
 Schreier-generator words are read off the tree only when asked for: a
 Schreier transversal is a spanning tree of the coset graph, so each
@@ -27,7 +28,7 @@ from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import getitem
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
 from .words import (
     Alphabet,
@@ -43,14 +44,6 @@ from .words import (
 
 class SchreierError(ValueError):
     """Raised for invalid coset data or out-of-subgroup rewriting."""
-
-
-class CosetAction(Protocol):
-    """A right action of a free group on a pointed finite set: the
-    product of permutation actions on the points of its components,
-    with the tuple of their base points as base point."""
-
-    def components(self) -> tuple["FiniteQuotient", ...]: ...
 
 
 def _act(tables: Sequence[Sequence[int]], state: int, w: Word) -> int:
@@ -89,9 +82,6 @@ class FiniteQuotient:
         for p in self.perms:
             tables += [p, tuple(_invert_perm(p))]
         object.__setattr__(self, "_tables", tuple(tables))
-
-    def components(self) -> tuple["FiniteQuotient", ...]:
-        return (self,)
 
     def act_word(self, state: int, w: Word) -> int:
         if w.alphabet != self.alphabet:
@@ -252,9 +242,6 @@ class SchreierSystem:
             w = self._generator_words[i] = self._spell(letters)
         return w
 
-    def schreier_generator_count(self) -> int:
-        return len(self.edge_coset)
-
     def generator_exponent_classes(self, modulus: int) -> set[tuple[int, ...]]:
         """The exponent vectors of the Schreier generators mod ``modulus``,
         as a set.
@@ -359,21 +346,24 @@ def schreier_rank(index: int, rank: int) -> int:
     return index * (rank - 1) + 1
 
 
-def build_schreier_system(action: CosetAction, alpha: Alphabet, *,
+def build_schreier_system(*quotients: FiniteQuotient,
                           gen_names: Sequence[str] | None = None,
                           max_cosets: int = 100_000) -> SchreierSystem:
-    """Build the Schreier system of the base-point stabilizer.
+    """Build the Schreier system of the stabilizer of the tuple of the
+    quotients' base points: the intersection of their stabilizers.
 
     BFS order: cosets in discovery order, edges tried generator index
     ascending with the positive letter before the negative one.  A state
-    is the tuple of the components' points.
+    is the tuple of the quotients' points.
     """
-    components = action.components()
-    if any(q.alphabet != alpha for q in components):
-        raise SchreierError("action over a different alphabet")
+    if not quotients:
+        raise SchreierError("at least one finite quotient required")
+    alpha = quotients[0].alphabet
+    if any(q.alphabet != alpha for q in quotients):
+        raise SchreierError("quotients over different alphabets")
     letters = range(2 * alpha.rank)
-    tables = [[q._tables[l] for q in components] for l in letters]
-    base = tuple(q.base_point for q in components)
+    tables = [[q._tables[l] for q in quotients] for l in letters]
+    base = tuple(q.base_point for q in quotients)
     coset_of_state = {base: 0}
     states = [base]
     parent, parent_letter = [-1], [-1]
@@ -416,7 +406,7 @@ def build_schreier_system(action: CosetAction, alpha: Alphabet, *,
 def kernel_subgroup(q: FiniteQuotient, **kwargs) -> SchreierSystem:
     """Schreier system of the stabilizer of the base point (for a
     regular action, the kernel of the quotient map)."""
-    return build_schreier_system(q, q.alphabet, **kwargs)
+    return build_schreier_system(q, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -435,7 +425,7 @@ class SubgroupHom:
     images: tuple[Word, ...]
 
     def __post_init__(self):
-        if len(self.images) != self.system.schreier_generator_count():
+        if len(self.images) != self.system.sub_alphabet.rank:
             raise SchreierError("one image per Schreier generator required")
         for img in self.images:
             if img.alphabet != self.target:
@@ -454,11 +444,12 @@ class SubgroupHom:
 
 
 # ---------------------------------------------------------------------------
-# Derived coset actions
+# Preimage actions
 # ---------------------------------------------------------------------------
 
 
-class InducedAction:
+def induced_quotient(sub_hom: SubgroupHom, target_quotient: FiniteQuotient,
+                     base_shift: Word | None = None) -> FiniteQuotient:
     """Action of the ambient free group on cosets of the preimage, under
     a subgroup hom, of a finite-index subgroup of the target.
 
@@ -466,48 +457,31 @@ class InducedAction:
     coset * size + point.  A letter moves the coset through the coset
     table and the point by the image of the Schreier letter it sweeps
     out.  Each image is compiled once into a permutation of the target
-    points, so the whole action is the finite quotient ``compiled`` of
-    the ambient group.  The stabilizer of its base point is
-    hom^-1(stabilizer of the target base), conjugated by ``base_shift``.
+    points, so the whole action is a finite quotient of the ambient
+    group.  The stabilizer of its base point is hom^-1(stabilizer of the
+    target base), conjugated by ``base_shift``.
     """
-
-    def __init__(self, sub_hom: SubgroupHom, target_quotient: FiniteQuotient,
-                 base_shift: Word | None = None):
-        if target_quotient.alphabet != sub_hom.target:
-            raise SchreierError("target quotient over wrong alphabet")
-        system = sub_hom.system
-        size = target_quotient.size
-        images = [tuple(target_quotient.act_word(pt, img) for pt in range(size))
-                  for img in sub_hom.images]
-        identity = tuple(range(size))
-        perms = []
-        for gen in range(system.alphabet.rank):
-            table, scan = system.table[2 * gen], system.scan[gen]
-            perm: list[int] = []
-            for c in range(system.index):
-                offset = table[c] * size
-                perm.extend(offset + pt for pt in (images[scan[c]] if scan[c] >= 0 else identity))
-            perms.append(tuple(perm))
-        compiled = FiniteQuotient(system.alphabet, size * system.index, tuple(perms),
-                                  target_quotient.base_point)
-        if base_shift is not None:
-            compiled = replace(compiled,
-                               base_point=compiled.act_word(compiled.base_point, base_shift))
-        self.compiled = compiled
-
-    def components(self) -> tuple[FiniteQuotient, ...]:
-        return (self.compiled,)
-
-
-class ProductAction:
-    """Componentwise product of coset actions over the same alphabet;
-    the base-point stabilizer is the intersection of the components'."""
-
-    def __init__(self, actions: Sequence[CosetAction]):
-        self.actions = list(actions)
-
-    def components(self) -> tuple[FiniteQuotient, ...]:
-        return tuple(q for a in self.actions for q in a.components())
+    if target_quotient.alphabet != sub_hom.target:
+        raise SchreierError("target quotient over wrong alphabet")
+    system = sub_hom.system
+    size = target_quotient.size
+    images = [tuple(target_quotient.act_word(pt, img) for pt in range(size))
+              for img in sub_hom.images]
+    identity = tuple(range(size))
+    perms = []
+    for gen in range(system.alphabet.rank):
+        table, scan = system.table[2 * gen], system.scan[gen]
+        perm: list[int] = []
+        for c in range(system.index):
+            offset = table[c] * size
+            perm.extend(offset + pt for pt in (images[scan[c]] if scan[c] >= 0 else identity))
+        perms.append(tuple(perm))
+    compiled = FiniteQuotient(system.alphabet, size * system.index, tuple(perms),
+                              target_quotient.base_point)
+    if base_shift is not None:
+        compiled = replace(compiled,
+                           base_point=compiled.act_word(compiled.base_point, base_shift))
+    return compiled
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def _inverted(alpha: Alphabet, syllables: Sequence[tuple[int, int]]) -> tuple[tu
                  for g, e in reversed(syllables))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A freely reduced word, stored in run-length (syllable) form.
 

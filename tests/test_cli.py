@@ -5,6 +5,7 @@ from decimal import Decimal
 
 from click.testing import CliRunner
 
+import fgcert
 from fgcert.affine import AffineParams, gamma_order
 from fgcert.cli import Runner, load_manifest, main, make_report, run_magnus
 from fgcert.quotients import ALPHA_BETA, FiniteQuotient
@@ -21,6 +22,7 @@ def test_verify_section2_json_schema():
     report = json.loads(res.output)
     assert list(report) == ["toolVersion", "timestamp", "suite", "seed",
                             "checks", "summary"]
+    assert report["toolVersion"] == fgcert.__version__
     assert report["suite"] == "section2"
     assert report["summary"]["fail"] == 0
     assert report["summary"]["pass"] == len(report["checks"])

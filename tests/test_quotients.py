@@ -146,7 +146,7 @@ def test_rank3_kernel_generator_order():
 
 def test_coset_cap():
     with pytest.raises(SchreierError):
-        build_schreier_system(abelian_quotient(XY, (10, 10)), XY, max_cosets=50)
+        build_schreier_system(abelian_quotient(XY, (10, 10)), max_cosets=50)
 
 
 @settings(max_examples=200)

@@ -14,6 +14,7 @@ them with the (coset, generator) list and the names tuple built from
 the reference.
 """
 
+import json
 import random
 
 import pytest
@@ -23,11 +24,11 @@ from fgcert.congruence import CongruenceInput, MOracle, NOracle
 from fgcert.quotients import (
     ALPHA_BETA,
     FiniteQuotient,
-    InducedAction,
     SchreierError,
     SubgroupHom,
     abelian_quotient,
     build_schreier_system,
+    induced_quotient,
     kernel_subgroup,
     rank2_outer_hom,
     rank3_c2_kernel,
@@ -375,7 +376,7 @@ def test_induced_action_matches_reference():
         images = tuple(random_word(rng, ALPHA_BETA, 3) for _ in system.generators)
         k, shift = seeded_k(3, trial), random_word(rng, XY, 5)
         compiled = build_schreier_system(
-            InducedAction(SubgroupHom(system, ALPHA_BETA, images), k, base_shift=shift), XY)
+            induced_quotient(SubgroupHom(system, ALPHA_BETA, images), k, base_shift=shift))
         words = [random_word(rng, XY, 12) for _ in range(50)]
         assert_same_system(compiled, reference_system(RefInduced(ref, images, k, shift), XY),
                            words)
@@ -392,16 +393,34 @@ def test_coset_cap_on_product_action():
 
 def test_bad_build_arguments_are_rejected():
     with pytest.raises(SchreierError):
-        build_schreier_system(abelian_quotient(XYZ, (2, 2, 2)), XY)
+        build_schreier_system(abelian_quotient(XYZ, (2, 2, 2)), abelian_quotient(XY, (2, 2)))
     with pytest.raises(SchreierError):
-        build_schreier_system(abelian_quotient(XY, (2, 2)), XY, gen_names=["a", "b"])
+        build_schreier_system(abelian_quotient(XY, (2, 2)), gen_names=["a", "b"])
     # explicit names are still validated
     for names in (["a", "b", "c", "d", "1e"], ["a", "b", "c", "d", "a"]):
         with pytest.raises(WordError):
-            build_schreier_system(abelian_quotient(XY, (2, 2)), XY, gen_names=names)
-    named = build_schreier_system(abelian_quotient(XY, (2, 2)), XY, gen_names="abcde")
+            build_schreier_system(abelian_quotient(XY, (2, 2)), gen_names=names)
+    named = build_schreier_system(abelian_quotient(XY, (2, 2)), gen_names="abcde")
     assert named.sub_alphabet == alphabet(*"abcde")
     assert str(named.rewrite(named.generators[4])) == "e"
+
+
+def test_build_needs_quotients_over_one_alphabet():
+    with pytest.raises(SchreierError, match="at least one finite quotient required"):
+        build_schreier_system()
+    with pytest.raises(SchreierError, match="quotients over different alphabets"):
+        build_schreier_system(abelian_quotient(XY, (2, 2)), abelian_quotient(XYZ, (2, 2, 2)))
+
+
+def test_induced_quotient_is_a_finite_quotient():
+    pi = rank2_outer_hom()
+    with pytest.raises(SchreierError, match="target quotient over wrong alphabet"):
+        induced_quotient(pi, abelian_quotient(XY, (2, 2)))
+    k = seeded_k(3, 2026)
+    q = induced_quotient(pi, k, base_shift=pi.system.transversal[3])
+    assert isinstance(q, FiniteQuotient)
+    assert (q.alphabet, q.size) == (XY, 4 * k.size)
+    assert FiniteQuotient.from_json(json.loads(json.dumps(q.to_json()))) == q
 
 
 @settings(max_examples=100, deadline=None)

@@ -170,6 +170,14 @@ def test_products_and_inverses_are_valid_words(a, b):
         assert all(type(s) is tuple for s in w.syllables)
 
 
+def test_words_carry_no_instance_dict():
+    # checked and trusted constructors both build slotted, frozen words
+    for w in (Word(XY, ((0, 2),)), parse_word("x y^-1", XY).inverse()):
+        assert not hasattr(w, "__dict__")
+        with pytest.raises(AttributeError):
+            w.syllables = ()
+
+
 def test_alphabet_mismatch_rejected():
     with pytest.raises(WordError):
         parse_word("x", XY) * parse_word("x", XYZ)
