@@ -68,11 +68,12 @@ SUITES = ("section2", "congruence", "largeness", "magnus", "affine", "all")
 
 
 def load_quotient(path: str, option: str) -> FiniteQuotient:
-    """The finite quotient in a JSON file; a malformed one is a usage error."""
+    """The finite quotient in a JSON file; a malformed one is a usage
+    error, and so is JSON nested too deep for the parser's recursion."""
     with open(path, encoding="utf-8") as fh:
         try:
             return FiniteQuotient.from_json(json.load(fh))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise click.BadParameter(f"not a finite quotient ({type(exc).__name__}: {exc})",
                                      param_hint=f"'{option}'")
 

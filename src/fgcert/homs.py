@@ -7,10 +7,18 @@ generator.  Finding inverses (Whitehead's algorithm) is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .intlinalg import IntMatrix
-from .words import Alphabet, Word, WordError, alphabet, parse_word, substitute
+from .words import (
+    Alphabet,
+    Word,
+    WordError,
+    alphabet,
+    image_syllables,
+    parse_word,
+    substitute,
+)
 
 
 @dataclass(frozen=True)
@@ -20,6 +28,9 @@ class FreeHom:
     domain: Alphabet
     codomain: Alphabet
     images: tuple[Word, ...]
+    # the syllables of the images and of their inverses, for ``substitute``
+    _syllables: tuple = field(init=False, repr=False, compare=False)
+    _inverses: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.images) != self.domain.rank:
@@ -27,11 +38,14 @@ class FreeHom:
         for img in self.images:
             if img.alphabet != self.codomain:
                 raise WordError("image over wrong alphabet")
+        syllables, inverses = image_syllables(self.codomain, self.images)
+        object.__setattr__(self, "_syllables", syllables)
+        object.__setattr__(self, "_inverses", inverses)
 
     def __call__(self, w: Word) -> Word:
         if w.alphabet != self.domain:
             raise WordError("word not over the domain alphabet")
-        return substitute(self.codomain, self.images.__getitem__, w)
+        return substitute(self.codomain, self._syllables, self._inverses, w.syllables)
 
     def is_endo(self) -> bool:
         return self.domain == self.codomain

@@ -19,13 +19,25 @@ transversal is kept as BFS-tree parent pointers, and transversal and
 Schreier-generator words are read off the tree only when asked for: a
 Schreier transversal is a spanning tree of the coset graph, so each
 representative is a path in the table, not a stored word (Sims,
-*Computation with Finitely Presented Groups*, 1994, ch. 5).
+*Computation with Finitely Presented Groups*, 1994, ch. 5).  A word is
+spelled by grouping equal letters, with no free reduction: a tree path
+never turns back, and in t_c x t_c'^-1 neither junction cancels, since
+x after the last letter of t_c, or before the first letter of t_c'^-1,
+cancels only when (c, x) is a tree edge in one direction or the other.
+
+A subgroup hom is evaluated by one sweep and one reduction: the
+Schreier letters (generator, +-1) that ``SchreierSystem.sweep`` reads
+off a word go straight into ``words.substitute``, which joins the
+syllables of their images, or of the images' inverses, and reduces
+once.  No word over the Schreier generators is built in between.
+``SchreierSystem.expand`` runs the same loop on the cached syllables of
+the generator words and of their inverses.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import getitem
 from typing import Iterable, Sequence
@@ -36,6 +48,7 @@ from .words import (
     WordError,
     _reduce,
     alphabet,
+    image_syllables,
     numbered_alphabet,
     parse_word,
     substitute,
@@ -73,7 +86,9 @@ class FiniteQuotient:
         if len(self.perms) != self.alphabet.rank:
             raise SchreierError("one permutation per generator required")
         for p in self.perms:
-            if sorted(p) != list(range(self.size)):
+            # the length first: a size far past the points given is refused
+            # before any list of that size is made
+            if len(p) != self.size or sorted(p) != list(range(self.size)):
                 raise SchreierError(f"not a permutation of 0..{self.size - 1}: {p}")
         if not 0 <= self.base_point < self.size:
             raise SchreierError("base point out of range")
@@ -104,11 +119,13 @@ class FiniteQuotient:
 
     @staticmethod
     def from_json(data: dict) -> "FiniteQuotient":
+        """The quotient of a JSON object; its numbers must be JSON
+        integers, not floats (Infinity, 1.5), strings or booleans."""
         return FiniteQuotient(
             alphabet=Alphabet(tuple(data["alphabet"])),
-            size=int(data["targetSize"]),
-            perms=tuple(tuple(int(v) for v in p) for p in data["permutations"]),
-            base_point=int(data.get("basePoint", 0)),
+            size=_json_int(data["targetSize"]),
+            perms=tuple(tuple(map(_json_int, p)) for p in data["permutations"]),
+            base_point=_json_int(data.get("basePoint", 0)),
         )
 
     def to_json(self) -> dict:
@@ -118,6 +135,12 @@ class FiniteQuotient:
             "permutations": [list(p) for p in self.perms],
             "basePoint": self.base_point,
         }
+
+
+def _json_int(value) -> int:
+    if type(value) is not int:
+        raise SchreierError(f"expected an integer, got {type(value).__name__}")
+    return value
 
 
 def _invert_perm(p: Sequence[int]) -> list[int]:
@@ -205,16 +228,33 @@ class SchreierSystem:
         self.scan = [array("i", [-1]) * self.index for _ in range(alphabet.rank)]
         for i, (c, gen) in enumerate(zip(edge_coset, edge_gen)):
             self.scan[gen][c] = i
-        self._generator_words: list[Word | None] = [None] * len(edge_coset)
+
+    @cached_property
+    def _syllables(self) -> list[tuple[tuple[int, int], ...] | None]:
+        """The syllables of each generator word read so far, else None."""
+        return [None] * len(self.edge_coset)
+
+    @cached_property
+    def _inverse_syllables(self) -> list[tuple[tuple[int, int], ...] | None]:
+        """The syllables of each inverse generator word read so far, else None."""
+        return [None] * len(self.edge_coset)
+
+    @cached_property
+    def _runs(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """The one tuple of each syllable of exponent other than +-1 that
+        the words read off the tree hold."""
+        return {}
 
     @cached_property
     def transversal(self) -> tuple[Word, ...]:
         """Coset representatives: t_c is the tree path to coset c."""
-        return tuple(self._spell(reversed(self._path_up(c))) for c in range(self.index))
+        return tuple(Word._trusted(self.alphabet, self._spell(reversed(self._path_up(c))))
+                     for c in range(self.index))
 
     @cached_property
     def generators(self) -> tuple[Word, ...]:
-        return tuple(map(self._generator_word, range(len(self.edge_coset))))
+        return tuple(Word._trusted(self.alphabet, self._generator_syllables(i))
+                     for i in range(len(self.edge_coset)))
 
     def _path_up(self, c: int) -> list[int]:
         """The letters of the tree path from coset 0 to coset c, last first."""
@@ -225,22 +265,41 @@ class SchreierSystem:
             c = parent[c]
         return letters
 
-    def _spell(self, letters: Iterable[int]) -> Word:
-        """The reduced word of a letter sequence, over the shared unit syllables."""
-        units = self.alphabet.unit_syllables
-        return Word._trusted(self.alphabet, _reduce(map(units.__getitem__, letters)))
+    def _spell(self, letters: Iterable[int]) -> tuple[tuple[int, int], ...]:
+        """The syllables of a letter sequence with no letter next to its
+        inverse: runs of equal letters, each a shared tuple (a run of one
+        is the alphabet's unit syllable).  Nothing cancels, so nothing is
+        reduced."""
+        units, runs = self.alphabet.unit_syllables, self._runs
+        syllables: list[tuple[int, int]] = []
+        prev = -1
+        for l in letters:
+            if l == prev:
+                gen, exp = syllables[-1]
+                run = (gen, exp - 1 if l & 1 else exp + 1)
+                syllables[-1] = runs.setdefault(run, run)
+            else:
+                syllables.append(units[l])
+                prev = l
+        return tuple(syllables)
 
-    def _generator_word(self, i: int) -> Word:
-        w = self._generator_words[i]
-        if w is None:
-            c, gen = self.edge_coset[i], self.edge_gen[i]
+    def _generator_syllables(self, i: int, inverse: bool = False) -> tuple[tuple[int, int], ...]:
+        """The syllables of generator i, or of its inverse, cached."""
+        cache = self._inverse_syllables if inverse else self._syllables
+        syllables = cache[i]
+        if syllables is None:
+            c, l = self.edge_coset[i], 2 * self.edge_gen[i]
+            c2 = self.table[l][c]
+            if inverse:  # t_c' x^-1 t_c^-1, the same edge walked back
+                c, l, c2 = c2, l + 1, c
             # t_c x t_c'^-1: the path to c, the letter, and the path to c'
-            # walked back up with each letter inverted (l ^ 1)
+            # walked back up with each letter inverted (l ^ 1); nothing
+            # cancels at the junctions of an off-tree edge
             letters = self._path_up(c)[::-1]
-            letters.append(2 * gen)
-            letters += [l ^ 1 for l in self._path_up(self.table[2 * gen][c])]
-            w = self._generator_words[i] = self._spell(letters)
-        return w
+            letters.append(l)
+            letters += [k ^ 1 for k in self._path_up(c2)]
+            syllables = cache[i] = self._spell(letters)
+        return syllables
 
     def generator_exponent_classes(self, modulus: int) -> set[tuple[int, ...]]:
         """The exponent vectors of the Schreier generators mod ``modulus``,
@@ -312,20 +371,32 @@ class SchreierSystem:
                         letters.append((scan[coset], -1))
         return coset, letters
 
-    def rewrite(self, w: Word) -> Word:
-        """Reidemeister rewriting of a subgroup element into a word over
-        the Schreier-generator alphabet."""
+    def schreier_letters(self, w: Word) -> list[tuple[int, int]]:
+        """The Schreier letters (generator index, +-1) of a subgroup
+        element, unreduced, as ``sweep`` reads them; raises for a word
+        outside the subgroup."""
         coset, letters = self.sweep(w)
         if coset != 0:
             raise SchreierError(f"word not in the subgroup: {w}")
+        return letters
+
+    def rewrite(self, w: Word) -> Word:
+        """Reidemeister rewriting of a subgroup element into a word over
+        the Schreier-generator alphabet."""
         # swept letters are valid syllables over sub_alphabet by construction
-        return Word._trusted(self.sub_alphabet, _reduce(letters))
+        return Word._trusted(self.sub_alphabet, _reduce(self.schreier_letters(w)))
 
     def expand(self, sub_word: Word) -> Word:
-        """Substitute each Schreier generator by its word and reduce."""
+        """Substitute each Schreier generator by its word and reduce,
+        from the cached syllables of the generator words and of their
+        inverses, each built on first use."""
         if sub_word.alphabet != self.sub_alphabet:
             raise WordError("alphabet mismatch")
-        return substitute(self.alphabet, self._generator_word, sub_word)
+        syllables, inverses = self._syllables, self._inverse_syllables
+        for gen, exp in sub_word.syllables:
+            if (syllables if exp > 0 else inverses)[gen] is None:
+                self._generator_syllables(gen, exp < 0)
+        return substitute(self.alphabet, syllables, inverses, sub_word.syllables)
 
     def reordered(self, perm: Sequence[int], names: Sequence[str] | None = None) -> "SchreierSystem":
         """Same subgroup with Schreier generators listed in a new order:
@@ -414,7 +485,12 @@ class SubgroupHom:
     """A homomorphism from a Schreier subgroup, given by one image word
     (over a target alphabet) per Schreier generator.
 
-    Evaluation is rewrite-then-substitute.  When the target is a free
+    Evaluation is one ``sweep`` of the word through the coset table and
+    one free reduction of the swept letters' images: the images'
+    syllables and their inverses' are built once per hom, and the
+    Schreier letters go into ``substitute`` unreduced, so the result is
+    the same as rewriting first and substituting after, since every
+    word has one reduced form.  When the target is a free
     group, kernel membership is free-word triviality; composing with a
     finite quotient of the target decides membership in preimages of
     finite-index subgroups.
@@ -423,6 +499,9 @@ class SubgroupHom:
     system: SchreierSystem
     target: Alphabet
     images: tuple[Word, ...]
+    # the syllables of the images and of their inverses, for ``substitute``
+    _syllables: tuple = field(init=False, repr=False, compare=False)
+    _inverses: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.images) != self.system.sub_alphabet.rank:
@@ -430,14 +509,21 @@ class SubgroupHom:
         for img in self.images:
             if img.alphabet != self.target:
                 raise WordError("image over wrong alphabet")
+        syllables, inverses = image_syllables(self.target, self.images)
+        object.__setattr__(self, "_syllables", syllables)
+        object.__setattr__(self, "_inverses", inverses)
 
     def evaluate_sub(self, sub_word: Word) -> Word:
         if sub_word.alphabet != self.system.sub_alphabet:
             raise WordError("alphabet mismatch")
-        return substitute(self.target, self.images.__getitem__, sub_word)
+        return substitute(self.target, self._syllables, self._inverses, sub_word.syllables)
 
     def __call__(self, w: Word) -> Word:
-        return self.evaluate_sub(self.system.rewrite(w))
+        """The image of a subgroup element: its sweep's Schreier letters
+        go straight into ``substitute``, with no word over the Schreier
+        generators in between."""
+        return substitute(self.target, self._syllables, self._inverses,
+                          self.system.schreier_letters(w))
 
     def in_kernel(self, w: Word) -> bool:
         return self(w).is_identity()

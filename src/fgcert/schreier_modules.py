@@ -16,8 +16,13 @@ from .words import Word
 
 
 def abelianized_image(s: SchreierSystem, w: Word) -> tuple[int, ...]:
-    """Exponent vector of a subgroup element over the Schreier generators."""
-    return s.rewrite(w).exponent_sums()
+    """Exponent vector of a subgroup element over the Schreier generators:
+    the signs of its Schreier letters, summed per generator (free
+    reduction leaves exponent sums as they are)."""
+    sums = [0] * s.sub_alphabet.rank
+    for gen, sign in s.schreier_letters(w):
+        sums[gen] += sign
+    return tuple(sums)
 
 
 def conjugation_matrix(s: SchreierSystem, g: Word) -> IntMatrix:

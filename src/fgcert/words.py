@@ -28,7 +28,7 @@ import re
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -250,16 +250,33 @@ class Word:
         return f"Word({self})"
 
 
-def substitute(alpha: Alphabet, image: Callable[[int], Word], w: Word) -> Word:
-    """The image of ``w`` under the hom sending generator i to the word
-    ``image(i)`` over ``alpha``: the images are concatenated and freely
-    reduced once, in time linear in the total length."""
+def image_syllables(alpha: Alphabet, images: Sequence[Word]) -> tuple[tuple, tuple]:
+    """The syllables of each image word and of its inverse, the two
+    tables ``substitute`` reads."""
+    return (tuple(img.syllables for img in images),
+            tuple(_inverted(alpha, img.syllables) for img in images))
+
+
+def substitute(alpha: Alphabet, images: Sequence[tuple[tuple[int, int], ...]],
+               inverses: Sequence[tuple[tuple[int, int], ...]],
+               letters: Iterable[tuple[int, int]]) -> Word:
+    """The image of the word spelled by ``letters`` (a word's syllables,
+    or the (index, +-1) letters of a Schreier sweep) under the hom
+    sending generator i to the word over ``alpha`` with syllables
+    ``images[i]``, whose inverse has syllables ``inverses[i]``: the
+    images are concatenated and freely reduced once, in time linear in
+    the total length."""
     syllables: list[tuple[int, int]] = []
-    for gen, exp in w.syllables:
-        img = image(gen).syllables
-        if exp < 0:
-            img = _inverted(alpha, img)
-        syllables.extend(img * abs(exp))
+    extend = syllables.extend
+    for gen, exp in letters:
+        if exp == 1:
+            extend(images[gen])
+        elif exp == -1:
+            extend(inverses[gen])
+        elif exp > 0:
+            extend(images[gen] * exp)
+        else:
+            extend(inverses[gen] * -exp)
     return Word._trusted(alpha, _reduce(syllables))
 
 

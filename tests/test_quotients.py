@@ -1,12 +1,16 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fgcert.congruence import CongruenceInput, NOracle
 from fgcert.quotients import (
     ALPHA_BETA,
     FiniteQuotient,
     SchreierError,
+    SubgroupHom,
     abelian_quotient,
     build_schreier_system,
     kernel_subgroup,
@@ -16,10 +20,13 @@ from fgcert.quotients import (
     schreier_rank,
     trivial_quotient,
 )
-from fgcert.words import alphabet, parse_word, random_word
+from fgcert.schreier_modules import abelianized_image
+from fgcert.words import Word, _reduce, alphabet, parse_word, random_word
 from word_letters import letters
 
 XY = alphabet("x", "y")
+XYZ = alphabet("x", "y", "z")
+DATA = Path(__file__).parent / "data"
 
 
 def test_finite_quotient_validation():
@@ -160,3 +167,88 @@ def test_rewrite_is_homomorphism_on_generators(path):
         w = w * e
         sub = sub * s.sub_alphabet.generator(gen, sign)
     assert s.rewrite(w) == sub
+
+
+def tree_letters(s, c: int) -> list[tuple[int, int]]:
+    """The (generator, +-1) letters of the tree path from coset 0 to c."""
+    out = []
+    while c:
+        out.append((s.parent_letter[c] >> 1, -1 if s.parent_letter[c] & 1 else 1))
+        c = s.parent[c]
+    return out[::-1]
+
+
+def generator_letters(s, i: int) -> list[tuple[int, int]]:
+    """The letters of t_c x t_c'^-1 for generator i, unreduced."""
+    c, gen = s.edge_coset[i], s.edge_gen[i]
+    back = [(g, -e) for g, e in reversed(tree_letters(s, s.table[2 * gen][c]))]
+    return tree_letters(s, c) + [(gen, 1)] + back
+
+
+def syllable_lists(rank: int, max_size: int = 8):
+    """Syllable lists with exponents up to 3 in size, not reduced."""
+    return st.lists(st.tuples(st.integers(0, rank - 1),
+                              st.integers(-3, 3).filter(bool)), max_size=max_size)
+
+
+@st.composite
+def systems_and_words(draw):
+    """A Schreier system of one or two random finite quotients over x, y
+    or x, y, z, a subgroup hom to a, b with random images, a word over
+    the Schreier generators and a word over the alphabet."""
+    alpha = draw(st.sampled_from((XY, XYZ)))
+    quotients = []
+    for _ in range(draw(st.integers(1, 2))):
+        size = draw(st.integers(1, 6))
+        perms = tuple(tuple(draw(st.permutations(range(size)))) for _ in range(alpha.rank))
+        quotients.append(FiniteQuotient(alpha, size, perms, draw(st.integers(0, size - 1))))
+    s = build_schreier_system(*quotients)
+    images = tuple(Word.from_syllables(ALPHA_BETA, draw(syllable_lists(2, 3)))
+                   for _ in range(s.sub_alphabet.rank))
+    sub = s.sub_alphabet.rank
+    u = Word.from_syllables(s.sub_alphabet, draw(syllable_lists(sub)))
+    w = Word.from_syllables(alpha, draw(syllable_lists(alpha.rank)))
+    return s, SubgroupHom(s, ALPHA_BETA, images), u, w
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems_and_words())
+def test_one_sweep_routes_match_the_two_step_routes(case):
+    """The hom off one sweep, expand off cached syllables and the
+    abelianized image off the swept signs agree with rewriting first,
+    and with words spelled from scratch; outside the subgroup all three
+    routes raise."""
+    s, hom, u, w = case
+    alpha = s.alphabet
+    from_scratch = [Word.from_syllables(alpha, generator_letters(s, i))
+                    for i in range(s.sub_alphabet.rank)]
+    for _ in range(2):  # cold caches, then warm
+        syllables = []
+        for gen, exp in u.syllables:
+            g = from_scratch[gen] if exp > 0 else from_scratch[gen].inverse()
+            syllables += g.syllables * abs(exp)
+        assert s.expand(u) == Word.from_syllables(alpha, syllables)
+    member = w * s.transversal[s.coset_of(w)].inverse()
+    for x in (member, s.expand(u), member * s.expand(u) ** -2):
+        assert hom(x) == hom.evaluate_sub(s.rewrite(x))
+        assert abelianized_image(s, x) == s.rewrite(x).exponent_sums()
+    if s.coset_of(w):
+        for route in (hom, s.rewrite, lambda x: abelianized_image(s, x)):
+            with pytest.raises(SchreierError, match="not in the subgroup"):
+                route(w)
+
+
+def test_generator_words_of_n_are_their_reduced_letters():
+    """Every generator word of the index-4 N, and its inverse, is spelled
+    by grouping equal letters with no free reduction; each is the
+    reduction of its letters."""
+    k = FiniteQuotient.from_json(json.loads((DATA / "k-index4.json").read_text()))
+    s = NOracle(CongruenceInput(k, 5)).schreier
+    sub = s.sub_alphabet
+    assert sub.rank == 9217
+    for i, g in enumerate(s.generators):
+        want = _reduce(generator_letters(s, i))
+        assert g.syllables == want
+        assert s.expand(sub.generator(i, -1)).syllables == Word._trusted(s.alphabet, want).inverse().syllables
+    for c, t in enumerate(s.transversal):
+        assert t.syllables == _reduce(tree_letters(s, c))

@@ -10,6 +10,7 @@ from fgcert.words import (
     _reduce,
     alphabet,
     commutator,
+    image_syllables,
     numbered_alphabet,
     parse_word,
     random_word,
@@ -244,7 +245,7 @@ def test_inverse_and_products_match_the_oracle(a, b):
 
 @given(words(XYZ), st.lists(words(XY), min_size=3, max_size=3))
 def test_substitute_matches_the_oracle(w, images):
-    got = substitute(XY, images.__getitem__, w)
+    got = substitute(XY, *image_syllables(XY, images), w.syllables)
     assert got == old_substitute(XY, images.__getitem__, w)
     assert_exact_syllables(got)
 
