@@ -31,11 +31,12 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .intlinalg import PRIME_CAP, Factored, is_prime, mat_mul
+from .intlinalg import PRIME_CAP, Factored, echelon_mod, is_prime
 
 
-# The certificate's work grows as r^4 (build_delta's matrix powers and
-# conjugate_translation's products in W): about 6 s at r = 61, 45 s at 101.
+# The certificate's work grows as r^4, all of it in conjugate_translation's
+# products in W: `affine certify --find-p` takes about 13 s at r = 61 and
+# 100 s at r = 101 (2 vCPU, Python 3.11.7).
 R_CAP = 61
 
 
@@ -178,34 +179,31 @@ class DeltaGroup:
         self.d_gen = (1, 1)           # the translation generator D
         self.s_gen = (self.a, 0)      # the multiplicative generator S
 
-    def diag_matrix(self, b: int) -> list[list[int]]:
-        """D^b = diag(xi^b, xi^(2b), ..., xi^((r-1)b))."""
-        n = self.r - 1
-        return [[pow(self.xi, (i + 1) * b, self.p) if i == j else 0
-                 for j in range(n)] for i in range(n)]
-
-    def perm_matrix(self, a: int) -> list[list[int]]:
-        """Permutation matrix sending e_i to e_(a*i mod r), 1-based."""
-        n = self.r - 1
-        mat = [[0] * n for _ in range(n)]
-        for i in range(1, self.r):
-            mat[a * i % self.r - 1][i - 1] = 1
-        return mat
-
-    def matrix(self, d: tuple[int, int]) -> list[list[int]]:
-        """P_a D^b; each entry is a single product, already reduced."""
+    def monomial(self, d: tuple[int, int]) -> tuple[list[int], list[int]]:
+        """P_a D^b as (perm, scale): column j is scale[j] e_perm[j], so
+        e_i goes to xi^(ib) e_(a*i mod r), 1-based."""
         a, b = d
-        return mat_mul(self.perm_matrix(a), self.diag_matrix(b))
+        r, p, xi = self.r, self.p, self.xi
+        return ([x % r - 1 for x in range(a, a * r, a)],
+                [pow(xi, i * b, p) for i in range(1, r)])
 
     def act(self, d: tuple[int, int], v: Sequence[int]) -> tuple[int, ...]:
-        a, b = d
-        # D^b then P_a, without materializing the matrix
-        n = self.r - 1
-        scaled = [v[i] * pow(self.xi, (i + 1) * b, self.p) % self.p for i in range(n)]
-        out = [0] * n
-        for i in range(1, self.r):
-            out[a * i % self.r - 1] = scaled[i - 1]
+        perm, scale = self.monomial(d)
+        p = self.p
+        out = [0] * len(perm)
+        for i, x, s in zip(perm, v, scale):
+            out[i] = x * s % p
         return tuple(out)
+
+
+def monomial_mul(p: int, m1, m2) -> tuple[list[int], list[int]]:
+    """The product m1 m2 of monomial matrices (perm, scale) over F_p, in
+    O(r): column j of m2 is scale2[j] e_perm2[j], which m1 sends to
+    scale2[j] scale1[perm2[j]] e_perm1[perm2[j]]."""
+    perm1, scale1 = m1
+    perm2, scale2 = m2
+    return ([perm1[i] for i in perm2],
+            [s * scale1[i] % p for i, s in zip(perm2, scale2)])
 
 
 @functools.cache
@@ -213,14 +211,6 @@ def delta_group(params: AffineParams) -> DeltaGroup:
     """The one DeltaGroup of ``params``, so that its primitive root is
     found once, not on every product in the big group."""
     return DeltaGroup(params)
-
-
-def _mod(mat, p):
-    return [[v % p for v in row] for row in mat]
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -291,28 +281,29 @@ def gamma_order(params: AffineParams) -> Factored:
 
 
 def build_delta(params: AffineParams) -> dict:
-    """Construct Delta and verify its defining matrix relations."""
+    """Construct Delta and verify its defining relations D^r = S^(r-1) = 1
+    and S^-1 D S = D^a on monomial matrices."""
     group = delta_group(params)
-    p, r = params.p, params.r
-    d_mat = group.matrix(group.d_gen)
-    s_mat = group.matrix(group.s_gen)
+    p, r, a = params.p, params.r, group.a
+    d_mon, s_mon = group.monomial(group.d_gen), group.monomial(group.s_gen)
+    identity = group.monomial((1, 0))
+
+    def power(m, n):
+        result = identity
+        for _ in range(n):
+            result = monomial_mul(p, result, m)
+        return result
+
+    s_inv = group.monomial((pow(a, -1, r), 0))
     checks = {
         "order": group.order,
-        "d_power_r_is_identity": _mat_pow(d_mat, r, p) == _identity(r - 1),
-        "s_power_r_minus_1_is_identity": _mat_pow(s_mat, r - 1, p) == _identity(r - 1),
-        "conjugation_relation": _mod(mat_mul(
-            mat_mul(group.perm_matrix(pow(group.a, -1, r)), d_mat), s_mat), p)
-        == group.matrix((1, group.a)),
+        "d_power_r_is_identity": power(d_mon, r) == identity,
+        "s_power_r_minus_1_is_identity": power(s_mon, r - 1) == identity,
+        "conjugation_relation":
+            monomial_mul(p, monomial_mul(p, s_inv, d_mon), s_mon) == group.monomial((1, a)),
     }
     checks["passed"] = all(v for k, v in checks.items() if k != "order")
     return checks
-
-
-def _mat_pow(mat, n, p):
-    result = _identity(len(mat))
-    for _ in range(n):
-        result = _mod(mat_mul(result, mat), p)
-    return result
 
 
 def irreducibility_certificate(params: AffineParams) -> dict:
@@ -338,37 +329,6 @@ def irreducibility_certificate(params: AffineParams) -> dict:
     }
 
 
-def _echelon_mod_p(mat: list[list[int]], ncols: int, p: int) -> int:
-    """Gauss-Jordan elimination over F_p of the first ``ncols`` columns,
-    in place, for entries in [0, p); returns the rank.  The first rank
-    rows get leading 1s, in increasing columns, and are the only rows
-    nonzero in those columns; the rows from the rank on are zero in the
-    first ncols columns."""
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        lead = mat[rank] = [v * inv % p for v in mat[rank]]
-        for i, row in enumerate(mat):
-            if i != rank and row[col]:
-                f = row[col]
-                mat[i] = [(v - f * w) % p for v, w in zip(row, lead)]
-        rank += 1
-    return rank
-
-
-def _solve_mod_p(matrix: list[list[int]], target: list[int], p: int) -> list[int]:
-    """Solve a square system over F_p, entries in [0, p)."""
-    n = len(matrix)
-    aug = [row[:] + [t] for row, t in zip(matrix, target)]
-    if _echelon_mod_p(aug, n, p) < n:
-        raise AffineError("singular system")
-    return [row[n] for row in aug]
-
-
 def closure_dimensions(params: AffineParams, seeds) -> tuple[int, list[int]]:
     """The dimension of the Delta-submodule V (x) U of W generated by
     ``seeds`` (r-2 vectors of V each), by the lemma in the module
@@ -377,28 +337,31 @@ def closure_dimensions(params: AffineParams, seeds) -> tuple[int, list[int]]:
     dim, copies, p = params.dim, params.copies, params.p
     slices = [[w[c][u] % p for c in range(copies)] for w in seeds for u in range(dim)]
     slices = [row for row in slices if any(row)]
-    rank = _echelon_mod_p(slices, copies, p)
+    rank = echelon_mod(slices, copies, p)
     return dim * rank, [dim if any(row[c] for row in slices) else 0 for c in range(copies)]
 
 
-def diagonal_projection(params: AffineParams, coord: int) -> list[list[int]]:
-    """The linear combination C = sum beta_j D^j equal to the matrix
-    unit E_(coord,coord); beta solves a Vandermonde system, so C lies in
-    the group algebra of the translation subgroup."""
-    group = delta_group(params)
-    p, dim = params.p, params.dim
-    vander = [[pow(params.xi, (i + 1) * j, p) for j in range(dim)] for i in range(dim)]
-    target = [1 if i == coord else 0 for i in range(dim)]
-    beta = _solve_mod_p(vander, target, p)
-    c_mat = [[0] * dim for _ in range(dim)]
-    for j, b in enumerate(beta):
-        dj = group.diag_matrix(j)
-        for u in range(dim):
-            c_mat[u][u] = (c_mat[u][u] + b * dj[u][u]) % p
-    unit = [[1 if (i, j) == (coord, coord) else 0 for j in range(dim)] for i in range(dim)]
-    if c_mat != unit:
+def diagonal_projection(params: AffineParams, coord: int) -> list[int]:
+    """The diagonal of C = sum beta_j D^j, 0 <= j < r-1, checked to be
+    the matrix unit E_(coord,coord); C lies in the group algebra of the
+    translation subgroup.  beta solves the Vandermonde system
+    sum_j beta_j xi^(uj) = [u = coord+1], 1 <= u < r, in closed form: with
+    x = xi^(coord+1), (1/r) sum_(j<r) (y/x)^j is 1 at y = x and 0 at the
+    other r-th roots of unity, and taking off x/r (1 + y + ... + y^(r-1)),
+    which vanishes at every r-th root of unity but 1, leaves degree r-2."""
+    p, r, dim = params.p, params.r, params.dim
+    x = pow(params.xi, coord + 1, p)
+    x_inv, r_inv = pow(x, -1, p), pow(r, -1, p)
+    beta = [(pow(x_inv, j, p) - x) * r_inv % p for j in range(dim)]
+    diag = []
+    for u in range(1, r):
+        eta, acc = pow(params.xi, u, p), 0
+        for b in reversed(beta):
+            acc = (acc * eta + b) % p
+        diag.append(acc)
+    if diag != [int(u == coord) for u in range(dim)]:
         raise AffineError("Vandermonde combination is not the expected matrix unit")
-    return c_mat
+    return diag
 
 
 def conjugate_translation(params: AffineParams, l: int) -> tuple[GammaElement, int]:
@@ -448,11 +411,10 @@ def two_generation_certificate(params: AffineParams) -> dict:
     e1_confined = all(w_elt.w_part[j][0] % p == 0 for j in range(1, copies))
     e1_present = w_elt.w_part[0][0] % p != 0
 
-    c_mat = diagonal_projection(params, 0)  # raises unless C = E_11
+    c_diag = diagonal_projection(params, 0)  # raises unless C = E_11
 
     def project(w_part):
-        # C is diagonal
-        return tuple(tuple(c_mat[u][u] * v[u] % p for u in range(dim)) for v in w_part)
+        return tuple(tuple(c * x % p for c, x in zip(c_diag, v)) for v in w_part)
 
     seeds = [project(w_elt.w_part)]
     exponents = [(l, k)]
@@ -488,12 +450,15 @@ def two_generation_certificate(params: AffineParams) -> dict:
 
 def geometric_sum_check(params: AffineParams) -> dict:
     """1 + eta + ... + eta^k is nonzero in F_p for eta = xi^j, every
-    1 <= j <= r-1 and 1 <= k <= r-2."""
+    1 <= j <= r-1 and 1 <= k <= r-2, by running sums."""
     p, r = params.p, params.r
     failures = []
     for j in range(1, r):
         eta = pow(params.xi, j, p)
+        term = total = 1
         for k in range(1, r - 1):
-            if sum(pow(eta, t, p) for t in range(k + 1)) % p == 0:
+            term = term * eta % p
+            total = (total + term) % p
+            if total == 0:
                 failures.append((j, k))
     return {"passed": not failures, "failures": failures}

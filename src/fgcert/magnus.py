@@ -21,7 +21,7 @@ from operator import mul
 from typing import Sequence
 
 from .homs import FreeHom, VerifiedAut, abelianization_matrix, compose
-from .intlinalg import mat_mul
+from .intlinalg import mat_mul, solve_mod
 from .words import Alphabet, Word, WordError
 
 
@@ -425,25 +425,6 @@ def ka_check(auts: Sequence[VerifiedAut], m: int, pairs: int = 50,
 # ---------------------------------------------------------------------------
 
 
-def _mod_mat_inv3(a, mod):
-    """Inverse of a 3x3 matrix over Z/mod via the adjugate; the
-    determinant must be a unit."""
-    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
-    det = (a11 * (a22 * a33 - a23 * a32)
-           - a12 * (a21 * a33 - a23 * a31)
-           + a13 * (a21 * a32 - a22 * a31)) % mod
-    try:
-        det_inv = pow(det, -1, mod)
-    except ValueError:
-        return None
-    cof = [
-        [a22 * a33 - a23 * a32, a13 * a32 - a12 * a33, a12 * a23 - a13 * a22],
-        [a23 * a31 - a21 * a33, a11 * a33 - a13 * a31, a13 * a21 - a11 * a23],
-        [a21 * a32 - a22 * a31, a12 * a31 - a11 * a32, a11 * a22 - a12 * a21],
-    ]
-    return [[(det_inv * v) % mod for v in row] for row in cof]
-
-
 def local_commutator_check(p: int, k: int, s_power: int, t_power: int,
                            samples: int = 200, rng=None) -> dict:
     """In R = Z/p^k with ideals S = (p^s_power), T = (p^t_power): sample
@@ -467,8 +448,8 @@ def local_commutator_check(p: int, k: int, s_power: int, t_power: int,
               for _ in range(3)] for _ in range(3)]
         ia = [[(ident[i][j] + a[i][j]) % mod for j in range(3)] for i in range(3)]
         ib = [[(ident[i][j] + b[i][j]) % mod for j in range(3)] for i in range(3)]
-        ia_inv = _mod_mat_inv3(ia, mod)
-        ib_inv = _mod_mat_inv3(ib, mod)
+        ia_inv = solve_mod(ia, ident, p, k)
+        ib_inv = solve_mod(ib, ident, p, k)
         if ia_inv is None or ib_inv is None:
             continue
         comm = mat_mul(mat_mul(ia, ib), mat_mul(ia_inv, ib_inv))

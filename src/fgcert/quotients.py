@@ -119,10 +119,14 @@ class FiniteQuotient:
 
     @staticmethod
     def from_json(data: dict) -> "FiniteQuotient":
-        """The quotient of a JSON object; its numbers must be JSON
-        integers, not floats (Infinity, 1.5), strings or booleans."""
+        """The quotient of a JSON object; its alphabet must be a JSON list
+        of strings, and its numbers JSON integers, not floats (Infinity,
+        1.5), strings or booleans."""
+        names = data["alphabet"]
+        if type(names) is not list or not all(type(n) is str for n in names):
+            raise SchreierError("the alphabet must be a JSON list of strings")
         return FiniteQuotient(
-            alphabet=Alphabet(tuple(data["alphabet"])),
+            alphabet=Alphabet(tuple(names)),
             size=_json_int(data["targetSize"]),
             perms=tuple(tuple(map(_json_int, p)) for p in data["permutations"]),
             base_point=_json_int(data.get("basePoint", 0)),

@@ -22,12 +22,13 @@ from fgcert.affine import (
     gamma_order,
     geometric_sum_check,
     irreducibility_certificate,
+    monomial_mul,
     multiplicative_order,
     smallest_prime_1_mod,
     smallest_root_of_order,
     two_generation_certificate,
 )
-from fgcert.intlinalg import PRIME_CAP
+from fgcert.intlinalg import PRIME_CAP, mat_mul, solve_mod
 
 PARAMS = AffineParams(5, 11, 3)
 
@@ -100,22 +101,130 @@ def test_delta_group_law():
         assert delta_mul(r, d1, delta_inverse(r, d1)) == (1, 0)
 
 
+# ---------------------------------------------------------------------------
+# The dense route, kept as the reference for the monomial matrices
+# ---------------------------------------------------------------------------
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def perm_matrix(r, a):
+    """Reference: the permutation matrix sending e_i to e_(a*i mod r), 1-based."""
+    mat = [[0] * (r - 1) for _ in range(r - 1)]
+    for i in range(1, r):
+        mat[a * i % r - 1][i - 1] = 1
+    return mat
+
+
+def diag_matrix(group, b):
+    """Reference: D^b = diag(xi^b, xi^(2b), ..., xi^((r-1)b))."""
+    n = group.r - 1
+    return [[pow(group.xi, (i + 1) * b, group.p) if i == j else 0 for j in range(n)]
+            for i in range(n)]
+
+
+def dense_matrix(group, d):
+    """Reference: P_a D^b; each entry is a single product, already reduced."""
+    a, b = d
+    return mat_mul(perm_matrix(group.r, a), diag_matrix(group, b))
+
+
+def mat_pow(mat, n, p):
+    result = identity(len(mat))
+    for _ in range(n):
+        result = [[v % p for v in row] for row in mat_mul(result, mat)]
+    return result
+
+
+def from_monomial(m):
+    """The dense matrix whose column j is scale[j] e_perm[j]."""
+    perm, scale = m
+    mat = [[0] * len(perm) for _ in perm]
+    for j, (i, s) in enumerate(zip(perm, scale)):
+        mat[i][j] = s
+    return mat
+
+
+def dense_build_delta(params):
+    """Reference: Delta's defining relations by dense (r-1)x(r-1) products."""
+    group = affine.delta_group(params)
+    p, r = group.p, group.r
+    d_mat, s_mat = dense_matrix(group, group.d_gen), dense_matrix(group, group.s_gen)
+    conj = mat_mul(mat_mul(perm_matrix(r, pow(group.a, -1, r)), d_mat), s_mat)
+    checks = {
+        "order": group.order,
+        "d_power_r_is_identity": mat_pow(d_mat, r, p) == identity(r - 1),
+        "s_power_r_minus_1_is_identity": mat_pow(s_mat, r - 1, p) == identity(r - 1),
+        "conjugation_relation":
+            [[v % p for v in row] for row in conj] == dense_matrix(group, (1, group.a)),
+    }
+    checks["passed"] = all(v for k, v in checks.items() if k != "order")
+    return checks
+
+
+def unchecked_params(r, p, xi):
+    """AffineParams without the validation, for an xi of the wrong order."""
+    params = object.__new__(AffineParams)
+    for name, value in (("r", r), ("p", p), ("xi", xi)):
+        object.__setattr__(params, name, value)
+    return params
+
+
+def small_params():
+    """Two primes p for each r <= 13, each with the default xi and its square."""
+    for r in (3, 5, 7, 11, 13):
+        for p in first_primes_1_mod(r, 2):
+            params = AffineParams.choose(r, p)
+            yield params
+            yield AffineParams(r, p, pow(params.xi, 2, p))
+
+
 def test_representation_is_homomorphism():
-    group = DeltaGroup(PARAMS)
     rng = random.Random(1)
-    p = PARAMS.p
-    for _ in range(50):
-        d1 = (rng.choice([1, 2, 3, 4]), rng.randrange(5))
-        d2 = (rng.choice([1, 2, 3, 4]), rng.randrange(5))
-        m1, m2 = group.matrix(d1), group.matrix(d2)
-        prod = [[sum(m1[i][k] * m2[k][j] for k in range(4)) % p
-                 for j in range(4)] for i in range(4)]
-        assert prod == group.matrix(delta_mul(5, d1, d2))
-        # matrix action agrees with the fast entrywise action
-        v = tuple(rng.randrange(p) for _ in range(4))
-        assert group.act(d1, v) == tuple(
-            sum(group.matrix(d1)[i][j] * v[j] for j in range(4)) % p
-            for i in range(4))
+    for params in small_params():
+        group = DeltaGroup(params)
+        p, r = params.p, params.r
+        for _ in range(20):
+            d1, d2 = ((rng.randrange(1, r), rng.randrange(r)) for _ in range(2))
+            prod = monomial_mul(p, group.monomial(d1), group.monomial(d2))
+            assert prod == group.monomial(delta_mul(r, d1, d2))
+            # the action agrees with the matrix
+            v = tuple(rng.randrange(p) for _ in range(r - 1))
+            assert group.act(d1, v) == tuple(sum(a * x for a, x in zip(row, v)) % p
+                                             for row in dense_matrix(group, d1))
+
+
+def test_monomials_match_dense_matrices():
+    rng = random.Random(2)
+    for params in small_params():
+        group = DeltaGroup(params)
+        p, r = params.p, params.r
+        for _ in range(20):
+            d1, d2 = ((rng.randrange(1, r), rng.randrange(r)) for _ in range(2))
+            m1, m2 = group.monomial(d1), group.monomial(d2)
+            dense1, dense2 = dense_matrix(group, d1), dense_matrix(group, d2)
+            assert from_monomial(m1) == dense1
+            prod = monomial_mul(p, m1, m2)
+            assert from_monomial(prod) == [[v % p for v in row] for row in mat_mul(dense1, dense2)]
+            n = rng.randrange(r + 1)
+            power = group.monomial((1, 0))
+            for _ in range(n):
+                power = monomial_mul(p, power, m1)
+            assert from_monomial(power) == mat_pow(dense1, n, p)
+
+
+def test_build_delta_matches_dense(monkeypatch):
+    for params in small_params():
+        assert build_delta(params) == dense_build_delta(params)
+    # with xi of order 2r the relation D^r = 1 fails by either route
+    group = DeltaGroup(PARAMS)
+    group.xi = 2
+    monkeypatch.setattr(affine, "delta_group", lambda params: group)
+    checks = build_delta(PARAMS)
+    assert checks == dense_build_delta(PARAMS)
+    assert not checks["d_power_r_is_identity"] and not checks["passed"]
 
 
 def test_build_delta_golden():
@@ -168,13 +277,30 @@ def test_generator_powers_stay_scalar():
     assert (d_prime ** PARAMS.r) == gamma_identity(PARAMS)
 
 
+def dense_projection(params, coord):
+    """Reference: C = sum beta_j D^j as a dense matrix, with beta solved
+    from the Vandermonde system by elimination."""
+    group = delta_group(params)
+    p, dim = params.p, params.dim
+    vander = [[pow(params.xi, (i + 1) * j, p) for j in range(dim)] for i in range(dim)]
+    beta = [row[0] for row in solve_mod(vander, [[int(i == coord)] for i in range(dim)], p)]
+    c_mat = [[0] * dim for _ in range(dim)]
+    for j, b in enumerate(beta):
+        dj = diag_matrix(group, j)
+        c_mat = [[(c + b * d) % p for c, d in zip(row, drow)] for row, drow in zip(c_mat, dj)]
+    return c_mat
+
+
 def test_diagonal_projection_units():
-    for coord in range(PARAMS.dim):
-        c = diagonal_projection(PARAMS, coord)
-        for i in range(PARAMS.dim):
-            for j in range(PARAMS.dim):
-                expected = 1 if i == j == coord else 0
-                assert c[i][j] == expected
+    for params in small_params():
+        for coord in range(params.dim):
+            unit = [[int(i == j == coord) for j in range(params.dim)] for i in range(params.dim)]
+            assert dense_projection(params, coord) == unit
+            assert diagonal_projection(params, coord) == [unit[u][u] for u in range(params.dim)]
+    # xi of order 2r, not r: the closed-form combination is no matrix unit
+    bad = unchecked_params(5, 11, 2)
+    with pytest.raises(AffineError, match="not the expected matrix unit"):
+        diagonal_projection(bad, 0)
 
 
 def test_two_generation_golden():
@@ -193,6 +319,23 @@ def test_geometric_sums():
     for params in (PARAMS, AffineParams(3, 7, 2)):
         res = geometric_sum_check(params)
         assert res["passed"] and not res["failures"]
+
+
+def geometric_sum_failures(params):
+    """Reference: each partial geometric sum by its own powers."""
+    p, r = params.p, params.r
+    return [(j, k) for j in range(1, r) for k in range(1, r - 1)
+            if sum(pow(params.xi, j * t, p) for t in range(k + 1)) % p == 0]
+
+
+def test_geometric_sums_match_powers():
+    for params in small_params():
+        assert geometric_sum_check(params)["failures"] == geometric_sum_failures(params) == []
+    # xi = -1 has order 2, not 5: 1 + eta vanishes for every odd j
+    bad = unchecked_params(5, 11, 10)
+    res = geometric_sum_check(bad)
+    assert res["failures"] == geometric_sum_failures(bad) != []
+    assert not res["passed"]
 
 
 def test_commuting_copy_mixing_action():
@@ -343,7 +486,7 @@ def spin_two_generation_certificate(params):
     w_elt, k = affine.conjugate_translation(params, l)
     e1_confined = all(w_elt.w_part[j][0] % p == 0 for j in range(1, copies))
     e1_present = w_elt.w_part[0][0] % p != 0
-    c_mat = diagonal_projection(params, 0)
+    c_mat = dense_projection(params, 0)
 
     def project(w_part):
         return tuple(

@@ -3,6 +3,7 @@ import random
 import time
 from decimal import Decimal
 
+import pytest
 from click.testing import CliRunner
 
 import fgcert
@@ -159,6 +160,20 @@ def test_congruence_certify_malformed_quotient_is_a_usage_error(tmp_path):
         res = run("congruence", "certify", "--k-quotient", str(path), "--p", "5")
         assert_usage_error(res, "Invalid value for '--k-quotient'")
         assert error in res.output
+
+
+@pytest.mark.parametrize("names", ['"ab"', '{"a": 0, "b": 1}'])
+@pytest.mark.parametrize("command", [["quotients", "schreier", "--quotient"],
+                                     ["congruence", "certify", "--p", "5", "--k-quotient"]])
+def test_alphabet_that_is_not_a_list_is_a_usage_error(tmp_path, names, command):
+    # a string or an object would iterate to the names a, b
+    path = tmp_path / "q.json"
+    path.write_text('{"alphabet": %s, "targetSize": 2, "permutations": [[1, 0], [0, 1]]}' % names)
+    res = run(*command, str(path))
+    assert_usage_error(res, "the alphabet must be a JSON list of strings")
+    lines = res.output.splitlines()
+    assert lines[-1].startswith("Error: ") and "alphabet" in lines[-1]
+    assert not any("alphabet" in line for line in lines[:-1])
 
 
 def test_congruence_certify_k_over_wrong_alphabet_is_a_usage_error(tmp_path):

@@ -7,15 +7,24 @@ goes to ``quotients schreier --quotient`` and ``congruence certify
 is started per example.  Every run must end with exit code 0, 1 or 2,
 print no traceback and finish within the deadline, since a small file
 must never trigger unbounded work.
+
+``affine certify`` gets the same treatment with ``--r``, ``--p``,
+``--xi`` and ``--find-p`` drawn at and around ``R_CAP`` and
+``PRIME_CAP``, with composites, values <= 2 and xi of the wrong order.
+A draw that would certify in full has r <= 13: near ``R_CAP`` it always
+holds some invalid value, since a whole certificate there takes seconds.
 """
 
 import json
 from datetime import timedelta
 
+import sympy
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+from fgcert.affine import R_CAP
 from fgcert.cli import main
+from fgcert.intlinalg import PRIME_CAP
 
 BIG = (st.integers(min_value=2 ** 63 - 1, max_value=2 ** 80)
        | st.integers(min_value=-(2 ** 80), max_value=-(2 ** 63)))
@@ -66,12 +75,17 @@ def quotient_texts(draw, max_points: int):
     return mostly(draw, st.just(json.dumps(data)), JUNK.map(json.dumps) | st.text(max_size=12))
 
 
-def assert_clean_exit(path, text, *args):
-    path.write_text(text, encoding="utf-8")
-    res = CliRunner().invoke(main, [*args, str(path)])
+def assert_clean_run(args):
+    res = CliRunner().invoke(main, args)
     assert res.exit_code in (0, 1, 2), res.output
     assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
     assert "Traceback" not in res.output
+    return res
+
+
+def assert_clean_exit(path, text, *args):
+    path.write_text(text, encoding="utf-8")
+    assert_clean_run([*args, str(path)])
 
 
 @settings(max_examples=80, deadline=timedelta(seconds=5))
@@ -93,3 +107,79 @@ def test_congruence_certify_survives_malformed_quotients(tmp_path_factory, text,
     path = tmp_path_factory.getbasetemp() / "fuzz-k.json"
     assert_clean_exit(path, text, "congruence", "certify", "--p", prime, "--samples", "3",
                       "--k-quotient")
+
+
+NEAR_PRIME_CAP = [sympy.prevprime(PRIME_CAP), PRIME_CAP - 1, PRIME_CAP, PRIME_CAP + 1,
+                  sympy.nextprime(PRIME_CAP)]
+SMALL_R = [3, 5, 7, 11, 13]
+NEAR_R_CAP = [p for p in sympy.primerange(R_CAP - 10, R_CAP + 1)]
+BAD_R = ([-3, 0, 1, 2, 4, 9, 15, R_CAP - 1, R_CAP + 1, sympy.nextprime(R_CAP), 2 ** 40,
+          2 ** 63, 10 ** 30] + NEAR_PRIME_CAP)
+
+
+def first_primes_1_mod(r, count=2):
+    return [p for p in range(r + 1, 100 * r, r) if sympy.isprime(p)][:count]
+
+
+def last_prime_1_mod(r):
+    """The largest prime p = 1 mod r up to PRIME_CAP."""
+    return next(p for p in range(PRIME_CAP - PRIME_CAP % r + 1, 0, -r) if sympy.isprime(p))
+
+
+# Primes p = 1 mod r for the prime r drawn up to the first past R_CAP.
+GOOD_P = {r: first_primes_1_mod(r) for r in NEAR_R_CAP + [sympy.nextprime(R_CAP)]}
+GOOD_P.update({r: first_primes_1_mod(r) + [last_prime_1_mod(r)] for r in SMALL_R})
+
+
+def valid_p(r, p):
+    return r > 2 and p is not None and 2 < p <= PRIME_CAP and sympy.isprime(p) and p % r == 1
+
+
+def has_order_r(xi, r, p):
+    return xi % p != 1 and pow(xi, r, p) == 1
+
+
+@st.composite
+def affine_args(draw):
+    """The arguments of ``affine certify``: r small, near R_CAP or
+    invalid; p prime and 1 mod r, composite, <= 2, not 1 mod r, near or
+    past PRIME_CAP, or absent; xi of order r, of the wrong order, or
+    absent; --find-p or not.  Near R_CAP, where a certificate takes
+    seconds, the draw keeps some invalid value."""
+    kind = draw(st.sampled_from(["small", "near cap", "bad"]))
+    r = draw(st.sampled_from({"small": SMALL_R, "near cap": NEAR_R_CAP, "bad": BAD_R}[kind]))
+    good = GOOD_P.get(r, [])
+    bad = [-7, 0, 1, 2, r + 2, 2 * r + 1, 91, 2 ** 63, 10 ** 400 + 1] + NEAR_PRIME_CAP
+    bad = [p for p in bad if not valid_p(r, p)]
+    p = draw(st.none() | st.sampled_from(bad) | (st.sampled_from(good) if good else st.nothing()))
+    if kind == "near cap" and p is None:
+        p = draw(st.sampled_from(bad))
+    xi = None
+    if draw(st.booleans()):
+        wrong = st.sampled_from([0, 1, -1, 2, 2 ** 70]) | st.integers(-10 ** 6, 10 ** 6)
+        xi = draw(wrong)
+        if valid_p(r, p) and draw(st.booleans()):
+            xi = pow(draw(st.integers(2, p - 1)), (p - 1) // r, p)
+    if kind == "near cap" and valid_p(r, p) and (xi is None or has_order_r(xi, r, p)):
+        xi = 1
+    args = ["affine", "certify", "--r", str(r)]
+    if p is not None:
+        args += ["--p", str(p)]
+    if xi is not None:
+        args += ["--xi", str(xi)]
+    if draw(st.booleans()):
+        args.append("--find-p")  # a given --p is used all the same
+    return args
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5))
+@given(affine_args())
+@example(["affine", "certify", "--r", "1", "--find-p"])
+@example(["affine", "certify", "--r", "1000000007", "--find-p"])
+@example(["affine", "certify", "--r", "5", "--p", str(10 ** 400 + 1)])
+@example(["affine", "certify", "--r", str(R_CAP), "--p", "367", "--xi", "2"])
+@example(["affine", "certify", "--r", str(sympy.nextprime(R_CAP)), "--find-p"])
+def test_affine_certify_survives_adversarial_parameters(args):
+    res = assert_clean_run(args)
+    r = int(args[3])
+    assert res.exit_code == 2 or r <= 13, args

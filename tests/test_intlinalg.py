@@ -4,16 +4,20 @@ import random
 
 import pytest
 import sympy
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import hermite_normal_form
 
 from fgcert.intlinalg import (
     PRIME_CAP,
     IntMatrix,
     Lattice,
+    echelon_mod,
     is_prime,
     kernel_basis,
     mat_mul,
     row_hnf,
+    solve_mod,
 )
 
 
@@ -256,3 +260,54 @@ def test_is_prime_matches_sympy():
     assert [is_prime(n) for n in near_cap] == [sympy.isprime(n) for n in near_cap]
     assert any(is_prime(n) for n in near_cap)
     assert not is_prime(-7) and not is_prime(0) and not is_prime(1)
+
+
+def rank_mod_p_by_sympy(rows, ncols, p):
+    if not rows:
+        return 0
+    field = GF(p)
+    return DomainMatrix([[field(v) for v in row[:ncols]] for row in rows],
+                        (len(rows), ncols), field).rank()
+
+
+def test_echelon_mod_rank_matches_sympy():
+    rng = random.Random(11)
+    deficient = 0
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7, 131])
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 6)
+        rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows >= 2 and rng.random() < 0.5:
+            i, j = rng.sample(range(nrows), 2)
+            rows[i] = [rng.randrange(p) * v % p for v in rows[j]]
+        expected = rank_mod_p_by_sympy(rows, ncols, p)
+        deficient += expected < min(nrows, ncols)
+        mat = [row[:] for row in rows]
+        rank = echelon_mod(mat, ncols, p)
+        assert rank == expected, (rows, p)
+        # leading 1s in increasing columns, alone in their columns, then zero rows
+        leads = [next(j for j, v in enumerate(row) if v) for row in mat[:rank]]
+        assert leads == sorted(set(leads))
+        for i, col in enumerate(leads):
+            assert mat[i][col] == 1 and all(row[col] == 0 for t, row in enumerate(mat) if t != i)
+        assert all(not any(row) for row in mat[rank:])
+    assert deficient > 20
+
+
+def test_solve_mod_over_local_rings():
+    rng = random.Random(12)
+    singular = 0
+    for _ in range(300):
+        p, k = rng.choice([2, 3, 5]), rng.randint(1, 3)
+        q, n, m = p ** k, rng.randint(1, 4), rng.randint(1, 3)
+        a = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randrange(-q, 2 * q) for _ in range(m)] for _ in range(n)]
+        x = solve_mod(a, b, p, k)
+        unit = rank_mod_p_by_sympy(a, n, p) == n
+        assert (x is not None) == unit, (a, p, k)
+        if x is None:
+            singular += 1
+            continue
+        assert all(0 <= v < q for row in x for v in row)
+        assert [[v % q for v in row] for row in mat_mul(a, x)] == [[v % q for v in row] for row in b]
+    assert singular > 30

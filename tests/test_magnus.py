@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from fgcert import magnus
 from fgcert.homs import hom, transvection_alpha, transvection_beta
+from fgcert.intlinalg import solve_mod
 from fgcert.magnus import (
     FiniteGroupRingElement,
     FreeGroupRingElement,
     PhiElement,
     RingError,
-    _mod_mat_inv3,
     acts_trivially_mod,
     fox_coordinates,
     fox_identity_holds,
@@ -348,6 +348,55 @@ def test_mat_mul_matches_dot_products_over_the_group_ring():
                                  for i in range(2)]
 
 
+def mod_mat_inv3(a, mod):
+    """Reference: the inverse of a 3x3 matrix over Z/mod via the
+    adjugate; None unless the determinant is a unit."""
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
+    det = (a11 * (a22 * a33 - a23 * a32)
+           - a12 * (a21 * a33 - a23 * a31)
+           + a13 * (a21 * a32 - a22 * a31)) % mod
+    try:
+        det_inv = pow(det, -1, mod)
+    except ValueError:
+        return None
+    cof = [
+        [a22 * a33 - a23 * a32, a13 * a32 - a12 * a33, a12 * a23 - a13 * a22],
+        [a23 * a31 - a21 * a33, a11 * a33 - a13 * a31, a13 * a21 - a11 * a23],
+        [a21 * a32 - a22 * a31, a12 * a31 - a11 * a32, a11 * a22 - a12 * a21],
+    ]
+    return [[(det_inv * v) % mod for v in row] for row in cof]
+
+
+@st.composite
+def local_ring_matrices(draw):
+    """(p, k, A): a 3x3 matrix over Z/p^k, often I + p*B or with a row
+    that is a multiple of another, so both units and non-units of the
+    matrix ring come up."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(1, 4))
+    q = p ** k
+    entry = st.integers(0, q - 1)
+    a = [[draw(entry) for _ in range(3)] for _ in range(3)]
+    shape = draw(st.sampled_from(["any", "near identity", "dependent row"]))
+    if shape == "near identity":
+        a = [[(int(i == j) + p * v) % q for j, v in enumerate(row)] for i, row in enumerate(a)]
+    elif shape == "dependent row":
+        c = draw(entry)
+        a[2] = [c * v % q for v in a[0]]
+    return p, k, a
+
+
+@settings(max_examples=300)
+@given(local_ring_matrices())
+def test_solve_mod_inverse_matches_the_adjugate(case):
+    p, k, a = case
+    ident = [[int(i == j) for j in range(3)] for i in range(3)]
+    inv = solve_mod(a, ident, p, k)
+    assert inv == mod_mat_inv3(a, p ** k)
+    if inv is not None:
+        assert [[v % p ** k for v in row] for row in mat_mul(a, inv)] == ident
+
+
 def local_commutator_mod_reduced(p, k, s_power, t_power, samples, rng):
     """The former check, every product reduced mod p^k."""
     def mod_mat_mul(a, b, mod):
@@ -365,7 +414,7 @@ def local_commutator_mod_reduced(p, k, s_power, t_power, samples, rng):
               for _ in range(3)] for _ in range(3)]
         ia = [[(ident[i][j] + a[i][j]) % mod for j in range(3)] for i in range(3)]
         ib = [[(ident[i][j] + b[i][j]) % mod for j in range(3)] for i in range(3)]
-        ia_inv, ib_inv = _mod_mat_inv3(ia, mod), _mod_mat_inv3(ib, mod)
+        ia_inv, ib_inv = mod_mat_inv3(ia, mod), mod_mat_inv3(ib, mod)
         if ia_inv is None or ib_inv is None:
             continue
         comm = mod_mat_mul(mod_mat_mul(ia, ib, mod), mod_mat_mul(ia_inv, ib_inv, mod), mod)

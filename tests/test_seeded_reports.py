@@ -1,12 +1,12 @@
-"""The seeded reports of four suites, two affine certificates and three
+"""The seeded reports of four suites, five affine certificates and three
 congruence certificates, byte for byte.
 
 The sha256 of each ``fgcert verify <suite> --seed 42`` report equals the
-digest the benchmark pins for it (``perfbench/pins.json``, copied here).
-A change to the seeded output fails this fast test, not only the
-benchmark's smoke test.  ``verify affine`` runs only r = 3 and 5, where
-W is one copy of V or none, so the ``affine certify`` output for r = 13
-and r = 23 (default xi) is pinned too.  ``verify congruence`` certifies
+digest the benchmark pins for it (``perfbench/pins.json``, copied here,
+and a test checks the copies).  A change to the seeded output fails this
+fast test, not only the benchmark's smoke test.  ``verify affine`` runs
+only r = 3 and 5, where W is one copy of V or none, so the ``affine
+certify`` output for r = 13, 17, 19 and 23 (default xi) is pinned too.  ``verify congruence`` certifies
 only n = 1, so ``congruence certify --p 5 --samples 300`` is pinned for
 the benchmark's K of index 2, 3 and 4 (seed 1, quotient files in
 ``data/``), and so is ``quotients schreier`` of the same K, whose
@@ -14,6 +14,7 @@ generator names are numbered on demand.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -37,8 +38,20 @@ def test_seeded_report_is_byte_identical(suite, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256[suite]
 
 
+def test_copied_digests_equal_the_benchmark_pins():
+    from test_acceptance import VERIFY_ALL_SHA256
+
+    pins = json.loads((Path(__file__).parent.parent / "perfbench" / "pins.json").read_text())
+    assert {suite: by_seed["42"] for suite, by_seed in pins["paper-checks"].items()} \
+        == PINNED_SHA256
+    assert pins["verify-all"]["42"] == VERIFY_ALL_SHA256
+
+
 PINNED_AFFINE_SHA256 = {
     ("13", "131"): "2323c50ffb54b3157a3eaeae1fd4fdd4d21606ad8702860799c9d9b58e3b7f4d",
+    ("17", "239"): "c893813069e47f92d9e4f32d73cc506a86fe5bfb138ed8547bd3eeb4a800dec9",
+    ("19", "419"): "b378733ed100b7d3529825fd1078c9183b5a1c5e7f5952ce056995c4974ac531",
+    ("23", "277"): "9cf89e4fc3f63491a842c0c8e8567881a298e009c7ed572901b86aefe1d270b2",
     ("23", "2147484517"): "549a11a73002f4666f07019184921e1e425fc416b02aec94dae8100c8d7b0910",
 }
 
