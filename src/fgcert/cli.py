@@ -445,6 +445,12 @@ def verify(suite: str, seed: int | None, out: str | None, fmt: str) -> None:
         sys.exit(1)
 
 
+# Cap on --samples of congruence certify: a million samples take under a
+# minute (about 40 s on a 2-vCPU host), and a count of 15 digits would
+# take years.
+SAMPLES_CAP = 1_000_000
+
+
 @main.group()
 def congruence() -> None:
     """Congruence-subgroup order certificates."""
@@ -457,8 +463,8 @@ def congruence() -> None:
                    "base-point stabilizer is K; defaults to the trivial quotient.")
 @click.option("--p", "prime", type=int, required=True,
               help="Odd prime not dividing 6n.")
-@click.option("--samples", type=click.IntRange(min=0), default=1000, show_default=True,
-              help="Sampled containment checks to run.")
+@click.option("--samples", type=click.IntRange(0, SAMPLES_CAP), default=1000,
+              show_default=True, help="Sampled containment checks to run.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def congruence_certify(k_path: str | None, prime: int, samples: int,

@@ -15,9 +15,16 @@ obtained by coset enumeration: it factors as
 
 with [F : N' N^p] = [F : N] * p^rank(N) by the Schreier formula.
 
+N lies in F'F^6, since N is the stabilizer of a tuple of quotients
+that holds the mod-6 abelian quotient, and p is a unit mod 4, so the
+image of N' N^p in (Z/4)^2 = F / F'F^4 lies in 2(Z/4)^2, of order 4.
+It is read off the Schreier generators' exponent vectors mod 4, in
+order, and the scan stops as soon as they generate all of 2(Z/4)^2; a
+vector outside it means the construction is broken.
+
 Every big number of the certificate is a small cofactor times a power
 of p, and is kept as that pair (``Factored``).  p is coprime to 6n,
-[F : N] divides 36 n^4 and the image order divides 16, so the order
+[F : N] divides 36 n^4 and the image order divides 4, so the order
 divides the bound exactly when rank(N) <= 36 n^4 + 1 and
 [F : N] * (image order) divides 144 n^4: the verdict needs no big
 integer.  The digits are written only for output, by the standard
@@ -33,6 +40,7 @@ from .intlinalg import PRIME_CAP, Factored, decimals, is_prime, row_hnf
 from .quotients import (
     ALPHA_BETA,
     FiniteQuotient,
+    SchreierSystem,
     abelian_quotient,
     build_schreier_system,
     induced_quotient,
@@ -184,15 +192,58 @@ def _subgroup_order_mod4(vectors) -> int:
     return 16 // (a * d)
 
 
+def image_order_in_4torus(schreier: SchreierSystem) -> int:
+    """Order of the image of N' N^p (p odd) in (Z/4)^2 = F / F'F^4, for
+    N <= F(x, y) the subgroup of the Schreier system: the subgroup that
+    the generators' exponent vectors mod 4 generate, in 2(Z/4)^2 (see the
+    module docstring).  Generator t_c x t_c'^-1 has the vector of t_c
+    plus e_x minus that of t_c', each read off its tree path once and
+    kept.  A vector (x, y) mod 4 is packed as x + 16 y: a digit of a sum
+    or difference of two packed vectors plus 0x44 stays in 0..15, so
+    ``& 0x33`` reduces both coordinates at once.
+    """
+    parent, parent_letter, table = schreier.parent, schreier.parent_letter, schreier.table
+    # letter l = 2 gen + (sign < 0) moves coordinate gen by +-1 mod 4
+    steps = (0x01, 0x03, 0x10, 0x30)
+    packed = {0: 0}  # coset -> packed vector of t_c, for the cosets read so far
+
+    def vector(c: int) -> int:
+        """The packed vector of t_c, kept for every coset on its path."""
+        path = []
+        while c not in packed:
+            path.append(c)
+            c = parent[c]
+        v = packed[c]
+        for c in reversed(path):
+            v = packed[c] = (v + steps[parent_letter[c]]) & 0x33
+        return v
+
+    classes = {0}
+    for c, gen in zip(schreier.edge_coset, schreier.edge_gen):
+        c2 = table[2 * gen][c]
+        a, b = packed.get(c), packed.get(c2)
+        if a is None:
+            a = vector(c)
+        if b is None:
+            b = vector(c2)
+        cls = (a + steps[2 * gen] - b + 0x44) & 0x33
+        if cls not in classes:
+            if cls & 0x11:
+                raise CongruenceError(
+                    f"a Schreier generator of N has exponent vector {(cls & 3, cls >> 4)} "
+                    "mod 4, outside 2(Z/4)^2: N is not inside F'F^6")
+            classes.add(cls)
+            if len(classes) == 3:  # two distinct nonzero classes generate 2(Z/4)^2
+                return 4
+    return _subgroup_order_mod4((cls & 3, cls >> 4) for cls in classes)
+
+
 def certify(input: CongruenceInput, max_cosets: int = 100_000,
             n_oracle: NOracle | None = None) -> Certificate:
     oracle = n_oracle or NOracle(input, max_cosets=max_cosets)
     n = input.k_index
     p = input.p
-    # N' N^p maps onto the subgroup of (Z/4)^2 generated by p times the
-    # Schreier generators' exponent vectors, and those only matter mod 4
-    classes = oracle.schreier.generator_exponent_classes(4)
-    image_order = _subgroup_order_mod4((p * x, p * y) for x, y in classes)
+    image_order = image_order_in_4torus(oracle.schreier)
     order_mod_m = Factored(oracle.index * image_order, p, oracle.rank)
     bound = order_bound(n, p)
     return Certificate(

@@ -25,13 +25,14 @@ never turns back, and in t_c x t_c'^-1 neither junction cancels, since
 x after the last letter of t_c, or before the first letter of t_c'^-1,
 cancels only when (c, x) is a tree edge in one direction or the other.
 
-A subgroup hom is evaluated by one sweep and one reduction: the
-Schreier letters (generator, +-1) that ``SchreierSystem.sweep`` reads
-off a word go straight into ``words.substitute``, which joins the
-syllables of their images, or of the images' inverses, and reduces
-once.  No word over the Schreier generators is built in between.
-``SchreierSystem.expand`` runs the same loop on the cached syllables of
-the generator words and of their inverses.
+A subgroup hom is evaluated off a move table, built on its first
+evaluation: for each letter and coset, the syllables that step emits,
+the shared syllables of the image of the Schreier generator it sweeps
+out, of that image's inverse, or none.  One walk of the word through
+the move table and the coset table joins them, and one reduction ends
+it; no Schreier letter or word over the Schreier generators is built in
+between.  ``SchreierSystem.expand`` joins the cached syllables of the
+generator words and of their inverses in ``words.substitute``.
 """
 
 from __future__ import annotations
@@ -305,44 +306,6 @@ class SchreierSystem:
             syllables = cache[i] = self._spell(letters)
         return syllables
 
-    def generator_exponent_classes(self, modulus: int) -> set[tuple[int, ...]]:
-        """The exponent vectors of the Schreier generators mod ``modulus``,
-        as a set.
-
-        Generator t_c x t_c'^-1 has the vector of t_c plus e_x minus that
-        of t_c'.  One pass down the tree reads each coset's vector mod
-        ``modulus``, packed into one int with coordinate g as digit g in
-        base ``modulus``; the generators meet at most modulus^(2 rank)
-        pairs of packed vectors, and only those are unpacked.  A letter's
-        move is computed once per packed vector it meets and kept in one
-        dict per letter, so at most one entry per coset: a table of all
-        modulus^rank vectors would be exponential in the rank.
-        """
-        m = modulus
-        weights = [m ** g for g in range(self.alphabet.rank)]
-
-        def move(l: int, v: int) -> int:
-            """Packed vector v after letter l, which moves digit l // 2 by +-1 mod m."""
-            w = weights[l >> 1]
-            digit = v // w % m
-            return v + ((digit - 1 if l & 1 else digit + 1) % m - digit) * w
-
-        # moved[l][v] = move(l, v) for the packed vectors the walk meets
-        moved: list[dict[int, int]] = [{} for _ in range(2 * len(weights))]
-        packed = [0] * self.index
-        parent, parent_letter, table = self.parent, self.parent_letter, self.table
-        for c in range(1, self.index):  # a parent precedes its children
-            try:
-                packed[c] = moved[parent_letter[c]][packed[parent[c]]]
-            except KeyError:
-                l, v = parent_letter[c], packed[parent[c]]
-                packed[c] = moved[l][v] = move(l, v)
-        # the letter is applied once per distinct end, not once per generator
-        ends = {(packed[c], gen, packed[table[2 * gen][c]])
-                for c, gen in zip(self.edge_coset, self.edge_gen)}
-        return {tuple((a // w - b // w) % m for w in weights)
-                for a, b in {(move(2 * gen, v), b) for v, gen, b in ends}}
-
     def coset_of(self, w: Word) -> int:
         if w.alphabet != self.alphabet:
             raise WordError("alphabet mismatch")
@@ -489,12 +452,12 @@ class SubgroupHom:
     """A homomorphism from a Schreier subgroup, given by one image word
     (over a target alphabet) per Schreier generator.
 
-    Evaluation is one ``sweep`` of the word through the coset table and
-    one free reduction of the swept letters' images: the images'
-    syllables and their inverses' are built once per hom, and the
-    Schreier letters go into ``substitute`` unreduced, so the result is
-    the same as rewriting first and substituting after, since every
-    word has one reduced form.  When the target is a free
+    Evaluation is one walk of the word through the move table and one
+    free reduction of what it emits: each step emits the images'
+    syllables, or their inverses', for the Schreier letter that
+    ``sweep`` would read there, so the result is the same as rewriting
+    first and substituting after, since every word has one reduced
+    form.  When the target is a free
     group, kernel membership is free-word triviality; composing with a
     finite quotient of the target decides membership in preimages of
     finite-index subgroups.
@@ -504,6 +467,7 @@ class SubgroupHom:
     target: Alphabet
     images: tuple[Word, ...]
     # the syllables of the images and of their inverses, for ``substitute``
+    # and the move table
     _syllables: tuple = field(init=False, repr=False, compare=False)
     _inverses: tuple = field(init=False, repr=False, compare=False)
 
@@ -522,12 +486,50 @@ class SubgroupHom:
             raise WordError("alphabet mismatch")
         return substitute(self.target, self._syllables, self._inverses, sub_word.syllables)
 
+    @cached_property
+    def _moves(self) -> list[list[tuple[tuple[int, int], ...]]]:
+        """The move table, built on first evaluation: ``_moves[l][c]`` is
+        what letter l emits at coset c, the shared syllables of the image
+        of the Schreier generator it sweeps out, or of that image's
+        inverse, or () on a tree edge.  The letter then leads to coset
+        ``system.table[l][c]``; a negative letter sweeps the generator of
+        the edge it walks back along, from the coset it leads to."""
+        system, images, inverses = self.system, self._syllables, self._inverses
+        moves = []
+        for gen, scan in enumerate(system.scan):
+            moves.append([() if i < 0 else images[i] for i in scan])
+            moves.append([() if scan[c] < 0 else inverses[scan[c]]
+                          for c in system.table[2 * gen + 1]])
+        return moves
+
     def __call__(self, w: Word) -> Word:
-        """The image of a subgroup element: its sweep's Schreier letters
-        go straight into ``substitute``, with no word over the Schreier
+        """The image of a subgroup element: one walk of w through the
+        move table and the coset table, and one free reduction of what
+        it emits, with no Schreier letter or word over the Schreier
         generators in between."""
-        return substitute(self.target, self._syllables, self._inverses,
-                          self.system.schreier_letters(w))
+        system = self.system
+        if w.alphabet != system.alphabet:
+            raise WordError("alphabet mismatch")
+        moves, table = self._moves, system.table
+        syllables: list[tuple[int, int]] = []
+        extend = syllables.extend
+        coset = 0
+        for gen, exp in w.syllables:
+            if exp == 1:
+                extend(moves[2 * gen][coset])
+                coset = table[2 * gen][coset]
+            elif exp == -1:
+                extend(moves[2 * gen + 1][coset])
+                coset = table[2 * gen + 1][coset]
+            else:
+                l = 2 * gen + (exp < 0)
+                move, step = moves[l], table[l]
+                for _ in range(abs(exp)):
+                    extend(move[coset])
+                    coset = step[coset]
+        if coset != 0:
+            raise SchreierError(f"word not in the subgroup: {w}")
+        return Word._trusted(self.target, _reduce(syllables))
 
     def in_kernel(self, w: Word) -> bool:
         return self(w).is_identity()

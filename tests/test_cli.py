@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 import fgcert
 from fgcert.affine import AffineParams, gamma_order
-from fgcert.cli import Runner, load_manifest, main, make_report, run_magnus
+from fgcert.cli import SAMPLES_CAP, Runner, load_manifest, main, make_report, run_magnus
 from fgcert.quotients import ALPHA_BETA, FiniteQuotient
 from fgcert.words import alphabet
 
@@ -300,6 +300,16 @@ def test_congruence_certify_past_the_digit_cap_is_a_usage_error(tmp_path):
 def test_negative_samples_is_a_usage_error():
     assert_usage_error(run("congruence", "certify", "--p", "5", "--samples", "-3"),
                        "Invalid value for '--samples'")
+
+
+def test_samples_past_the_cap_is_a_usage_error():
+    # a 15-digit count would run for years; the cap is refused before any work
+    for count in (SAMPLES_CAP + 1, 10 ** 15 - 1):
+        start = time.monotonic()
+        res = run("congruence", "certify", "--p", "5", "--samples", str(count))
+        assert_usage_error(res, "Invalid value for '--samples'")
+        assert f"0<=x<={SAMPLES_CAP}" in res.output
+        assert time.monotonic() - start < 2
 
 
 def test_quotients_schreier_coset_cap_is_a_usage_error(tmp_path):

@@ -13,6 +13,13 @@ must never trigger unbounded work.
 ``PRIME_CAP``, with composites, values <= 2 and xi of the wrong order.
 A draw that would certify in full has r <= 13: near ``R_CAP`` it always
 holds some invalid value, since a whole certificate there takes seconds.
+
+``congruence certify`` is driven around ``DIGIT_CAP`` with cyclic K of
+index 15 and up, the first index where a prime under ``PRIME_CAP`` can
+push the bound past the cap, and primes just above the cap for each
+index.  The primes just below are checked through ``CongruenceInput``
+only: an accepted input prints up to 20M digits, too slow for a
+per-example deadline.
 """
 
 import json
@@ -24,7 +31,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from fgcert.affine import R_CAP
 from fgcert.cli import main
+from fgcert.congruence import DIGIT_CAP, CongruenceInput, order_bound
 from fgcert.intlinalg import PRIME_CAP
+from fgcert.quotients import ALPHA_BETA, FiniteQuotient
 
 BIG = (st.integers(min_value=2 ** 63 - 1, max_value=2 ** 80)
        | st.integers(min_value=-(2 ** 80), max_value=-(2 ** 63)))
@@ -183,3 +192,72 @@ def test_affine_certify_survives_adversarial_parameters(args):
     res = assert_clean_run(args)
     r = int(args[3])
     assert res.exit_code == 2 or r <= 13, args
+
+
+def cyclic_k(n):
+    """K of index n with a an n-cycle and b trivial."""
+    return FiniteQuotient(ALPHA_BETA, n, (tuple((i + 1) % n for i in range(n)),
+                                          tuple(range(n))))
+
+
+def bound_digits(n, p):
+    """The digit count ``order_bound(n, p).max_digits()`` gives, for any
+    p: len(144 n^4) plus one len(p^64) per 64 factors of p."""
+    return len(str(144 * n ** 4)) + -(-(36 * n ** 4 + 1) // 64) * len(str(p ** 64))
+
+
+def primes_around_the_digit_cap(n, count=3):
+    """The largest prime p prime to 6n whose bound at n fits under
+    DIGIT_CAP (None if there is none) and the first ``count`` such
+    primes above it, all up to PRIME_CAP."""
+    lo, hi = 4, PRIME_CAP + 1  # the bound at lo fits, at hi it does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if bound_digits(n, mid) <= DIGIT_CAP else (lo, mid)
+    valid = lambda q: q > 3 and n % q  # noqa: E731
+    below = hi
+    while (below := sympy.prevprime(below)) > 3 and not valid(below):
+        pass
+    below = below if valid(below) else None
+    above = []
+    q = hi - 1
+    while len(above) < count and (q := sympy.nextprime(q)) <= PRIME_CAP:
+        if valid(q):
+            above.append(q)
+    return below, above
+
+
+# Index 14 is the last where every valid prime fits: its bound at
+# PRIME_CAP has 16.7M digits.  From index 30 on no valid prime fits.
+AROUND_DIGIT_CAP = {n: primes_around_the_digit_cap(n) for n in range(14, 61)}
+
+
+def test_digit_cap_primes_bracket_the_cap():
+    """Each index's primes bracket the cap, and the one below is accepted
+    by ``CongruenceInput``, which validates and builds nothing."""
+    assert AROUND_DIGIT_CAP[14] == (sympy.prevprime(PRIME_CAP), [])
+    for n, (below, above) in AROUND_DIGIT_CAP.items():
+        assert (below is None) == (n >= 30), n
+        assert (len(above) == 3) == (n >= 15), n
+        for q in above:
+            assert order_bound(n, q).max_digits() > DIGIT_CAP
+        if below is not None:
+            assert order_bound(n, below).max_digits() <= DIGIT_CAP
+            inp = CongruenceInput(cyclic_k(n), below)
+            assert (inp.k_index, inp.p) == (n, below)
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=5))
+@given(st.sampled_from(range(15, 61)), st.integers(0, 2))
+@example(15, 0)
+@example(25, 0)
+@example(60, 2)
+def test_congruence_certify_past_the_digit_cap_exits_2(tmp_path_factory, n, i):
+    """Primes just above the cap for a cyclic K: a usage error that names
+    the cap, before N is built."""
+    p = AROUND_DIGIT_CAP[n][1][i]
+    path = tmp_path_factory.getbasetemp() / f"cyclic-{n}.json"
+    path.write_text(json.dumps(cyclic_k(n).to_json()), encoding="utf-8")
+    res = assert_clean_run(["congruence", "certify", "--k-quotient", str(path), "--p", str(p)])
+    assert res.exit_code == 2, res.output
+    assert f"above the cap {DIGIT_CAP} on output digits" in res.output

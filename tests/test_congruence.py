@@ -2,6 +2,7 @@ import json
 import random
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,12 +17,20 @@ from fgcert.congruence import (
     NOracle,
     _subgroup_order_mod4,
     certify,
+    image_order_in_4torus,
     order_bound,
 )
 from fgcert import intlinalg
 from fgcert.intlinalg import PRIME_CAP, Factored, decimals
-from fgcert.quotients import ALPHA_BETA, FiniteQuotient, trivial_quotient
+from fgcert.quotients import (
+    ALPHA_BETA,
+    FiniteQuotient,
+    abelian_quotient,
+    kernel_subgroup,
+    trivial_quotient,
+)
 from fgcert.words import alphabet, parse_word, random_word
+from test_schreier_compiled import generator_exponent_classes, seeded_k
 
 F2 = alphabet("x", "y")
 DATA = Path(__file__).parent / "data"
@@ -192,6 +201,53 @@ def subgroup_order_mod4_by_closure(vectors):
 @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), max_size=6))
 def test_subgroup_order_mod4_matches_the_closure(vectors):
     assert _subgroup_order_mod4(vectors) == subgroup_order_mod4_by_closure(vectors)
+
+
+class CountedEdges:
+    """A Schreier system's edge array that counts the entries read."""
+
+    def __init__(self, edges):
+        self.edges, self.read = edges, 0
+
+    def __iter__(self):
+        for c in self.edges:
+            self.read += 1
+            yield c
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_image_order_matches_the_streamed_classes(n, seed):
+    """The image order against the subgroup that p times every
+    generator's class generates, by closure.  For K of index 3 to 5 the
+    image is all of 2(Z/4)^2 and the scan stops early; for index 2 it
+    has order 2 and every generator is read."""
+    p = 7
+    oracle = NOracle(CongruenceInput(seeded_k(n, seed), p))
+    schreier = oracle.schreier
+    want = subgroup_order_mod4_by_closure(
+        (p * x, p * y) for x, y in generator_exponent_classes(schreier, 4))
+    counted = SimpleNamespace(**vars(schreier))
+    counted.edge_coset = CountedEdges(schreier.edge_coset)
+    assert image_order_in_4torus(counted) == want
+    assert certify(oracle.input, n_oracle=oracle).image_order_in_4torus == want
+    rank = len(schreier.edge_coset)
+    assert want == (4 if n > 2 else 2)
+    assert counted.edge_coset.read == rank if n == 2 else counted.edge_coset.read < rank
+
+
+def test_a_subgroup_outside_f_f6_is_refused():
+    """The kernel of F -> (Z/3)^2 holds x^3, whose class (3, 0) mod 4 is
+    odd: a system not inside F'F^6 is a broken construction."""
+    system = kernel_subgroup(abelian_quotient(F2, (3, 3)))
+    assert system.contains(parse_word("x^3", F2))
+    match = r"vector \(3, 0\) mod 4, outside 2\(Z/4\)\^2: N is not inside F'F\^6"
+    with pytest.raises(CongruenceError, match=match):
+        image_order_in_4torus(system)
+    oracle = NOracle(CongruenceInput(trivial_quotient(ALPHA_BETA), 5))
+    oracle.schreier = system
+    with pytest.raises(CongruenceError, match=match):
+        certify(oracle.input, n_oracle=oracle)
 
 
 # ---------------------------------------------------------------------------

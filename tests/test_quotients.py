@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from fgcert.quotients import (
     trivial_quotient,
 )
 from fgcert.schreier_modules import abelianized_image
-from fgcert.words import Word, _reduce, alphabet, parse_word, random_word
+from fgcert.words import Word, WordError, _reduce, alphabet, parse_word, random_word, substitute
 from word_letters import letters
 
 XY = alphabet("x", "y")
@@ -236,6 +237,41 @@ def test_one_sweep_routes_match_the_two_step_routes(case):
         for route in (hom, s.rewrite, lambda x: abelianized_image(s, x)):
             with pytest.raises(SchreierError, match="not in the subgroup"):
                 route(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems_and_words(), syllable_lists(2, 12))
+def test_move_table_matches_substitute_of_the_swept_letters(case, xy_syllables):
+    """A subgroup hom off its move table against ``substitute`` over the
+    Schreier letters that ``schreier_letters`` reads, for a random hom
+    and for pi: on subgroup elements with syllables of exponent up to 9
+    in size, and with the same errors outside the subgroup and over a
+    wrong alphabet."""
+    s, hom, u, w = case
+    pi = rank2_outer_hom()
+    x = Word.from_syllables(XY, xy_syllables)
+    for h, v in ((hom, w), (pi, x)):
+        system = h.system
+
+        def swept(y):
+            return substitute(h.target, h._syllables, h._inverses, system.schreier_letters(y))
+
+        member = v * system.transversal[system.coset_of(v)].inverse()
+        cubed = Word.from_syllables(system.alphabet, [(g, 3 * e) for g, e in v.syllables])
+        cubed = cubed * system.transversal[system.coset_of(cubed)].inverse()
+        elements = [member, cubed, member ** 3 * cubed ** -2, system.alphabet.identity()]
+        if h is hom:
+            elements.append(s.expand(u) * member)
+        for y in elements:
+            assert h(y) == swept(y)
+        if system.coset_of(v):
+            for route in (h, swept):
+                with pytest.raises(SchreierError, match=re.escape(f"not in the subgroup: {v}") + "$"):
+                    route(v)
+        other = XYZ if system.alphabet == XY else XY
+        for route in (h, swept):
+            with pytest.raises(WordError, match="alphabet mismatch"):
+                route(other.generator(0, 2))
 
 
 def test_generator_words_of_n_are_their_reduced_letters():

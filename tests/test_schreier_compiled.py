@@ -6,7 +6,9 @@ builds every transversal word and Schreier-generator word up front and
 keeps the coset table as a dict.  The actions here step on the
 permutations themselves, so nothing of the compiled tables is shared.
 ``generator_exponent_sums`` is the per-generator exponent vector list
-that the streamed classes mod m replaced, and ``memoised_words`` the
+that the streamed classes mod m replaced, ``generator_exponent_classes``
+those streamed classes, which ``congruence.certify`` read in full before
+its scan stopped at the proven image order, and ``memoised_words`` the
 transversal-word cache that words read off the tree replaced.  The
 compiled system keeps its off-tree edges as two flat arrays and numbers
 its generators without storing names; ``assert_same_system`` compares
@@ -61,6 +63,37 @@ def generator_exponent_sums(system) -> list[tuple[int, ...]]:
         v[gen] += 1
         out.append(tuple(v))
     return out
+
+
+def generator_exponent_classes(system, modulus: int) -> set[tuple[int, ...]]:
+    """The exponent vectors of the Schreier generators mod ``modulus``,
+    as a set, streamed off the tree: the route ``congruence.certify``
+    used before it stopped the scan at the proven image order.
+
+    One pass down the tree reads each coset's vector mod ``modulus``,
+    packed into one int with coordinate g as digit g in base
+    ``modulus``; a letter's move is computed once per packed vector it
+    meets and kept in one dict per letter, so no table of all
+    modulus^rank vectors is built."""
+    m = modulus
+    weights = [m ** g for g in range(system.alphabet.rank)]
+
+    def move(l: int, v: int) -> int:
+        """Packed vector v after letter l, which moves digit l // 2 by +-1 mod m."""
+        w = weights[l >> 1]
+        digit = v // w % m
+        return v + ((digit - 1 if l & 1 else digit + 1) % m - digit) * w
+
+    moved: list[dict[int, int]] = [{} for _ in range(2 * len(weights))]
+    packed = [0] * system.index
+    for c in range(1, system.index):  # a parent precedes its children
+        l, v = system.parent_letter[c], packed[system.parent[c]]
+        if v not in moved[l]:
+            moved[l][v] = move(l, v)
+        packed[c] = moved[l][v]
+    ends = {(packed[c], gen, packed[system.table[2 * gen][c]]) for c, gen in edges(system)}
+    return {tuple((a // w - b // w) % m for w in weights)
+            for a, b in {(move(2 * gen, v), b) for v, gen, b in ends}}
 
 
 def memoised_words(system) -> tuple[list[Word], list[Word]]:
@@ -224,7 +257,7 @@ def assert_same_system(system, ref, words=()):
     sums = generator_exponent_sums(system)
     assert sums == [g.exponent_sums() for g in ref.generators]
     for m in (2, 3, 4):
-        assert system.generator_exponent_classes(m) == {tuple(s % m for s in v) for v in sums}
+        assert generator_exponent_classes(system, m) == {tuple(s % m for s in v) for v in sums}
     for w in list(words) + list(ref.generators):
         want = ref.rewrite(w)
         if want is None:
@@ -314,7 +347,7 @@ def image_classes(vectors, p):
 @given(quotients((XY,)), st.sampled_from([5, 7, 11, 13]))
 def test_streamed_classes_match_the_vectors(q, p):
     system = kernel_subgroup(q)
-    assert (image_classes(system.generator_exponent_classes(4), p)
+    assert (image_classes(generator_exponent_classes(system, 4), p)
             == image_classes(generator_exponent_sums(system), p))
 
 
@@ -323,7 +356,7 @@ def test_streamed_classes_of_n_match_the_vectors(n):
     schreier = NOracle(CongruenceInput(seeded_k(n, 2026), 5)).schreier
     vectors = generator_exponent_sums(schreier)
     for p in (5, 7, 11):
-        assert image_classes(schreier.generator_exponent_classes(4), p) == image_classes(vectors, p)
+        assert image_classes(generator_exponent_classes(schreier, 4), p) == image_classes(vectors, p)
 
 
 def m_contains_by_list(m_oracle, w) -> bool:
@@ -463,7 +496,7 @@ def test_exponent_classes_of_a_wide_kernel_mod_2():
     system = kernel_subgroup(q)
     assert system.index == 2 and system.alphabet.rank == 300
     want = {tuple(s % 2 for s in v) for v in generator_exponent_sums(system)}
-    assert system.generator_exponent_classes(2) == want
+    assert generator_exponent_classes(system, 2) == want
     assert len(want) > 1
 
 
