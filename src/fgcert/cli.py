@@ -62,9 +62,7 @@ from .schreier_modules import (
     eigen_lattice,
     induced_action,
 )
-from .words import alphabet, parse_word, random_word
-
-SUITES = ("section2", "congruence", "largeness", "magnus", "affine", "all")
+from .words import Word, alphabet, parse_word, random_word
 
 
 def load_quotient(path: str, option: str) -> FiniteQuotient:
@@ -148,8 +146,11 @@ def emit(report: dict, out: str | None, fmt: str) -> None:
 def _write(text: str, out: str | None) -> None:
     """Write ``text`` to the file ``out``, or to stdout without one."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.BadParameter(f"cannot write the file ({exc})", param_hint="'--out'")
     else:
         click.echo(text, nl=False)
 
@@ -276,10 +277,9 @@ def run_largeness(runner: Runner, manifest: dict, rng: random.Random) -> None:
                  samples, commuting)
 
 
-def run_magnus(runner: Runner, manifest: dict, rng: random.Random,
-               quick: bool = False) -> None:
-    word_samples = 1000 if quick else 10_000
-    pair_samples = 200 if quick else 1000
+def run_magnus(runner: Runner, manifest: dict, rng: random.Random) -> None:
+    word_samples = 10_000
+    pair_samples = 1000
 
     alphabets = [alphabet("x", "y"), alphabet("x", "y", "z")]
     ok = 0
@@ -305,7 +305,7 @@ def run_magnus(runner: Runner, manifest: dict, rng: random.Random,
 
     f2 = alphabets[0]
     good = 0
-    pairs = 20 if quick else 100
+    pairs = 100
     for _ in range(pairs):
         f = hom(f2, str(random_word(rng, f2, 5)), str(random_word(rng, f2, 5)))
         g = hom(f2, str(random_word(rng, f2, 5)), str(random_word(rng, f2, 5)))
@@ -314,7 +314,7 @@ def run_magnus(runner: Runner, manifest: dict, rng: random.Random,
     runner.check("magnus.j-composition", "chain rule for the derivative matrix",
                  pairs, good)
 
-    max_len = 6 if quick else 8
+    max_len = 8
     seen: dict = {}
     collisions = 0
     stack = [f2.identity()]
@@ -336,16 +336,22 @@ def run_magnus(runner: Runner, manifest: dict, rng: random.Random,
 
     auts = [transvection_alpha(), transvection_beta(),
             transvection_alpha().inverse(), transvection_beta().inverse()]
-    ka = ka_check(auts, 2, pairs=20 if quick else 50, rng=rng)
+    ka = ka_check(auts, 2, pairs=50, rng=rng)
     runner.check("magnus.ka-multiplicative",
                  "finite derivative map multiplicative on congruence-trivial automorphisms",
                  True, ka["passed"])
 
     for p, k, s, t in ((3, 2, 1, 1), (2, 3, 1, 2)):
-        res = local_commutator_check(p, k, s, t, samples=50 if quick else 200, rng=rng)
+        res = local_commutator_check(p, k, s, t, samples=200, rng=rng)
         runner.check(f"magnus.local-commutator.mod{p ** k}",
                      "commutators of unipotent congruence elements vanish mod the ideal product",
                      True, res["passed"])
+
+
+def sample_of_n(oracle: NOracle, rng: random.Random) -> Word:
+    """A random element of N: a word of length <= 6 over its Schreier
+    generators, expanded into the free group."""
+    return oracle.schreier.expand(random_word(rng, oracle.schreier.sub_alphabet, 6))
 
 
 def run_congruence(runner: Runner, manifest: dict, rng: random.Random,
@@ -361,11 +367,10 @@ def run_congruence(runner: Runner, manifest: dict, rng: random.Random,
                      m[key], got[key])
 
     # sampled containment: the outer projection of elements of N lands in K
-    sub = oracle.schreier.sub_alphabet
     inside = 0
     consistent = 0
     for _ in range(samples):
-        w = oracle.schreier.expand(random_word(rng, sub, 6))
+        w = sample_of_n(oracle, rng)
         if inp.k_quotient.fixes_base(oracle.pi(w)):
             inside += 1
         if oracle.contains(w) and oracle.schreier.contains(w):
@@ -400,13 +405,15 @@ def run_affine(runner: Runner, manifest: dict, rng: random.Random) -> None:
                      True, geometric_sum_check(params)["passed"])
 
 
+# in the order ``verify all`` runs them
 SUITE_RUNNERS = {
     "section2": run_section2,
+    "congruence": run_congruence,
     "largeness": run_largeness,
     "magnus": run_magnus,
-    "congruence": run_congruence,
     "affine": run_affine,
 }
+SUITES = (*SUITE_RUNNERS, "all")
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +442,7 @@ def verify(suite: str, seed: int | None, out: str | None, fmt: str) -> None:
     seed = 0 if seed is None else seed
     manifest = load_manifest()
     runner = Runner(deterministic=deterministic)
-    names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
+    names = list(SUITE_RUNNERS) if suite == "all" else [suite]
     for name in names:
         rng = random.Random(seed)
         SUITE_RUNNERS[name](runner, manifest, rng)
@@ -482,11 +489,8 @@ def congruence_certify(k_path: str | None, prime: int, samples: int,
     cert = certify(inp, n_oracle=oracle)
 
     rng = random.Random(seed)
-    sub = oracle.schreier.sub_alphabet
-    inside = sum(
-        1 for _ in range(samples)
-        if inp.k_quotient.fixes_base(
-            oracle.pi(oracle.schreier.expand(random_word(rng, sub, 6)))))
+    inside = sum(1 for _ in range(samples)
+                 if inp.k_quotient.fixes_base(oracle.pi(sample_of_n(oracle, rng))))
     payload = dict(cert.to_json())
     payload["samples"] = samples
     payload["samplesInK"] = inside

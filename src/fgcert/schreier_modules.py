@@ -9,7 +9,7 @@ and saturated, never through floating point.
 
 from __future__ import annotations
 
-from .homs import VerifiedAut
+from .homs import VerifiedAut, inner_aut
 from .intlinalg import IntMatrix, Lattice, kernel_basis
 from .quotients import SchreierSystem, SchreierError
 from .words import Word
@@ -27,20 +27,12 @@ def abelianized_image(s: SchreierSystem, w: Word) -> tuple[int, ...]:
 
 def conjugation_matrix(s: SchreierSystem, g: Word) -> IntMatrix:
     """Matrix of v -> class of g^-1 (lift of v) g on the abelianized
-    Schreier generators; column j is the exponent vector of
-    rewrite(g^-1 e_j g)."""
-    if not _normalizes(s, g):
-        raise SchreierError(f"{g} does not normalize the subgroup")
-    return IntMatrix.from_columns(
-        [abelianized_image(s, e.conjugated_by(g)) for e in s.generators])
-
-
-def _normalizes(s: SchreierSystem, g: Word) -> bool:
-    ginv = g.inverse()
-    return all(
-        s.contains(e.conjugated_by(g)) and s.contains(e.conjugated_by(ginv))
-        for e in s.generators
-    )
+    Schreier generators: the action matrix of the inner automorphism
+    by g, so column j is the exponent vector of rewrite(g^-1 e_j g)."""
+    try:
+        return action_matrix(s, inner_aut(g))
+    except SchreierError:
+        raise SchreierError(f"{g} does not normalize the subgroup") from None
 
 
 def action_matrix(s: SchreierSystem, aut: VerifiedAut) -> IntMatrix:

@@ -1,56 +1,35 @@
 """Acceptance suite: one criterion per test, one printed verdict line
-each.  All tolerances are exact."""
+each.  All tolerances are exact.
+
+Criteria 1-5 read their suite's checks in one ``fgcert verify all --seed
+42`` report, by check id, so each golden check has one implementation,
+the suite runner in ``fgcert.cli``; the tests add the sample counts and
+the closed-form values the report must show.  Criterion 7 runs ``verify
+all`` a second time and compares the bytes."""
 
 import hashlib
 import json
 import random
 
+import pytest
 from click.testing import CliRunner
 
-from fgcert.affine import (
-    AffineParams,
-    build_delta,
-    irreducibility_certificate,
-    two_generation_certificate,
-)
-from fgcert.cli import load_manifest, main
-from fgcert.congruence import CongruenceInput, NOracle, certify
-from fgcert.homs import (
-    compose_auts,
-    hom,
-    shear_alpha3,
-    shear_beta3,
-    transvection_alpha,
-    transvection_beta,
-)
-from fgcert.magnus import (
-    fox_coordinates,
-    fox_identity_holds,
-    j_composition_identity,
-    local_commutator_check,
-    magnus_image,
-)
+from fgcert import cli
+from fgcert.homs import transvection_alpha, transvection_beta
+from fgcert.magnus import local_commutator_check
 from fgcert.quotients import (
-    ALPHA_BETA,
     abelian_quotient,
     kernel_subgroup,
     rank2_mod2_kernel,
-    rank2_outer_hom,
-    rank3_c2_kernel,
     schreier_rank,
-    trivial_quotient,
-)
-from fgcert.schreier_modules import (
-    action_matrix,
-    conjugation_matrix,
-    eigen_lattice,
-    induced_action,
 )
 from fgcert.words import alphabet, parse_word, random_word
 from word_letters import letters
 
 XY = alphabet("x", "y")
 XYZ = alphabet("x", "y", "z")
+
+VERIFY_ALL = ["verify", "all", "--seed", "42"]
 
 
 def verdict(num, name, failures):
@@ -61,169 +40,142 @@ def verdict(num, name, failures):
     assert not failures
 
 
-def test_criterion_1_section2_golden():
-    failures = []
-    m = load_manifest()["section2"]
-    system = rank2_mod2_kernel()
-    sub = system.sub_alphabet
-    names = list(m["generators"])
-    alpha, beta = transvection_alpha(), transvection_beta()
+@pytest.fixture(scope="module")
+def first_run(tmp_path_factory):
+    """One ``verify all --seed 42 --out`` run: its exit code, the report's
+    bytes, and the sample counts of the local commutator checks, which
+    the report records only as passed or not."""
+    commutator_samples = []
 
-    for label, aut, rewrites in (("alpha", alpha, m["alphaRewrites"]),
-                                 ("beta", beta, m["betaRewrites"])):
-        for i, name in enumerate(names):
-            got = str(system.rewrite(aut(system.generators[i])))
-            if got != rewrites[name]:
-                failures.append(f"{label}({name}) rewrote to {got}")
+    def recording(*args, **kwargs):
+        result = local_commutator_check(*args, **kwargs)
+        commutator_samples.append(result["samples"])
+        return result
 
-    pi = rank2_outer_hom(system)
-    for label, aut in (("alpha", alpha), ("beta", beta)):
-        for text, expected in m["invarianceRewrites"][label].items():
-            w = system.expand(parse_word(text, sub))
-            image = aut(w)
-            if image != system.expand(parse_word(expected, sub)):
-                failures.append(f"{label}({text}): factorization does not expand back")
-            if str(system.rewrite(image)) != expected:
-                failures.append(f"{label}({text}): wrong factorization")
-            if not pi.in_kernel(image):
-                failures.append(f"{label}({text}): image left the kernel")
-
-    induced = m["inducedAction"]
-    e1, e3 = system.generators[0], system.generators[2]
-    for label, aut in (("alpha", alpha), ("beta", beta)):
-        if str(pi(aut(e1))) != induced[label]["a"]:
-            failures.append(f"induced {label} on a")
-        if str(pi(aut(e3))) != induced[label]["b"]:
-            failures.append(f"induced {label} on b")
-    verdict(1, "index-4 kernel rewriting tables", failures)
+    out = tmp_path_factory.mktemp("verify-all") / "report.json"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "local_commutator_check", recording)
+        res = CliRunner().invoke(cli.main, [*VERIFY_ALL, "--out", str(out)])
+    return res.exit_code, out.read_bytes(), commutator_samples
 
 
-def test_criterion_2_largeness():
-    failures = []
-    m = load_manifest()["largeness"]
-    system = rank3_c2_kernel()
-    b = conjugation_matrix(system, parse_word("x", XYZ))
-    if [list(r) for r in b.rows] != m["conjugationMatrix"]:
-        failures.append("conjugation matrix mismatch")
-    plus, minus = eigen_lattice(b, 1), eigen_lattice(b, -1)
-    if [list(r) for r in plus.basis] != m["plusOneEigenlattice"]:
-        failures.append("plus-one eigenlattice mismatch")
-    if [list(r) for r in minus.basis] != m["minusOneEigenlattice"]:
-        failures.append("minus-one eigenlattice mismatch")
-    if [list(r) for r in induced_action(system, shear_alpha3(), minus).rows] \
-            != m["inducedAlpha"]:
-        failures.append("induced alpha mismatch")
-    if [list(r) for r in induced_action(system, shear_beta3(), minus).rows] \
-            != m["inducedBeta"]:
-        failures.append("induced beta mismatch")
-
-    rng = random.Random(0)
-    pool = [shear_alpha3(), shear_beta3(),
-            shear_alpha3().inverse(), shear_beta3().inverse()]
-    for i in range(50):
-        aut = rng.choice(pool)
-        for _ in range(rng.randrange(4)):
-            aut = compose_auts(aut, rng.choice(pool))
-        a_mat = action_matrix(system, aut)
-        if a_mat * b != b * a_mat:
-            failures.append(f"sample {i}: action does not commute")
-    verdict(2, "rank-5 module largeness data", failures)
+@pytest.fixture(scope="module")
+def checks(first_run):
+    """The first run's checks by id."""
+    return {c["id"]: c for c in json.loads(first_run[1])["checks"]}
 
 
-def test_criterion_3_magnus():
-    failures = []
-    rng = random.Random(0)
-    alphabets = [XY, XYZ]
+def suite_failures(checks, suite, expected):
+    """Problems with ``suite``'s checks in the report: their ids must be
+    exactly the keys of ``expected`` and each must pass; where
+    ``expected`` gives a value rather than None, it must be the check's
+    expected value."""
+    failures = [f"{cid}: not an expected check" for cid in checks
+                if cid.startswith(f"{suite}.") and cid not in expected]
+    for cid, value in expected.items():
+        c = checks.get(cid)
+        if c is None:
+            failures.append(f"{cid}: not in the report")
+            continue
+        if c["status"] != "pass":
+            failures.append(f"{cid}: expected {c['expected']}, computed {c['computed']}")
+        if value is not None and c["expected"] != str(value):
+            failures.append(f"{cid}: expects {c['expected']}, not {value}")
+    return failures
 
-    bad = sum(1 for _ in range(10_000)
-              if not fox_identity_holds(random_word(rng, rng.choice(alphabets), 30)))
-    if bad:
-        failures.append(f"{bad}/10000 derivative-identity failures")
 
+def computed_failures(checks, values):
+    """Closed-form values that the report's computed strings must equal."""
+    return [f"{cid}: computed {checks[cid]['computed']}, closed form {value}"
+            for cid, value in values.items()
+            if cid in checks and checks[cid]["computed"] != str(value)]
+
+
+def test_criterion_1_section2_golden(checks):
+    m = cli.load_manifest()["section2"]
+    expected = {"section2.transversal": " , ".join(m["transversal"])}
+    for name, word in m["generators"].items():
+        expected[f"section2.generator.{name}"] = word
+        expected[f"section2.outer-image.{name}"] = m["outerImages"][name]
+    for text in m["kernelNormalGenerators"]:
+        expected[f"section2.kernel-member.{text.replace(' ', '')}"] = True
+    for label in ("alpha", "beta"):
+        for name in m["generators"]:
+            expected[f"section2.{label}-image.{name}"] = m[f"{label}Images"][name]
+            expected[f"section2.{label}-rewrite.{name}"] = m[f"{label}Rewrites"][name]
+            expected[f"section2.{label}-roundtrip.{name}"] = None
+        for text, rewrite in m["invarianceRewrites"][label].items():
+            key = f"section2.invariance.{label}.{text.replace(' ', '')}"
+            expected |= {f"{key}.word": None, f"{key}.rewrite": rewrite, f"{key}.kernel": True}
+        for gen in ("a", "b"):
+            expected[f"section2.induced.{label}.{gen}"] = m["inducedAction"][label][gen]
+    verdict(1, "index-4 kernel rewriting tables",
+            suite_failures(checks, "section2", expected))
+
+
+def test_criterion_2_largeness(checks):
+    m = cli.load_manifest()["largeness"]
+    expected = {
+        "largeness.generators": " , ".join(m["generators"]),
+        "largeness.conjugation-matrix": m["conjugationMatrix"],
+        "largeness.eigenlattice.plus": m["plusOneEigenlattice"],
+        "largeness.eigenlattice.minus": m["minusOneEigenlattice"],
+        "largeness.induced.alpha": m["inducedAlpha"],
+        "largeness.induced.beta": m["inducedBeta"],
+        "largeness.commutation-samples": 50,
+    }
+    verdict(2, "rank-5 module largeness data", suite_failures(checks, "largeness", expected))
+
+
+def test_criterion_3_magnus(first_run, checks):
+    expected = {"magnus.fox-identity": 10_000}
     for n, mod in ((2, 2), (2, 3), (3, 2), (3, 4)):
-        a = XY if n == 2 else XYZ
-        bad = 0
-        for _ in range(1000):
-            u, v = random_word(rng, a, 15), random_word(rng, a, 15)
-            if magnus_image(u * v, mod) != magnus_image(u, mod) * magnus_image(v, mod):
-                bad += 1
-        if bad:
-            failures.append(f"homomorphism law failed {bad} times at n={n}, m={mod}")
-
-    for i in range(100):
-        f = hom(XY, str(random_word(rng, XY, 5)), str(random_word(rng, XY, 5)))
-        g = hom(XY, str(random_word(rng, XY, 5)), str(random_word(rng, XY, 5)))
-        if not j_composition_identity(f, g):
-            failures.append(f"composition law failed on pair {i}")
-
-    seen = {}
-    stack = [XY.identity()]
-    collisions = 0
-    while stack:
-        w = stack.pop()
-        key = tuple(c.terms for c in fox_coordinates(w))
-        if seen.setdefault(key, w) != w:
-            collisions += 1
-        if w.length() < 8:
-            for gen in range(2):
-                for sign in (1, -1):
-                    nxt = w * XY.generator(gen, sign)
-                    if nxt.length() > w.length():
-                        stack.append(nxt)
-    if collisions:
-        failures.append(f"{collisions} coordinate collisions up to length 8")
-
-    if not local_commutator_check(3, 2, 1, 1, samples=200, rng=rng)["passed"]:
-        failures.append("commutator check mod 9 failed")
-    if not local_commutator_check(2, 3, 1, 2, samples=200, rng=rng)["passed"]:
-        failures.append("commutator check mod 8 failed")
+        expected[f"magnus.hom-law.n{n}m{mod}"] = 1000
+    expected |= {
+        "magnus.j-composition": 100,
+        "magnus.fox-injectivity": 0,
+        "magnus.ka-multiplicative": True,
+        "magnus.local-commutator.mod9": True,
+        "magnus.local-commutator.mod8": True,
+    }
+    failures = suite_failures(checks, "magnus", expected)
+    if not checks.get("magnus.fox-injectivity", {}).get("ref", "").endswith("length <= 8"):
+        failures.append("coordinate injectivity not checked to length 8")
+    if first_run[2] != [200, 200]:
+        failures.append(f"commutator checks drew {first_run[2]} samples, not 200 each")
     verdict(3, "triangular embedding over finite group rings", failures)
 
 
-def test_criterion_4_congruence_certificate():
-    failures = []
-    inp = CongruenceInput(trivial_quotient(ALPHA_BETA), 5)
-    oracle = NOracle(inp)
-    cert = certify(inp, n_oracle=oracle)
-    expected_order = 144 * 5 ** 37
-    if cert.index_of_n != 36:
-        failures.append(f"index of N = {cert.index_of_n}")
-    if cert.rank_of_n != 37:
-        failures.append(f"rank of N = {cert.rank_of_n}")
-    if int(cert.order_mod_m) != expected_order:
-        failures.append("order of F2/M is not 144 * 5^37")
-    if int(cert.bound) != expected_order:
-        failures.append("bound is not 144 * 5^37")
-    if not cert.divides:
-        failures.append("divisibility verdict false")
-
-    rng = random.Random(0)
-    sub = oracle.schreier.sub_alphabet
-    outside = sum(
-        1 for _ in range(1000)
-        if not inp.k_quotient.fixes_base(
-            oracle.pi(oracle.schreier.expand(random_word(rng, sub, 6)))))
-    if outside:
-        failures.append(f"{outside}/1000 subgroup samples projected outside K")
+def test_criterion_4_congruence_certificate(checks):
+    m = cli.load_manifest()["congruence"]
+    expected = {f"congruence.{key}": value for key, value in m.items()}
+    expected |= {"congruence.projection-in-k": 1000, "congruence.oracle-agreement": 1000}
+    failures = suite_failures(checks, "congruence", expected)
+    order = 144 * 5 ** 37
+    failures += computed_failures(checks, {
+        "congruence.n": 1,
+        "congruence.p": 5,
+        "congruence.indexOfN": 36,
+        "congruence.rankOfN": 37,
+        "congruence.orderOfF2ModM": order,
+        "congruence.bound": order,
+        "congruence.divides": True,
+    })
     verdict(4, "order certificate at n=1, p=5", failures)
 
 
-def test_criterion_5_affine():
-    failures = []
+def test_criterion_5_affine(checks):
+    expected, closed_forms = {}, {}
     for r, p in ((5, 11), (3, 7)):
-        params = AffineParams.choose(r, p)
-        if build_delta(params)["order"] != r * (r - 1):
-            failures.append(f"(r,p)=({r},{p}): wrong affine group order")
-        if not irreducibility_certificate(params)["passed"]:
-            failures.append(f"(r,p)=({r},{p}): irreducibility failed")
-        cert = two_generation_certificate(params)
-        if not cert["vandermonde_c_is_e11"]:
-            failures.append(f"(r,p)=({r},{p}): projection is not the matrix unit")
-        if cert["per_copy_spun_dimensions"] != [r - 1] * (r - 2):
-            failures.append(f"(r,p)=({r},{p}): spun dimensions "
-                            f"{cert['per_copy_spun_dimensions']}")
-        if not cert["passed"]:
-            failures.append(f"(r,p)=({r},{p}): two-generation failed")
+        tag = f"affine.r{r}p{p}"
+        for name in ("delta-relations", "irreducible", "vandermonde", "two-generated",
+                     "geometric-sums"):
+            expected[f"{tag}.{name}"] = True
+        expected[f"{tag}.delta-order"] = expected[f"{tag}.spun-dimensions"] = None
+        closed_forms[f"{tag}.delta-order"] = r * (r - 1)
+        closed_forms[f"{tag}.spun-dimensions"] = [r - 1] * (r - 2)
+    failures = suite_failures(checks, "affine", expected)
+    failures += computed_failures(checks, closed_forms)
     verdict(5, "affine semidirect-product certificates", failures)
 
 
@@ -286,21 +238,17 @@ def test_criterion_6_property_suites():
 VERIFY_ALL_SHA256 = "e1a7da32b938312cd31db3b79300de41d0fd288e59a73083a223d19d86ee2631"
 
 
-def test_criterion_7_determinism(tmp_path):
-    failures = []
-    runner = CliRunner()
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    for out in (out1, out2):
-        res = runner.invoke(main, ["verify", "all", "--seed", "42",
-                                   "--out", str(out)])
-        if res.exit_code != 0:
-            failures.append(f"verify all exited {res.exit_code}")
-    if not failures and out1.read_bytes() != out2.read_bytes():
+def test_criterion_7_determinism(first_run, tmp_path):
+    exit_code, first, _ = first_run
+    out = tmp_path / "report.json"
+    res = CliRunner().invoke(cli.main, [*VERIFY_ALL, "--out", str(out)])
+    failures = [f"verify all exited {code}" for code in (exit_code, res.exit_code) if code]
+    if not failures and first != out.read_bytes():
         failures.append("reports differ between runs")
-    if not failures and hashlib.sha256(out1.read_bytes()).hexdigest() != VERIFY_ALL_SHA256:
+    if not failures and hashlib.sha256(first).hexdigest() != VERIFY_ALL_SHA256:
         failures.append("report differs from the pinned verify-all digest")
     if not failures:
-        report = json.loads(out1.read_text())
+        report = json.loads(first)
         if report["summary"]["fail"]:
             failures.append(f"{report['summary']['fail']} checks failed in the report")
     verdict(7, "byte-identical seeded reports", failures)

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 import fgcert
 from fgcert.affine import AffineParams, gamma_order
-from fgcert.cli import SAMPLES_CAP, Runner, load_manifest, main, make_report, run_magnus
+from fgcert.cli import SAMPLES_CAP, Runner, load_manifest, main, make_report, run_congruence
 from fgcert.quotients import ALPHA_BETA, FiniteQuotient
 from fgcert.words import alphabet
 
@@ -57,11 +57,28 @@ def test_verify_deterministic_with_seed(tmp_path):
 
 
 def test_elapsed_millis_is_measured_without_seed():
+    # projection-in-k holds the interval of the 1,000-sample loop
     runner = Runner(deterministic=False)
-    run_magnus(runner, load_manifest(), random.Random(0), quick=True)
-    report = make_report("magnus", 0, runner)
+    run_congruence(runner, load_manifest(), random.Random(0))
+    report = make_report("congruence", 0, runner)
     elapsed = {c["id"]: c["elapsedMillis"] for c in report["checks"]}
-    assert elapsed["magnus.fox-identity"] > 0
+    assert elapsed["congruence.projection-in-k"] > 0
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "affine"],
+    ["congruence", "certify", "--p", "5", "--samples", "10"],
+    ["affine", "certify", "--r", "5", "--p", "11"],
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, command):
+    out = tmp_path / "missing" / "report.json"
+    res = run(*command, "--out", str(out))
+    assert res.exit_code == 2, res.output
+    assert not isinstance(res.exception, OSError)
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and "'--out'" in errors[0] and str(out) in errors[0]
+    assert "Traceback" not in res.output
+    assert not out.parent.exists()
 
 
 def test_congruence_certify_trivial_k(tmp_path):

@@ -7,7 +7,7 @@ import sympy
 
 from fgcert.homs import compose_auts, shear_alpha3, shear_beta3
 from fgcert.intlinalg import IntMatrix
-from fgcert.quotients import SchreierError, rank3_c2_kernel
+from fgcert.quotients import FiniteQuotient, SchreierError, kernel_subgroup, rank3_c2_kernel
 from fgcert.schreier_modules import (
     abelianized_image,
     action_matrix,
@@ -42,6 +42,36 @@ def test_conjugation_by_subgroup_element_needs_no_swap():
     b = conjugation_matrix(s, parse_word("x", XYZ))
     b2 = conjugation_matrix(s, parse_word("x^2", XYZ))
     assert b * b == b2
+
+
+def conjugation_columns(s, g):
+    """Oracle: conjugation_matrix column by column, each column the
+    exponent vector of rewrite(g^-1 e_j g)."""
+    return IntMatrix.from_columns(
+        [abelianized_image(s, e.conjugated_by(g)) for e in s.generators])
+
+
+def cyclic_kernel(m):
+    """Kernel of F(x, y, z) -> Z/m, x -> 1, y, z -> 0."""
+    cycle = tuple((i + 1) % m for i in range(m))
+    fixed = tuple(range(m))
+    return kernel_subgroup(FiniteQuotient(XYZ, m, (cycle, fixed, fixed)))
+
+
+@pytest.mark.parametrize("system", [rank3_c2_kernel(), cyclic_kernel(5), cyclic_kernel(8)],
+                         ids=["rank3-c2", "cyclic-5", "cyclic-8"])
+@pytest.mark.parametrize("g", ["x", "x^-1", "x^2", "y", "x y^-1 z x"])
+def test_conjugation_matrix_matches_the_column_oracle(system, g):
+    word = parse_word(g, XYZ)
+    assert conjugation_matrix(system, word) == conjugation_columns(system, word)
+
+
+def test_conjugation_by_a_non_normalizing_element_raises():
+    # the stabilizer of point 0 under x = (0 1), y = (1 2) has index 3
+    # and is not normal: x moves it to the stabilizer of point 1
+    s = kernel_subgroup(FiniteQuotient(alphabet("x", "y"), 3, ((1, 0, 2), (0, 2, 1))))
+    with pytest.raises(SchreierError, match="^x does not normalize the subgroup$"):
+        conjugation_matrix(s, parse_word("x", s.alphabet))
 
 
 def test_action_matrix_rejects_non_preserving():
