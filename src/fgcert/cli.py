@@ -366,17 +366,15 @@ def run_congruence(runner: Runner, manifest: dict, rng: random.Random,
         runner.check(f"congruence.{key}", "order certificate field",
                      m[key], got[key])
 
-    # sampled containment: the outer projection of elements of N lands in K
-    inside = 0
-    consistent = 0
-    for _ in range(samples):
-        w = sample_of_n(oracle, rng)
-        if inp.k_quotient.fixes_base(oracle.pi(w)):
-            inside += 1
-        if oracle.contains(w) and oracle.schreier.contains(w):
-            consistent += 1
+    # sampled containment: the outer projection of elements of N lands in
+    # K; each count is recorded as soon as it is made, so that each
+    # check's interval holds its own loop
+    ws = [sample_of_n(oracle, rng) for _ in range(samples)]
+    k, fixes_base = inp.k_quotient, oracle.pi.fixes_base
+    inside = sum(1 for w in ws if fixes_base(k, w))
     runner.check("congruence.projection-in-k",
                  "projection of sampled subgroup elements lies in K", samples, inside)
+    consistent = sum(1 for w in ws if oracle.contains(w) and oracle.schreier.contains(w))
     runner.check("congruence.oracle-agreement",
                  "direct membership test agrees with the coset table", samples, consistent)
 
@@ -490,7 +488,7 @@ def congruence_certify(k_path: str | None, prime: int, samples: int,
 
     rng = random.Random(seed)
     inside = sum(1 for _ in range(samples)
-                 if inp.k_quotient.fixes_base(oracle.pi(sample_of_n(oracle, rng))))
+                 if oracle.pi.fixes_base(inp.k_quotient, sample_of_n(oracle, rng)))
     payload = dict(cert.to_json())
     payload["samples"] = samples
     payload["samplesInK"] = inside

@@ -119,17 +119,20 @@ class NOracle:
                 f"index {self.index} of N does not divide 36 n^4 = {36 * n ** 4}")
 
     def contains(self, w: Word) -> bool:
-        """Direct membership: exponent sums divisible by 6 and every
-        conjugate t_i w t_i^-1 mapping into K under the outer hom."""
+        """Direct membership: exponent sums divisible by 6, and every
+        conjugate t_i w t_i^-1 mapping into K under the outer hom.  The
+        image of t_i w t_i^-1 is what w emits walked from coset i of
+        Delta, and K acts on it as it is emitted, so no conjugate and
+        no image word is built (``SubgroupHom.fixes_base``).  This route
+        reads only pi's move table and K's own permutations, not the
+        compiled actions the coset table of N is built from, so it stays
+        a second check of that table."""
         if w.alphabet != F2:
             raise WordError("word must be over (x, y)")
         if any(s % 6 for s in w.exponent_sums()):
             return False
-        for t in self.transversal:
-            conj = t * w * t.inverse()
-            if not self.input.k_quotient.fixes_base(self.pi(conj)):
-                return False
-        return True
+        k, fixes_base = self.input.k_quotient, self.pi.fixes_base
+        return all(fixes_base(k, w, c) for c in range(self.delta.index))
 
 
 class MOracle:

@@ -31,8 +31,13 @@ the shared syllables of the image of the Schreier generator it sweeps
 out, of that image's inverse, or none.  One walk of the word through
 the move table and the coset table joins them, and one reduction ends
 it; no Schreier letter or word over the Schreier generators is built in
-between.  ``SchreierSystem.expand`` joins the cached syllables of the
-generator words and of their inverses in ``words.substitute``.
+between.  ``SubgroupHom.fixes_base`` walks a word from any coset c
+instead, and acts on a finite quotient of the target as it goes: the
+tree paths t_c and t_c^-1 emit nothing, so the walk emits the image of
+t_c w t_c^-1, and an action needs no reduced word, so each emitted
+letter steps the quotient's point at once and nothing is built.
+``SchreierSystem.expand`` joins the cached syllables of the generator
+words and of their inverses in ``words.substitute``.
 """
 
 from __future__ import annotations
@@ -460,7 +465,9 @@ class SubgroupHom:
     form.  When the target is a free
     group, kernel membership is free-word triviality; composing with a
     finite quotient of the target decides membership in preimages of
-    finite-index subgroups.
+    finite-index subgroups.  ``fixes_base`` decides that membership for
+    t_c w t_c^-1 without building a word: it walks w from coset c and
+    steps the quotient's point by each letter the walk emits.
     """
 
     system: SchreierSystem
@@ -480,11 +487,6 @@ class SubgroupHom:
         syllables, inverses = image_syllables(self.target, self.images)
         object.__setattr__(self, "_syllables", syllables)
         object.__setattr__(self, "_inverses", inverses)
-
-    def evaluate_sub(self, sub_word: Word) -> Word:
-        if sub_word.alphabet != self.system.sub_alphabet:
-            raise WordError("alphabet mismatch")
-        return substitute(self.target, self._syllables, self._inverses, sub_word.syllables)
 
     @cached_property
     def _moves(self) -> list[list[tuple[tuple[int, int], ...]]]:
@@ -530,6 +532,49 @@ class SubgroupHom:
         if coset != 0:
             raise SchreierError(f"word not in the subgroup: {w}")
         return Word._trusted(self.target, _reduce(syllables))
+
+    @cached_property
+    def _move_letters(self) -> list[list[tuple[int, ...]]]:
+        """The move table spelled out, built on first use by
+        ``fixes_base``: ``_move_letters[l][c]`` holds the target letters
+        k = 2*gen + (sign < 0) of what ``_moves[l][c]`` emits, one per
+        unit step, so that each indexes a quotient's per-letter table."""
+        spelled = {move: tuple(2 * g + (e < 0) for g, e in move for _ in range(abs(e)))
+                   for row in self._moves for move in row}
+        return [[spelled[move] for move in row] for row in self._moves]
+
+    def fixes_base(self, quotient: FiniteQuotient, w: Word, coset: int = 0) -> bool:
+        """Whether the image of t_c w t_c^-1 fixes the base point of a
+        quotient of the target, for t_c the transversal word of
+        ``coset``: one walk of w from that coset through the move table
+        and the coset table, each emitted letter stepping the point at
+        once.  The tree paths t_c and t_c^-1 emit nothing, and the
+        action needs no reduced word, so no conjugate, list or word is
+        built.  Raises if the walk does not end at ``coset``, that is,
+        if t_c w t_c^-1 is not in the subgroup."""
+        system = self.system
+        if w.alphabet != system.alphabet or quotient.alphabet != self.target:
+            raise WordError("alphabet mismatch")
+        if not 0 <= coset < system.index:
+            raise SchreierError(f"coset {coset} out of range")
+        moves, table, act = self._move_letters, system.table, quotient._tables
+        point = quotient.base_point
+        c = coset
+        for gen, exp in w.syllables:
+            l = 2 * gen + (exp < 0)
+            move, step = moves[l], table[l]
+            if exp == 1 or exp == -1:
+                for k in move[c]:
+                    point = act[k][point]
+                c = step[c]
+            else:
+                for _ in range(exp if exp > 0 else -exp):
+                    for k in move[c]:
+                        point = act[k][point]
+                    c = step[c]
+        if c != coset:
+            raise SchreierError(f"t_{coset} w t_{coset}^-1 not in the subgroup: w = {w}")
+        return point == quotient.base_point
 
     def in_kernel(self, w: Word) -> bool:
         return self(w).is_identity()

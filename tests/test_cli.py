@@ -2,14 +2,16 @@ import json
 import random
 import time
 from decimal import Decimal
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
 import fgcert
+from fgcert import cli
 from fgcert.affine import AffineParams, gamma_order
 from fgcert.cli import SAMPLES_CAP, Runner, load_manifest, main, make_report, run_congruence
-from fgcert.quotients import ALPHA_BETA, FiniteQuotient
+from fgcert.quotients import ALPHA_BETA, FiniteQuotient, SchreierSystem, SubgroupHom
 from fgcert.words import alphabet
 
 
@@ -57,12 +59,38 @@ def test_verify_deterministic_with_seed(tmp_path):
 
 
 def test_elapsed_millis_is_measured_without_seed():
-    # projection-in-k holds the interval of the 1,000-sample loop
+    # projection-in-k holds the drawing of the 1,000 samples and their loop
     runner = Runner(deterministic=False)
     run_congruence(runner, load_manifest(), random.Random(0))
     report = make_report("congruence", 0, runner)
     elapsed = {c["id"]: c["elapsedMillis"] for c in report["checks"]}
     assert elapsed["congruence.projection-in-k"] > 0
+
+
+def test_each_sampled_congruence_check_holds_its_own_loop(monkeypatch):
+    """On a clock that ticks one second per projection walk and per
+    coset-table test, each sampled check's interval holds exactly its
+    own loop: projection-in-k one walk per sample, oracle-agreement the
+    four walks of each direct test and one coset-table test."""
+    ticks = [0]
+    walk, table_contains = SubgroupHom.fixes_base, SchreierSystem.contains
+
+    def ticking(fn):
+        def wrapped(*args):
+            ticks[0] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: ticks[0]))
+    monkeypatch.setattr(SubgroupHom, "fixes_base", ticking(walk))
+    monkeypatch.setattr(SchreierSystem, "contains", ticking(table_contains))
+    runner = Runner(deterministic=False, last=0)
+    samples = 20
+    run_congruence(runner, load_manifest(), random.Random(0), samples=samples)
+    elapsed = {c["id"]: c["elapsedMillis"] for c in runner.checks}
+    assert all(c["status"] == "pass" for c in runner.checks)
+    assert elapsed["congruence.projection-in-k"] == samples * 1000
+    assert elapsed["congruence.oracle-agreement"] == samples * (4 + 1) * 1000
 
 
 @pytest.mark.parametrize("command", [

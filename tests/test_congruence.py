@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from decimal import Decimal
@@ -25,11 +26,12 @@ from fgcert.intlinalg import PRIME_CAP, Factored, decimals
 from fgcert.quotients import (
     ALPHA_BETA,
     FiniteQuotient,
+    SchreierError,
     abelian_quotient,
     kernel_subgroup,
     trivial_quotient,
 )
-from fgcert.words import alphabet, parse_word, random_word
+from fgcert.words import Word, alphabet, commutator, parse_word, random_word
 from test_schreier_compiled import generator_exponent_classes, seeded_k
 
 F2 = alphabet("x", "y")
@@ -102,10 +104,8 @@ def test_n_membership_trivial_k():
     assert not oracle.contains(parse_word("x^2", F2))
     # commutators have zero exponent sums and map to conjugates of the
     # trivial element, so membership reduces to the outer condition
-    assert oracle.contains(parse_word("y x y^-1 x^-1", F2)) == all(
-        oracle.input.k_quotient.fixes_base(
-            oracle.pi(t * parse_word("y x y^-1 x^-1", F2) * t.inverse()))
-        for t in oracle.transversal)
+    w = parse_word("y x y^-1 x^-1", F2)
+    assert oracle.contains(w) == contains_by_conjugates(oracle, w)
 
 
 def test_oracle_agrees_with_coset_table():
@@ -114,6 +114,99 @@ def test_oracle_agrees_with_coset_table():
     for _ in range(300):
         w = random_word(rng, F2, 12)
         assert oracle.contains(w) == oracle.schreier.contains(w)
+
+
+def contains_by_conjugates(oracle: NOracle, w: Word) -> bool:
+    """Membership in N by word products, the route ``NOracle.contains``
+    replaced: exponent sums divisible by 6, and pi(t w t^-1) in K for
+    each transversal word t of Delta, each conjugate built, swept from
+    coset 0 and reduced."""
+    if any(s % 6 for s in w.exponent_sums()):
+        return False
+    k = oracle.input.k_quotient
+    return all(k.fixes_base(oracle.pi(t * w * t.inverse())) for t in oracle.transversal)
+
+
+@functools.cache
+def n_oracle(n: int) -> NOracle:
+    """N at p = 5 for the trivial K (n = 1) or the benchmark's K of index n."""
+    return NOracle(CongruenceInput(trivial_quotient(ALPHA_BETA) if n == 1 else data_k(n), 5))
+
+
+def f2_words(max_size: int = 3):
+    return st.lists(st.tuples(st.integers(0, 1), st.integers(-3, 3).filter(bool)),
+                    max_size=max_size).map(lambda s: Word.from_syllables(F2, s))
+
+
+@st.composite
+def oracles_and_words(draw):
+    """N for K of index 1, 3 or 4, and a word: a member of N (an expanded
+    word over its Schreier generators), a member times a commutator of
+    two short words, a random word, or a random word with its exponent
+    sums cancelled, so that it lies in F'F^6."""
+    oracle = n_oracle(draw(st.sampled_from([1, 3, 4])))
+    sub = oracle.schreier.sub_alphabet
+    letters = draw(st.lists(st.tuples(st.integers(0, sub.rank - 1), st.sampled_from([1, -1])),
+                            max_size=4))
+    member = oracle.schreier.expand(Word.from_syllables(sub, letters))
+    kind = draw(st.sampled_from(["member", "perturbed", "random", "balanced"]))
+    if kind == "member":
+        return oracle, member
+    if kind == "perturbed":
+        return oracle, member * commutator(draw(f2_words()), draw(f2_words()))
+    w = draw(f2_words(12))
+    if kind == "balanced":
+        sx, sy = w.exponent_sums()
+        w = w * Word.from_syllables(F2, [(0, -sx), (1, -sy)])
+    return oracle, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracles_and_words())
+def test_contains_matches_the_word_product_oracle(case):
+    oracle, w = case
+    assert oracle.contains(w) == contains_by_conjugates(oracle, w) == oracle.schreier.contains(w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracles_and_words())
+def test_pi_walked_from_each_coset_is_pi_of_the_conjugate(case):
+    """pi.fixes_base(K, w, c) decides pi(t_c w t_c^-1) in K, for every
+    coset c of Delta; off Delta both routes raise (Delta is normal)."""
+    oracle, w = case
+    k, pi = oracle.input.k_quotient, oracle.pi
+    for c, t in enumerate(oracle.transversal):
+        if oracle.delta.contains(w):
+            assert pi.fixes_base(k, w, c) == k.fixes_base(pi(t * w * t.inverse()))
+            continue
+        for route in (lambda: pi.fixes_base(k, w, c), lambda: pi(t * w * t.inverse())):
+            with pytest.raises(SchreierError, match="not in the subgroup"):
+                route()
+
+
+def test_contains_multiplies_no_words(monkeypatch):
+    """The direct test builds no conjugate: ``Word.__mul__`` is never
+    called, where the word-product route calls it twice per coset."""
+    oracle = n_oracle(4)
+    rng = random.Random(3)
+    sub = oracle.schreier.sub_alphabet
+    members = [oracle.schreier.expand(random_word(rng, sub, 6)) for _ in range(50)]
+    others = [random_word(rng, F2, 12) for _ in range(50)]
+    others += [w * commutator(random_word(rng, F2, 3), random_word(rng, F2, 3)) for w in members]
+    calls = []
+    mul = Word.__mul__
+
+    def counting_mul(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(Word, "__mul__", counting_mul)
+    assert all(oracle.contains(w) for w in members)
+    answers = [oracle.contains(w) for w in others]
+    assert calls == []
+    assert not all(answers)
+    contains_by_conjugates(oracle, members[0])
+    assert len(calls) == 2 * oracle.delta.index
 
 
 def test_m_membership():

@@ -22,7 +22,7 @@ from fgcert.quotients import (
     trivial_quotient,
 )
 from fgcert.schreier_modules import abelianized_image
-from fgcert.words import Word, WordError, _reduce, alphabet, parse_word, random_word, substitute
+from fgcert.words import Alphabet, Word, WordError, _reduce, alphabet, parse_word, random_word, substitute
 from word_letters import letters
 
 XY = alphabet("x", "y")
@@ -231,7 +231,8 @@ def test_one_sweep_routes_match_the_two_step_routes(case):
         assert s.expand(u) == Word.from_syllables(alpha, syllables)
     member = w * s.transversal[s.coset_of(w)].inverse()
     for x in (member, s.expand(u), member * s.expand(u) ** -2):
-        assert hom(x) == hom.evaluate_sub(s.rewrite(x))
+        assert hom(x) == substitute(hom.target, hom._syllables, hom._inverses,
+                                    s.rewrite(x).syllables)
         assert abelianized_image(s, x) == s.rewrite(x).exponent_sums()
     if s.coset_of(w):
         for route in (hom, s.rewrite, lambda x: abelianized_image(s, x)):
@@ -272,6 +273,58 @@ def test_move_table_matches_substitute_of_the_swept_letters(case, xy_syllables):
         for route in (h, swept):
             with pytest.raises(WordError, match="alphabet mismatch"):
                 route(other.generator(0, 2))
+
+
+@st.composite
+def finite_quotients(draw, alpha: Alphabet, max_size: int = 5):
+    """A random permutation action of the free group on ``alpha``, with
+    a random base point."""
+    size = draw(st.integers(1, max_size))
+    perms = tuple(tuple(draw(st.permutations(range(size)))) for _ in range(alpha.rank))
+    return FiniteQuotient(alpha, size, perms, draw(st.integers(0, size - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems_and_words(), finite_quotients(ALPHA_BETA), syllable_lists(2, 12))
+def test_fixes_base_matches_the_conjugate_route(case, q, xy_syllables):
+    """Walking w from coset c against the word-product route, for a
+    random hom and for pi: ``fixes_base(q, w, c)`` is whether the image
+    of t_c w t_c^-1 fixes q's base point, and where t_c w t_c^-1 leaves
+    the subgroup both routes raise."""
+    s, hom, u, w = case
+    x = Word.from_syllables(XY, xy_syllables)
+    for h, v in ((hom, w), (rank2_outer_hom(), x)):
+        system = h.system
+        member = v * system.transversal[system.coset_of(v)].inverse()
+        elements = [v, member, member ** 3]
+        if h is hom:
+            elements.append(s.expand(u) * member)
+        for y in elements:
+            for c, t in enumerate(system.transversal):
+                conj = t * y * t.inverse()
+                if system.contains(conj):
+                    assert h.fixes_base(q, y, c) == q.fixes_base(h(conj))
+                    continue
+                with pytest.raises(SchreierError,
+                                   match=re.escape(f"t_{c} w t_{c}^-1 not in the subgroup: w = {y}") + "$"):
+                    h.fixes_base(q, y, c)
+                with pytest.raises(SchreierError, match="not in the subgroup"):
+                    h(conj)
+
+
+def test_fixes_base_refuses_a_wrong_alphabet_or_coset():
+    pi = rank2_outer_hom()
+    k = abelian_quotient(ALPHA_BETA, (2, 3))
+    x2 = parse_word("x^2", XY)
+    # pi(t_c x^2 t_c^-1) is a or a^-1, of order 2 in Z/2 x Z/3
+    assert all(pi.fixes_base(k, x2 ** 2, c) and not pi.fixes_base(k, x2, c) for c in range(4))
+    with pytest.raises(WordError, match="alphabet mismatch"):
+        pi.fixes_base(k, parse_word("x^2", XYZ))  # the word
+    with pytest.raises(WordError, match="alphabet mismatch"):
+        pi.fixes_base(abelian_quotient(XY, (2, 3)), x2)  # the quotient: over the source
+    for c in (-1, 4):
+        with pytest.raises(SchreierError, match=f"coset {c} out of range"):
+            pi.fixes_base(k, x2, c)
 
 
 def test_generator_words_of_n_are_their_reduced_letters():
