@@ -9,6 +9,15 @@ to (Z/m)^n and the coefficients to Z/m yields the finite version, whose
 image group consists of 2x2 block matrices (g 0; t 1); an element is
 determined by its bottom row.
 
+An element of Z[F_n] holds each group element as the reduced syllable
+tuple of its word (``Word.syllables``), with its terms in the canonical
+order by (length, syllables), so equal elements have equal terms.  The
+Fox coordinates emit suffix tuples, a product is one free reduction of
+two concatenated tuples, and a ``Word`` is made only at the edges:
+``monomial`` takes one, ``endo_on_ring`` wraps each term to apply the
+endomorphism, and ``str`` prints through one.  The finite ring
+Z_m[(Z/m)^n] is keyed by exponent vectors mod m in the same way.
+
 Matrix multiplication over these rings is ``intlinalg.mat_mul``, which
 uses only the ring operators, so it serves Z[F_n], Z_m[(Z/m)^n] and the
 integer matrices alike.
@@ -21,26 +30,35 @@ from operator import mul
 from typing import Sequence
 
 from .homs import FreeHom, VerifiedAut, abelianization_matrix, compose
-from .intlinalg import mat_mul, solve_mod
-from .words import Alphabet, Word, WordError
+from .intlinalg import PRIME_CAP, is_prime, mat_mul, solve_mod
+from .words import Alphabet, Word, WordError, _reduce
 
 
 class RingError(ValueError):
     """Raised on mismatched ring parameters."""
 
 
+Syllables = tuple[tuple[int, int], ...]
+
+
+def _term_key(term: tuple[Syllables, int]) -> tuple[int, Syllables]:
+    """The canonical order of group elements: by length, then syllables."""
+    s = term[0]
+    return sum(abs(e) for _, e in s), s
+
+
 @dataclass(frozen=True)
 class FreeGroupRingElement:
-    """Sparse element of the integral group ring of a free group."""
+    """Sparse element of the integral group ring of a free group.  Each
+    group element is held as the reduced syllable tuple of its word, as
+    ``Word.syllables`` holds it; the alphabet is the element's own."""
 
     alphabet: Alphabet
-    terms: tuple[tuple[Word, int], ...]  # sorted, no zero coefficients
+    terms: tuple[tuple[Syllables, int], ...]  # sorted by _term_key, no zero coefficients
 
     @staticmethod
-    def from_dict(alpha: Alphabet, d: dict[Word, int]) -> "FreeGroupRingElement":
-        items = tuple(sorted(
-            ((w, c) for w, c in d.items() if c != 0),
-            key=lambda wc: (wc[0].length(), wc[0].syllables)))
+    def from_dict(alpha: Alphabet, d: dict[Syllables, int]) -> "FreeGroupRingElement":
+        items = tuple(sorted(((s, c) for s, c in d.items() if c != 0), key=_term_key))
         return FreeGroupRingElement(alpha, items)
 
     @staticmethod
@@ -49,11 +67,11 @@ class FreeGroupRingElement:
 
     @staticmethod
     def monomial(w: Word, c: int = 1) -> "FreeGroupRingElement":
-        return FreeGroupRingElement.from_dict(w.alphabet, {w: c})
+        return FreeGroupRingElement.from_dict(w.alphabet, {w.syllables: c})
 
     @staticmethod
     def one(alpha: Alphabet) -> "FreeGroupRingElement":
-        return FreeGroupRingElement.monomial(alpha.identity())
+        return FreeGroupRingElement(alpha, (((), 1),))
 
     def _check(self, other: "FreeGroupRingElement") -> None:
         if self.alphabet != other.alphabet:
@@ -62,23 +80,23 @@ class FreeGroupRingElement:
     def __add__(self, other: "FreeGroupRingElement") -> "FreeGroupRingElement":
         self._check(other)
         d = dict(self.terms)
-        for w, c in other.terms:
-            d[w] = d.get(w, 0) + c
+        for s, c in other.terms:
+            d[s] = d.get(s, 0) + c
         return FreeGroupRingElement.from_dict(self.alphabet, d)
 
     def __neg__(self) -> "FreeGroupRingElement":
-        return FreeGroupRingElement(self.alphabet, tuple((w, -c) for w, c in self.terms))
+        return FreeGroupRingElement(self.alphabet, tuple((s, -c) for s, c in self.terms))
 
     def __sub__(self, other: "FreeGroupRingElement") -> "FreeGroupRingElement":
         return self + (-other)
 
     def __mul__(self, other: "FreeGroupRingElement") -> "FreeGroupRingElement":
         self._check(other)
-        d: dict[Word, int] = {}
-        for w1, c1 in self.terms:
-            for w2, c2 in other.terms:
-                w = w1 * w2
-                d[w] = d.get(w, 0) + c1 * c2
+        d: dict[Syllables, int] = {}
+        for s1, c1 in self.terms:
+            for s2, c2 in other.terms:
+                s = _reduce(s1 + s2)
+                d[s] = d.get(s, 0) + c1 * c2
         return FreeGroupRingElement.from_dict(self.alphabet, d)
 
     def is_zero(self) -> bool:
@@ -87,7 +105,7 @@ class FreeGroupRingElement:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*({w})" for w, c in self.terms)
+        return " + ".join(f"{c}*({Word._trusted(self.alphabet, s)})" for s, c in self.terms)
 
 
 def fox_coordinates(w: Word) -> tuple[FreeGroupRingElement, ...]:
@@ -102,18 +120,19 @@ def fox_coordinates(w: Word) -> tuple[FreeGroupRingElement, ...]:
     when the suffixes are walked from the right.
     """
     alpha = w.alphabet
-    terms: list[list[tuple[Word, int]]] = [[] for _ in range(alpha.rank)]
+    terms: list[list[tuple[Syllables, int]]] = [[] for _ in range(alpha.rank)]
     syllables = w.syllables
     for s in range(len(syllables) - 1, -1, -1):
         gen, exp = syllables[s]
         tail = syllables[s + 1:]
-        out = terms[gen]
+        append = terms[gen].append
         if exp > 0:
-            out.append((Word._trusted(alpha, tail), 1))
-            out.extend((Word._trusted(alpha, ((gen, k),) + tail), 1) for k in range(1, exp))
+            append((tail, 1))
+            for k in range(1, exp):
+                append((((gen, k),) + tail, 1))
         else:
-            out.extend((Word._trusted(alpha, ((gen, k),) + tail), -1)
-                       for k in range(-1, exp - 1, -1))
+            for k in range(-1, exp - 1, -1):
+                append((((gen, k),) + tail, -1))
     return tuple(FreeGroupRingElement(alpha, tuple(t)) for t in terms)
 
 
@@ -130,13 +149,12 @@ def fox_identity_holds(w: Word) -> bool:
     So no ring product, free reduction or sort is needed.
     """
     alpha = w.alphabet
-    count: dict[tuple[tuple[int, int], ...], int] = {}
+    count: dict[Syllables, int] = {}
     for i, coordinate in enumerate(fox_coordinates(w)):
         if coordinate.alphabet != alpha:
             raise RingError("alphabet mismatch")
         unit = (i, 1)
-        for t, c in coordinate.terms:
-            s = t.syllables
+        for s, c in coordinate.terms:
             if s and s[0][0] == i:
                 e = s[0][1] + 1
                 xt = ((i, e),) + s[1:] if e else s[1:]
@@ -350,11 +368,12 @@ def j_identity(alpha: Alphabet, m: int | None = None) -> list[list]:
 
 def endo_on_ring(h: FreeHom, e: FreeGroupRingElement) -> FreeGroupRingElement:
     """Apply an endomorphism to every group element of a ring element."""
-    d: dict[Word, int] = {}
-    for w, c in e.terms:
-        img = h(w)
+    alpha = e.alphabet
+    d: dict[Syllables, int] = {}
+    for s, c in e.terms:
+        img = h(Word._trusted(alpha, s)).syllables
         d[img] = d.get(img, 0) + c
-    return FreeGroupRingElement.from_dict(e.alphabet, d)
+    return FreeGroupRingElement.from_dict(alpha, d)
 
 
 def twist_matrix(h: FreeHom, mat: Sequence[Sequence], m: int | None = None) -> list[list]:
@@ -394,6 +413,12 @@ def ka_check(auts: Sequence[VerifiedAut], m: int, pairs: int = 50,
     """
     import random
 
+    if not auts:
+        raise ValueError("ka_check needs at least one automorphism")
+    if m < 2:
+        raise ValueError(f"ka_check needs a modulus m >= 2, got {m}")
+    if pairs < 1:
+        raise ValueError(f"ka_check needs at least one pair to sample, got {pairs}")
     rng = rng or random.Random(0)
     failures: list[str] = []
     for idx, aut in enumerate(auts):
@@ -435,6 +460,15 @@ def local_commutator_check(p: int, k: int, s_power: int, t_power: int,
     """
     import random
 
+    if p > PRIME_CAP or not is_prime(p):
+        raise ValueError(f"local_commutator_check needs a prime p <= 2^40, got {p}")
+    if k < 1:
+        raise ValueError(f"local_commutator_check needs k >= 1, got {k}")
+    if not (0 <= s_power <= k and 0 <= t_power <= k):
+        raise ValueError(f"local_commutator_check needs 0 <= s_power, t_power <= k = {k}, "
+                         f"got {s_power} and {t_power}")
+    if samples < 1:
+        raise ValueError(f"local_commutator_check needs at least one sample, got {samples}")
     rng = rng or random.Random(0)
     mod = p ** k
     st = p ** min(s_power + t_power, k)

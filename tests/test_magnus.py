@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fgcert import magnus
-from fgcert.homs import hom, transvection_alpha, transvection_beta
+from fgcert.homs import compose, hom, transvection_alpha, transvection_beta
 from fgcert.intlinalg import solve_mod
 from fgcert.magnus import (
     FiniteGroupRingElement,
@@ -23,8 +23,9 @@ from fgcert.magnus import (
     mat_mul,
     twist_matrix,
 )
-from fgcert.words import alphabet, parse_word, random_word
+from fgcert.words import Word, _reduce, alphabet, parse_word, random_word
 from word_letters import letters
+import word_ring
 
 XY = alphabet("x", "y")
 XYZ = alphabet("x", "y", "z")
@@ -46,14 +47,18 @@ def words(alpha=XY, max_length=20, max_exponent=2):
 
 def times_word(e, w):
     """The group-ring element e times the word w on the right."""
-    return FreeGroupRingElement.from_dict(e.alphabet, {t * w: c for t, c in e.terms})
+    return FreeGroupRingElement.from_dict(
+        e.alphabet, {_reduce(t + w.syllables): c for t, c in e.terms})
 
 
 def push_to_finite(e, m):
-    """Push Z[F_n] -> Z_m[(Z/m)^n]: words to exponent vectors mod m."""
+    """Push Z[F_n] -> Z_m[(Z/m)^n]: group elements to exponent vectors mod m."""
     d = {}
-    for w, c in e.terms:
-        v = tuple(s % m for s in w.exponent_sums())
+    for t, c in e.terms:
+        sums = [0] * e.alphabet.rank
+        for gen, exp in t:
+            sums[gen] += exp
+        v = tuple(s % m for s in sums)
         d[v] = d.get(v, 0) + c
     return FiniteGroupRingElement.from_dict(m, e.alphabet.rank, d)
 
@@ -153,6 +158,7 @@ def test_fox_identity_matches_the_ring_route(w):
 
 def _corrupted(coords, kind, pick):
     """The coordinates with one term of one nonzero coordinate changed."""
+    alpha = coords[0].alphabet
     terms = [list(c.terms) for c in coords]
     i = [k for k, t in enumerate(terms) if t][pick % sum(1 for t in terms if t)]
     j = pick % len(terms[i])
@@ -167,9 +173,8 @@ def _corrupted(coords, kind, pick):
     elif kind == "term duplicated":
         terms[i].append((t, c))
     else:  # a cancelling pair +-u, u = t times a generator
-        u = t * t.alphabet.generator(pick % t.alphabet.rank)
+        u = _reduce(t + ((pick % alpha.rank, 1),))
         terms[i] += [(u, 1), (u, -1)]
-    alpha = coords[0].alphabet
     return tuple(FreeGroupRingElement(alpha, tuple(t)) for t in terms)
 
 
@@ -257,6 +262,86 @@ def test_fox_injectivity_short_words():
                         stack.append(nxt)
 
 
+def ring_elements(alpha=XY, max_terms=5):
+    """(element, reference): one sum of monomials in both rings."""
+    term = st.tuples(words(alpha, 5, max_exponent=3), st.integers(-3, 3))
+
+    def build(terms):
+        e, ref = FreeGroupRingElement.zero(alpha), word_ring.WordRingElement.zero(alpha)
+        for w, c in terms:
+            e = e + FreeGroupRingElement.monomial(w, c)
+            ref = ref + word_ring.WordRingElement.monomial(w, c)
+        return e, ref
+
+    return st.lists(term, max_size=max_terms).map(build)
+
+
+def endomorphisms(alpha=XY, max_length=5):
+    images = st.lists(words(alpha, max_length, max_exponent=2),
+                      min_size=alpha.rank, max_size=alpha.rank)
+    return images.map(lambda imgs: hom(alpha, *map(str, imgs)))
+
+
+@given(st.sampled_from([XY, XYZ]).flatmap(lambda a: st.tuples(ring_elements(a),
+                                                               ring_elements(a))))
+def test_ring_matches_the_word_ring(pair):
+    (a, ra), (b, rb) = pair
+    assert word_ring.as_word_ring(a) == ra and word_ring.as_word_ring(b) == rb
+    assert word_ring.as_word_ring(a + b) == ra + rb
+    assert word_ring.as_word_ring(a - b) == ra - rb
+    assert word_ring.as_word_ring(-a) == -ra
+    assert word_ring.as_word_ring(a * b) == ra * rb
+    assert (a * b).is_zero() is (ra * rb).is_zero()
+    assert str(a * b) == str(ra * rb)
+
+
+@given(st.sampled_from([XY, XYZ]).flatmap(lambda a: words(a, 12, max_exponent=6)))
+def test_fox_coordinates_match_the_word_ring_recursion(w):
+    assert (tuple(map(word_ring.as_word_ring, fox_coordinates(w)))
+            == word_ring.fox_by_recursion(w))
+
+
+@given(endomorphisms(), ring_elements())
+def test_endo_on_ring_matches_the_word_ring(h, pair):
+    e, ref = pair
+    assert word_ring.as_word_ring(magnus.endo_on_ring(h, e)) == word_ring.endo_on_ring(h, ref)
+
+
+@settings(max_examples=40)
+@given(endomorphisms(), endomorphisms())
+def test_j_composition_matches_the_word_ring(f, g):
+    lhs = j_of_endo(compose(f, g))
+    rhs = mat_mul(j_of_endo(f), twist_matrix(f, j_of_endo(g)))
+    ref_lhs, ref_rhs = word_ring.j_composition_sides(f, g)
+    as_ref = lambda mat: [[word_ring.as_word_ring(e) for e in row] for row in mat]
+    assert as_ref(lhs) == ref_lhs and as_ref(rhs) == ref_rhs
+    assert j_composition_identity(f, g) is (ref_lhs == ref_rhs) is True
+
+
+def test_fox_checks_build_no_word_per_term(monkeypatch):
+    """``fox_identity_holds`` and the injectivity key read the Fox terms
+    as syllable tuples: ``Word._trusted`` is never called, where printing
+    the coordinates makes one word per term."""
+    rng = random.Random(5)
+    ws = [random_word(rng, a, 30) for a in (XY, XYZ) for _ in range(20)]
+    calls = []
+    trusted = Word._trusted
+
+    def counting_trusted(alpha, syllables):
+        calls.append(None)
+        return trusted(alpha, syllables)
+
+    monkeypatch.setattr(Word, "_trusted", staticmethod(counting_trusted))
+    assert all(fox_identity_holds(w) for w in ws)
+    keys = {tuple(c.terms for c in fox_coordinates(w)) for w in ws}
+    assert calls == []
+    assert len(keys) == len(set(ws))
+    coords = fox_coordinates(ws[0])
+    for c in coords:
+        str(c)
+    assert len(calls) == sum(len(c.terms) for c in coords) > 0
+
+
 def test_j_of_identity():
     assert j_of_endo(hom(XY, "x", "y")) == j_identity(XY)
 
@@ -312,6 +397,46 @@ def test_ka_check_rejects_nontrivial_aut():
 
     res = ka_check([nielsen_inversion(XY, 0)], 3, pairs=5)
     assert not res["passed"]
+
+
+def test_ka_check_refuses_no_automorphisms():
+    with pytest.raises(ValueError, match="at least one automorphism"):
+        ka_check([], 2)
+
+
+@pytest.mark.parametrize("pairs", [0, -3])
+def test_ka_check_refuses_no_pairs(pairs):
+    with pytest.raises(ValueError, match="at least one pair"):
+        ka_check([transvection_alpha()], 2, pairs=pairs)
+
+
+@pytest.mark.parametrize("m", [1, 0, -2])
+def test_ka_check_refuses_a_modulus_below_two(m):
+    with pytest.raises(ValueError, match="modulus m >= 2"):
+        ka_check([transvection_alpha()], m)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_local_commutator_refuses_no_samples(samples):
+    with pytest.raises(ValueError, match="at least one sample"):
+        local_commutator_check(3, 2, 1, 1, samples=samples)
+
+
+@pytest.mark.parametrize("powers", [(3, 1), (1, 3), (-1, 1), (1, -1)])
+def test_local_commutator_refuses_an_ideal_power_outside_0_to_k(powers):
+    with pytest.raises(ValueError, match="0 <= s_power, t_power <= k"):
+        local_commutator_check(3, 2, *powers, samples=10)
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, 0, -3, 2 ** 41 + 1])
+def test_local_commutator_refuses_a_p_that_is_not_a_prime_up_to_the_cap(p):
+    with pytest.raises(ValueError, match="needs a prime p"):
+        local_commutator_check(p, 2, 1, 1, samples=10)
+
+
+def test_local_commutator_refuses_k_below_one():
+    with pytest.raises(ValueError, match="k >= 1"):
+        local_commutator_check(3, 0, 0, 0, samples=10)
 
 
 def test_local_commutator_mod9_and_mod8():
