@@ -317,19 +317,18 @@ def run_magnus(runner: Runner, manifest: dict, rng: random.Random) -> None:
     max_len = 8
     seen: dict = {}
     collisions = 0
-    stack = [f2.identity()]
+    # letter l = 2*gen + (sign < 0); a reduced word of length < max_len
+    # grows by the three letters other than the inverse (l ^ 1) of its last
+    units = [f2.generator(gen, sign) for gen in range(2) for sign in (1, -1)]
+    stack = [(f2.identity(), 0, -1)]  # (word, length, last letter)
     while stack:
-        w = stack.pop()
+        w, length, last = stack.pop()
         key = tuple(c.terms for c in fox_coordinates(w))
         if key in seen and seen[key] != w:
             collisions += 1
         seen[key] = w
-        if w.length() < max_len:
-            for gen in range(2):
-                for sign in (1, -1):
-                    nxt = w * f2.generator(gen, sign)
-                    if nxt.length() > w.length():
-                        stack.append(nxt)
+        if length < max_len:
+            stack.extend((w * u, length + 1, l) for l, u in enumerate(units) if l != last ^ 1)
     runner.check("magnus.fox-injectivity",
                  f"distinct coordinates on all reduced words of length <= {max_len}",
                  0, collisions)

@@ -20,7 +20,10 @@ that holds the mod-6 abelian quotient, and p is a unit mod 4, so the
 image of N' N^p in (Z/4)^2 = F / F'F^4 lies in 2(Z/4)^2, of order 4.
 It is read off the Schreier generators' exponent vectors mod 4, in
 order, and the scan stops as soon as they generate all of 2(Z/4)^2; a
-vector outside it means the construction is broken.
+vector outside it means the construction is broken.  Every nonzero class
+of 2(Z/4)^2 has order 2, so a scan that ends with fewer than three
+classes has found {0} or {0, v}, already the subgroup, and its class
+count is the image order.
 
 Every big number of the certificate is a small cofactor times a power
 of p, and is kept as that pair (``Factored``).  p is coprime to 6n,
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intlinalg import PRIME_CAP, Factored, decimals, is_prime, row_hnf
+from .intlinalg import PRIME_CAP, Factored, decimals, is_prime
 from .quotients import (
     ALPHA_BETA,
     FiniteQuotient,
@@ -187,19 +190,12 @@ class Certificate:
         }
 
 
-def _subgroup_order_mod4(vectors) -> int:
-    """Order of the subgroup of (Z/4)^2 generated by the given vectors:
-    with 4Z^2 they span a lattice L of index a*d in Z^2, a and d the
-    pivots of its Hermite normal form, and the subgroup is L/4Z^2."""
-    (a, _), (_, d) = row_hnf([*{(x % 4, y % 4) for x, y in vectors}, (4, 0), (0, 4)])
-    return 16 // (a * d)
-
-
 def image_order_in_4torus(schreier: SchreierSystem) -> int:
     """Order of the image of N' N^p (p odd) in (Z/4)^2 = F / F'F^4, for
     N <= F(x, y) the subgroup of the Schreier system: the subgroup that
     the generators' exponent vectors mod 4 generate, in 2(Z/4)^2 (see the
-    module docstring).  Generator t_c x t_c'^-1 has the vector of t_c
+    module docstring): 4 once two nonzero classes are seen, else the
+    number of classes.  Generator t_c x t_c'^-1 has the vector of t_c
     plus e_x minus that of t_c', each read off its tree path once and
     kept.  A vector (x, y) mod 4 is packed as x + 16 y: a digit of a sum
     or difference of two packed vectors plus 0x44 stays in 0..15, so
@@ -238,12 +234,11 @@ def image_order_in_4torus(schreier: SchreierSystem) -> int:
             classes.add(cls)
             if len(classes) == 3:  # two distinct nonzero classes generate 2(Z/4)^2
                 return 4
-    return _subgroup_order_mod4((cls & 3, cls >> 4) for cls in classes)
+    return len(classes)  # {0} or {0, v}: each nonzero class has order 2
 
 
-def certify(input: CongruenceInput, max_cosets: int = 100_000,
-            n_oracle: NOracle | None = None) -> Certificate:
-    oracle = n_oracle or NOracle(input, max_cosets=max_cosets)
+def certify(input: CongruenceInput, n_oracle: NOracle | None = None) -> Certificate:
+    oracle = n_oracle or NOracle(input)
     n = input.k_index
     p = input.p
     image_order = image_order_in_4torus(oracle.schreier)

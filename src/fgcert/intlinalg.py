@@ -33,10 +33,6 @@ class IntMatrix:
         """The matrix whose column j is ``cols[j]``."""
         return IntMatrix(tuple(zip(*cols)))
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -54,25 +50,9 @@ class IntMatrix:
             raise ValueError("dimension mismatch")
         return IntMatrix(tuple(map(tuple, mat_mul(self.rows, other.rows))))
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(
-            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
-        )
-
-    def scaled(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(c * v for v in r) for r in self.rows))
-
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.rows)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
@@ -243,8 +223,9 @@ def row_hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return mat[:rank]
 
 
-def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the full integer kernel {v : m @ v = 0} (saturated).
+def kernel_basis(m: IntMatrix) -> list[list[int]]:
+    """Basis of the full integer kernel {v : m @ v = 0} (saturated), as
+    rows of length m.ncols in row-style Hermite normal form.
 
     Row-reduces [m^T | I]; rows whose left block vanishes record, in the
     right block, unimodular combinations lying in the kernel.

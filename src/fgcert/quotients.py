@@ -166,36 +166,19 @@ def trivial_quotient(alpha: Alphabet) -> FiniteQuotient:
 
 def abelian_quotient(alpha: Alphabet, moduli: Sequence[int]) -> FiniteQuotient:
     """Regular action of the product of cyclic groups Z/m_i, generator i
-    adding 1 to coordinate i."""
+    adding 1 to coordinate i.  Point v has coordinate i = (v // s_i) % m_i
+    for the stride s_i = m_(i+1) * ... * m_last, so generator i adds s_i,
+    or subtracts (m_i - 1) * s_i where the coordinate wraps."""
     if len(moduli) != alpha.rank:
         raise SchreierError("one modulus per generator required")
     sizes = [int(m) for m in moduli]
-    total = 1
-    for m in sizes:
-        total *= m
-
-    def encode(coords):
-        v = 0
-        for c, m in zip(coords, sizes):
-            v = v * m + c
-        return v
-
-    def decode(v):
-        coords = []
-        for m in reversed(sizes):
-            coords.append(v % m)
-            v //= m
-        return list(reversed(coords))
-
-    perms = []
-    for i in range(alpha.rank):
-        p = []
-        for v in range(total):
-            coords = decode(v)
-            coords[i] = (coords[i] + 1) % sizes[i]
-            p.append(encode(coords))
-        perms.append(tuple(p))
-    return FiniteQuotient(alpha, total, tuple(perms))
+    strides = [1] * len(sizes)
+    for i in range(len(sizes) - 1, 0, -1):
+        strides[i - 1] = strides[i] * sizes[i]
+    total = strides[0] * sizes[0]
+    perms = tuple(tuple(v - (m - 1) * s if v // s % m == m - 1 else v + s for v in range(total))
+                  for m, s in zip(sizes, strides))
+    return FiniteQuotient(alpha, total, perms)
 
 
 class SchreierSystem:
@@ -215,7 +198,7 @@ class SchreierSystem:
       tree edge, one int array per generator of the alphabet.
 
     ``table``, ``parent`` and ``parent_letter`` are lists, which the
-    sweep and the tree walks read faster than arrays.  The default
+    sweep and the tree walks read faster than arrays.  The
     ``sub_alphabet`` is numbered, e1 .. e<rank>, its names made only when
     read.  Words are read off the tree over the alphabet's shared unit
     syllables: a generator word is built on first read and cached, and
@@ -224,9 +207,7 @@ class SchreierSystem:
 
     def __init__(self, alphabet: Alphabet, table: Sequence[list[int]],
                  parent: list[int], parent_letter: list[int],
-                 edge_coset: array, edge_gen: array, sub_alphabet: Alphabet):
-        if not len(edge_coset) == len(edge_gen) == sub_alphabet.rank:
-            raise SchreierError("one name per Schreier generator required")
+                 edge_coset: array, edge_gen: array):
         self.alphabet = alphabet
         self.index = len(parent)
         self.table = table
@@ -234,7 +215,7 @@ class SchreierSystem:
         self.parent_letter = parent_letter
         self.edge_coset = edge_coset
         self.edge_gen = edge_gen
-        self.sub_alphabet = sub_alphabet
+        self.sub_alphabet = numbered_alphabet("e", len(edge_coset))
         self.scan = [array("i", [-1]) * self.index for _ in range(alphabet.rank)]
         for i, (c, gen) in enumerate(zip(edge_coset, edge_gen)):
             self.scan[gen][c] = i
@@ -370,16 +351,15 @@ class SchreierSystem:
                 self._generator_syllables(gen, exp < 0)
         return substitute(self.alphabet, syllables, inverses, sub_word.syllables)
 
-    def reordered(self, perm: Sequence[int], names: Sequence[str] | None = None) -> "SchreierSystem":
+    def reordered(self, perm: Sequence[int]) -> "SchreierSystem":
         """Same subgroup with Schreier generators listed in a new order:
         new generator i is old generator perm[i]."""
         if sorted(perm) != list(range(len(self.edge_coset))):
             raise SchreierError("perm must be a permutation of the generators")
-        sub = Alphabet(tuple(names)) if names else numbered_alphabet("e", len(perm))
         coset, gen = self.edge_coset, self.edge_gen
         return SchreierSystem(self.alphabet, self.table, self.parent, self.parent_letter,
                               array(coset.typecode, (coset[p] for p in perm)),
-                              array(gen.typecode, (gen[p] for p in perm)), sub)
+                              array(gen.typecode, (gen[p] for p in perm)))
 
 
 def schreier_rank(index: int, rank: int) -> int:
@@ -390,7 +370,6 @@ def schreier_rank(index: int, rank: int) -> int:
 
 
 def build_schreier_system(*quotients: FiniteQuotient,
-                          gen_names: Sequence[str] | None = None,
                           max_cosets: int = 100_000) -> SchreierSystem:
     """Build the Schreier system of the stabilizer of the tuple of the
     quotients' base points: the intersection of their stabilizers.
@@ -441,15 +420,13 @@ def build_schreier_system(*quotients: FiniteQuotient,
                 edge_coset.append(c)
                 edge_gen.append(gen)
 
-    sub = (numbered_alphabet("e", len(edge_coset)) if gen_names is None
-           else Alphabet(tuple(gen_names)))
-    return SchreierSystem(alpha, table, parent, parent_letter, edge_coset, edge_gen, sub)
+    return SchreierSystem(alpha, table, parent, parent_letter, edge_coset, edge_gen)
 
 
-def kernel_subgroup(q: FiniteQuotient, **kwargs) -> SchreierSystem:
+def kernel_subgroup(q: FiniteQuotient, max_cosets: int = 100_000) -> SchreierSystem:
     """Schreier system of the stabilizer of the base point (for a
     regular action, the kernel of the quotient map)."""
-    return build_schreier_system(q, **kwargs)
+    return build_schreier_system(q, max_cosets=max_cosets)
 
 
 @dataclass(frozen=True)

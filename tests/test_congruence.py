@@ -16,7 +16,6 @@ from fgcert.congruence import (
     CongruenceInput,
     MOracle,
     NOracle,
-    _subgroup_order_mod4,
     certify,
     image_order_in_4torus,
     order_bound,
@@ -289,11 +288,6 @@ def subgroup_order_mod4_by_closure(vectors):
                 elements.add(nxt)
                 frontier.append(nxt)
     return len(elements)
-
-
-@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), max_size=6))
-def test_subgroup_order_mod4_matches_the_closure(vectors):
-    assert _subgroup_order_mod4(vectors) == subgroup_order_mod4_by_closure(vectors)
 
 
 class CountedEdges:

@@ -51,6 +51,44 @@ def test_abelian_quotient_action():
     assert not q.fixes_base(parse_word("x", XY))
 
 
+def abelian_perms_by_coordinates(moduli):
+    """Oracle: the former encode/decode construction, generator i adding
+    1 mod m_i to coordinate i of the mixed-radix digits, first digit most
+    significant."""
+    def encode(coords):
+        v = 0
+        for c, m in zip(coords, moduli):
+            v = v * m + c
+        return v
+
+    def decode(v):
+        coords = []
+        for m in reversed(moduli):
+            coords.append(v % m)
+            v //= m
+        return coords[::-1]
+
+    total = 1
+    for m in moduli:
+        total *= m
+    perms = []
+    for i, m in enumerate(moduli):
+        perm = []
+        for v in range(total):
+            coords = decode(v)
+            coords[i] = (coords[i] + 1) % m
+            perm.append(encode(coords))
+        perms.append(tuple(perm))
+    return total, tuple(perms)
+
+
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=3))
+def test_abelian_quotient_matches_the_coordinate_oracle(moduli):
+    alpha = alphabet(*"xyz"[:len(moduli)])
+    q = abelian_quotient(alpha, moduli)
+    assert (q.size, q.perms) == abelian_perms_by_coordinates(moduli)
+
+
 def test_trivial_quotient():
     q = trivial_quotient(XY)
     assert q.size == 1

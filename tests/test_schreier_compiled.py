@@ -35,7 +35,7 @@ from fgcert.quotients import (
     rank2_outer_hom,
     rank3_c2_kernel,
 )
-from fgcert.words import Alphabet, Word, WordError, alphabet, random_word
+from fgcert.words import Alphabet, Word, alphabet, random_word
 from word_letters import letters
 
 XY = alphabet("x", "y")
@@ -427,15 +427,6 @@ def test_coset_cap_on_product_action():
 def test_bad_build_arguments_are_rejected():
     with pytest.raises(SchreierError):
         build_schreier_system(abelian_quotient(XYZ, (2, 2, 2)), abelian_quotient(XY, (2, 2)))
-    with pytest.raises(SchreierError):
-        build_schreier_system(abelian_quotient(XY, (2, 2)), gen_names=["a", "b"])
-    # explicit names are still validated
-    for names in (["a", "b", "c", "d", "1e"], ["a", "b", "c", "d", "a"]):
-        with pytest.raises(WordError):
-            build_schreier_system(abelian_quotient(XY, (2, 2)), gen_names=names)
-    named = build_schreier_system(abelian_quotient(XY, (2, 2)), gen_names="abcde")
-    assert named.sub_alphabet == alphabet(*"abcde")
-    assert str(named.rewrite(named.generators[4])) == "e"
 
 
 def test_build_needs_quotients_over_one_alphabet():

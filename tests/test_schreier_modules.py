@@ -4,9 +4,10 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from fgcert.homs import compose_auts, shear_alpha3, shear_beta3
-from fgcert.intlinalg import IntMatrix
+from fgcert.intlinalg import IntMatrix, Lattice, kernel_basis
 from fgcert.quotients import FiniteQuotient, SchreierError, kernel_subgroup, rank3_c2_kernel
 from fgcert.schreier_modules import (
     abelianized_image,
@@ -14,9 +15,10 @@ from fgcert.schreier_modules import (
     conjugation_matrix,
     eigen_lattice,
     induced_action,
-    preserves_subgroup,
 )
 from fgcert.words import alphabet, parse_word
+from nielsen import nielsen_inversion, nielsen_permutation, nielsen_transvection
+from test_schreier_compiled import quotients
 
 XYZ = alphabet("x", "y", "z")
 
@@ -74,15 +76,60 @@ def test_conjugation_by_a_non_normalizing_element_raises():
         conjugation_matrix(s, parse_word("x", s.alphabet))
 
 
+def preserves_both_ways(s, aut):
+    """Oracle: aut maps every Schreier generator into the subgroup, and
+    so does its inverse."""
+    return all(s.contains(aut.forward(e)) and s.contains(aut.backward(e))
+               for e in s.generators)
+
+
+def action_columns(s, aut):
+    """Oracle: action_matrix column by column, each column the exponent
+    sums of the rewritten word rewrite(aut(e_j))."""
+    return IntMatrix.from_columns([s.rewrite(aut(e)).exponent_sums() for e in s.generators])
+
+
 def test_action_matrix_rejects_non_preserving():
     # swapping x and y does not preserve the kernel of x -> involution
-    from nielsen import nielsen_permutation
-
     s = rank3_c2_kernel()
     swap_xy = nielsen_permutation(XYZ, (1, 0, 2))
-    with pytest.raises(SchreierError):
+    with pytest.raises(SchreierError, match="^automorphism does not preserve the subgroup$"):
         action_matrix(s, swap_xy)
-    assert not preserves_subgroup(s, swap_xy)
+    assert not preserves_both_ways(s, swap_xy)
+
+
+@st.composite
+def nielsen_products(draw, alpha):
+    """A product of one to four Nielsen moves of F(alpha)."""
+    n = alpha.rank
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    moves = st.one_of(
+        st.builds(lambda ij, e, side: nielsen_transvection(alpha, *ij, e, side),
+                  pair, st.sampled_from([1, -1]), st.sampled_from(["right", "left"])),
+        st.builds(lambda i: nielsen_inversion(alpha, i), st.integers(0, n - 1)),
+        st.builds(lambda perm: nielsen_permutation(alpha, tuple(perm)),
+                  st.permutations(range(n))))
+    auts = draw(st.lists(moves, min_size=1, max_size=4))
+    product = auts[0]
+    for aut in auts[1:]:
+        product = compose_auts(product, aut)
+    return product
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_action_matrix_matches_the_two_sided_check(data):
+    """On kernels of random finite quotients, action_matrix raises
+    exactly when the two-sided preservation check fails, and otherwise
+    equals the column-by-column oracle."""
+    q = data.draw(quotients())
+    aut = data.draw(nielsen_products(q.alphabet))
+    s = kernel_subgroup(q)
+    if preserves_both_ways(s, aut):
+        assert action_matrix(s, aut) == action_columns(s, aut)
+    else:
+        with pytest.raises(SchreierError, match="^automorphism does not preserve the subgroup$"):
+            action_matrix(s, aut)
 
 
 def test_abelianized_image_is_exponent_vector():
@@ -117,6 +164,20 @@ def test_eigenlattice_against_sympy():
             assert lat.rank == len(shifted.nullspace())
             for v in lat.basis:
                 assert list(shifted * sympy.Matrix(v)) == [0] * n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+           st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)),
+       st.integers(-2, 2))
+def test_eigen_lattice_matches_the_shifted_kernel(rows, lam):
+    """The eigenlattice against the saturated kernel of m - lam*I, the
+    shifted matrix built here and its kernel put through Lattice.from_rows."""
+    n = len(rows)
+    shifted = IntMatrix.from_rows(
+        [[v - lam * (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)])
+    assert eigen_lattice(IntMatrix.from_rows(rows), lam) == Lattice.from_rows(
+        n, kernel_basis(shifted))
 
 
 def test_induced_action_golden():
