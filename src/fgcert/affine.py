@@ -21,7 +21,8 @@ are one U.  Hence the submodule generated by seeds w is V (x) U with U
 spanned by the coordinate slices (w[c][u])_c, and it has dimension
 (r-1) rank U.
 
-Elements of the big group are represented structurally; nothing is ever
+Elements of the big group are represented structurally, an element of
+Delta as a pair (a, b) that acts on V through ``act``; nothing is ever
 enumerated.
 """
 
@@ -79,7 +80,9 @@ def smallest_prime_1_mod(r: int) -> int:
     raise AffineError(f"no prime p = 1 mod {r} up to the cap 2^40 on p")
 
 
+@functools.cache
 def primitive_root(r: int) -> int:
+    """The smallest primitive root mod r, searched for once per r."""
     for a in range(2, r):
         if multiplicative_order(a, r) == r - 1:
             return a
@@ -146,7 +149,10 @@ class AffineParams:
 
 
 # ---------------------------------------------------------------------------
-# The affine group Delta and its linear representation on V
+# The affine group Delta = AGL_1(r), held as pairs (a, b), and its faithful
+# representation on V: the translation part acts as D = diag(xi, ..., xi^(r-1)),
+# the multiplicative part as the permutation matrix e_i -> e_(a*i mod r).
+# D is (1, 1) and S is (a, 0) for the smallest primitive root a mod r.
 # ---------------------------------------------------------------------------
 
 
@@ -164,36 +170,22 @@ def delta_inverse(r: int, d: tuple[int, int]) -> tuple[int, int]:
     return (a_inv, (-b * a_inv) % r)
 
 
-class DeltaGroup:
-    """AGL_1(r) with its faithful (r-1)-dimensional representation over
-    F_p: the translation part acts as D = diag(xi, ..., xi^(r-1)), the
-    multiplicative part as the permutation matrix e_i -> e_(a*i mod r)."""
+def monomial(params: AffineParams, d: tuple[int, int]) -> tuple[list[int], list[int]]:
+    """P_a D^b as (perm, scale): column j is scale[j] e_perm[j], so
+    e_i goes to xi^(ib) e_(a*i mod r), 1-based."""
+    a, b = d
+    r, p, xi = params.r, params.p, params.xi
+    return ([x % r - 1 for x in range(a, a * r, a)],
+            [pow(xi, i * b, p) for i in range(1, r)])
 
-    def __init__(self, params: AffineParams):
-        self.params = params
-        self.r = params.r
-        self.p = params.p
-        self.xi = params.xi
-        self.a = primitive_root(self.r)
-        self.order = self.r * (self.r - 1)
-        self.d_gen = (1, 1)           # the translation generator D
-        self.s_gen = (self.a, 0)      # the multiplicative generator S
 
-    def monomial(self, d: tuple[int, int]) -> tuple[list[int], list[int]]:
-        """P_a D^b as (perm, scale): column j is scale[j] e_perm[j], so
-        e_i goes to xi^(ib) e_(a*i mod r), 1-based."""
-        a, b = d
-        r, p, xi = self.r, self.p, self.xi
-        return ([x % r - 1 for x in range(a, a * r, a)],
-                [pow(xi, i * b, p) for i in range(1, r)])
-
-    def act(self, d: tuple[int, int], v: Sequence[int]) -> tuple[int, ...]:
-        perm, scale = self.monomial(d)
-        p = self.p
-        out = [0] * len(perm)
-        for i, x, s in zip(perm, v, scale):
-            out[i] = x * s % p
-        return tuple(out)
+def act(params: AffineParams, d: tuple[int, int], v: Sequence[int]) -> tuple[int, ...]:
+    perm, scale = monomial(params, d)
+    p = params.p
+    out = [0] * len(perm)
+    for i, x, s in zip(perm, v, scale):
+        out[i] = x * s % p
+    return tuple(out)
 
 
 def monomial_mul(p: int, m1, m2) -> tuple[list[int], list[int]]:
@@ -204,13 +196,6 @@ def monomial_mul(p: int, m1, m2) -> tuple[list[int], list[int]]:
     perm2, scale2 = m2
     return ([perm1[i] for i in perm2],
             [s * scale1[i] % p for i, s in zip(perm2, scale2)])
-
-
-@functools.cache
-def delta_group(params: AffineParams) -> DeltaGroup:
-    """The one DeltaGroup of ``params``, so that its primitive root is
-    found once, not on every product in the big group."""
-    return DeltaGroup(params)
 
 
 @dataclass(frozen=True)
@@ -224,18 +209,16 @@ class GammaElement:
     def __mul__(self, other: "GammaElement") -> "GammaElement":
         if self.params != other.params:
             raise AffineError("parameter mismatch")
-        group = delta_group(self.params)
-        p = self.params.p
+        params, p = self.params, self.params.p
         w = tuple(
-            tuple((x + y) % p for x, y in zip(v1, group.act(self.delta_part, v2)))
+            tuple((x + y) % p for x, y in zip(v1, act(params, self.delta_part, v2)))
             for v1, v2 in zip(self.w_part, other.w_part))
         return GammaElement(self.params, w, delta_mul(self.params.r, self.delta_part, other.delta_part))
 
     def inverse(self) -> "GammaElement":
-        group = delta_group(self.params)
-        p = self.params.p
-        d_inv = delta_inverse(self.params.r, self.delta_part)
-        w = tuple(tuple((-x) % p for x in group.act(d_inv, v)) for v in self.w_part)
+        params, p = self.params, self.params.p
+        d_inv = delta_inverse(params.r, self.delta_part)
+        w = tuple(tuple((-x) % p for x in act(params, d_inv, v)) for v in self.w_part)
         return GammaElement(self.params, w, d_inv)
 
     def __pow__(self, n: int) -> "GammaElement":
@@ -246,9 +229,6 @@ class GammaElement:
             result = result * self
         return result
 
-    def is_pure_translation(self) -> bool:
-        return self.delta_part == (1, 0)
-
 
 def gamma_identity(params: AffineParams) -> GammaElement:
     zero = (0,) * params.dim
@@ -258,15 +238,14 @@ def gamma_identity(params: AffineParams) -> GammaElement:
 def gamma_generators(params: AffineParams) -> tuple[GammaElement, GammaElement]:
     """The two claimed generators: D' carries the standard basis vectors
     e_1..e_(r-2) in its W part, S' has trivial W part."""
-    group = delta_group(params)
     basis = []
     for i in range(params.copies):
         v = [0] * params.dim
         v[i] = 1
         basis.append(tuple(v))
-    d_prime = GammaElement(params, tuple(basis), group.d_gen)
+    d_prime = GammaElement(params, tuple(basis), (1, 1))
     zero = (0,) * params.dim
-    s_prime = GammaElement(params, (zero,) * params.copies, group.s_gen)
+    s_prime = GammaElement(params, (zero,) * params.copies, (primitive_root(params.r), 0))
     return d_prime, s_prime
 
 
@@ -283,10 +262,10 @@ def gamma_order(params: AffineParams) -> Factored:
 def build_delta(params: AffineParams) -> dict:
     """Construct Delta and verify its defining relations D^r = S^(r-1) = 1
     and S^-1 D S = D^a on monomial matrices."""
-    group = delta_group(params)
-    p, r, a = params.p, params.r, group.a
-    d_mon, s_mon = group.monomial(group.d_gen), group.monomial(group.s_gen)
-    identity = group.monomial((1, 0))
+    p, r = params.p, params.r
+    a = primitive_root(r)
+    d_mon, s_mon = monomial(params, (1, 1)), monomial(params, (a, 0))
+    identity = monomial(params, (1, 0))
 
     def power(m, n):
         result = identity
@@ -294,13 +273,13 @@ def build_delta(params: AffineParams) -> dict:
             result = monomial_mul(p, result, m)
         return result
 
-    s_inv = group.monomial((pow(a, -1, r), 0))
+    s_inv = monomial(params, (pow(a, -1, r), 0))
     checks = {
-        "order": group.order,
+        "order": r * (r - 1),
         "d_power_r_is_identity": power(d_mon, r) == identity,
         "s_power_r_minus_1_is_identity": power(s_mon, r - 1) == identity,
         "conjugation_relation":
-            monomial_mul(p, monomial_mul(p, s_inv, d_mon), s_mon) == group.monomial((1, a)),
+            monomial_mul(p, monomial_mul(p, s_inv, d_mon), s_mon) == monomial(params, (1, a)),
     }
     checks["passed"] = all(v for k, v in checks.items() if k != "order")
     return checks
@@ -310,15 +289,15 @@ def irreducibility_certificate(params: AffineParams) -> dict:
     """V is irreducible: D has r-1 distinct eigenvalues, so invariant
     subspaces are sums of coordinate eigenlines, and the multiplicative
     part permutes those lines in a single orbit."""
-    group = delta_group(params)
     p, r = params.p, params.r
+    a = primitive_root(r)
     eigenvalues = [pow(params.xi, i, p) for i in range(1, r)]
     distinct = len(set(eigenvalues)) == r - 1
     # orbit of line index 1 under i -> a*i mod r
     orbit = {1}
     i = 1
     for _ in range(r - 1):
-        i = group.a * i % r
+        i = a * i % r
         orbit.add(i)
     transitive = orbit == set(range(1, r))
     return {
@@ -368,16 +347,15 @@ def conjugate_translation(params: AffineParams, l: int) -> tuple[GammaElement, i
     """w = S'^l D' S'^-l D'^k with k chosen so the affine part cancels;
     returns (w, k).  w lies in W and the vector e_(r-1) appears only in
     entry k of its W part."""
-    group = delta_group(params)
     r = params.r
-    s_l = (pow(group.a, l, r), 0)
-    conj = delta_mul(r, delta_mul(r, s_l, group.d_gen), delta_inverse(r, s_l))
+    s_l = (pow(primitive_root(r), l, r), 0)
+    conj = delta_mul(r, delta_mul(r, s_l, (1, 1)), delta_inverse(r, s_l))
     k = (r - conj[1]) % r
     if not 1 <= k <= r - 2:
         raise AffineError(f"exponent k = {k} out of range for l = {l}")
     d_prime, s_prime = gamma_generators(params)
     w = (s_prime ** l) * d_prime * (s_prime ** -l) * (d_prime ** k)
-    if not w.is_pure_translation():
+    if w.delta_part != (1, 0):
         raise AffineError(f"affine part of w did not cancel for l = {l}")
     return w, k
 
@@ -397,14 +375,12 @@ def two_generation_certificate(params: AffineParams) -> dict:
     lemma's two hypotheses.  The keys ``*_spun_dimension`` keep their
     names from the spinning computation, for byte-identical reports.
     """
-    group = delta_group(params)
-    p, r = params.p, params.r
+    p, r, a = params.p, params.r, primitive_root(params.r)
     dim, copies = params.dim, params.copies
     irred = irreducibility_certificate(params)
 
     # l with P_(a^l) e_(r-1) = e_1, i.e. a^l (r-1) = 1 mod r
-    l = next((m for m in range(1, r - 1)
-              if pow(group.a, m, r) * (r - 1) % r == 1), None)
+    l = next((m for m in range(1, r - 1) if pow(a, m, r) * (r - 1) % r == 1), None)
     if l is None:
         raise AffineError("no power of S sends the last basis vector to the first")
     w_elt, k = conjugate_translation(params, l)

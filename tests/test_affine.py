@@ -8,12 +8,10 @@ from fgcert.affine import (
     R_CAP,
     AffineError,
     AffineParams,
-    DeltaGroup,
     GammaElement,
     build_delta,
     closure_dimensions,
     conjugate_translation,
-    delta_group,
     delta_inverse,
     delta_mul,
     diagonal_projection,
@@ -24,6 +22,7 @@ from fgcert.affine import (
     irreducibility_certificate,
     monomial_mul,
     multiplicative_order,
+    primitive_root,
     smallest_prime_1_mod,
     smallest_root_of_order,
     two_generation_certificate,
@@ -118,17 +117,17 @@ def perm_matrix(r, a):
     return mat
 
 
-def diag_matrix(group, b):
+def diag_matrix(params, b):
     """Reference: D^b = diag(xi^b, xi^(2b), ..., xi^((r-1)b))."""
-    n = group.r - 1
-    return [[pow(group.xi, (i + 1) * b, group.p) if i == j else 0 for j in range(n)]
+    n = params.r - 1
+    return [[pow(params.xi, (i + 1) * b, params.p) if i == j else 0 for j in range(n)]
             for i in range(n)]
 
 
-def dense_matrix(group, d):
+def dense_matrix(params, d):
     """Reference: P_a D^b; each entry is a single product, already reduced."""
     a, b = d
-    return mat_mul(perm_matrix(group.r, a), diag_matrix(group, b))
+    return mat_mul(perm_matrix(params.r, a), diag_matrix(params, b))
 
 
 def mat_pow(mat, n, p):
@@ -149,16 +148,16 @@ def from_monomial(m):
 
 def dense_build_delta(params):
     """Reference: Delta's defining relations by dense (r-1)x(r-1) products."""
-    group = affine.delta_group(params)
-    p, r = group.p, group.r
-    d_mat, s_mat = dense_matrix(group, group.d_gen), dense_matrix(group, group.s_gen)
-    conj = mat_mul(mat_mul(perm_matrix(r, pow(group.a, -1, r)), d_mat), s_mat)
+    p, r = params.p, params.r
+    a = primitive_root(r)
+    d_mat, s_mat = dense_matrix(params, (1, 1)), dense_matrix(params, (a, 0))
+    conj = mat_mul(mat_mul(perm_matrix(r, pow(a, -1, r)), d_mat), s_mat)
     checks = {
-        "order": group.order,
+        "order": r * (r - 1),
         "d_power_r_is_identity": mat_pow(d_mat, r, p) == identity(r - 1),
         "s_power_r_minus_1_is_identity": mat_pow(s_mat, r - 1, p) == identity(r - 1),
         "conjugation_relation":
-            [[v % p for v in row] for row in conj] == dense_matrix(group, (1, group.a)),
+            [[v % p for v in row] for row in conj] == dense_matrix(params, (1, a)),
     }
     checks["passed"] = all(v for k, v in checks.items() if k != "order")
     return checks
@@ -184,46 +183,42 @@ def small_params():
 def test_representation_is_homomorphism():
     rng = random.Random(1)
     for params in small_params():
-        group = DeltaGroup(params)
         p, r = params.p, params.r
         for _ in range(20):
             d1, d2 = ((rng.randrange(1, r), rng.randrange(r)) for _ in range(2))
-            prod = monomial_mul(p, group.monomial(d1), group.monomial(d2))
-            assert prod == group.monomial(delta_mul(r, d1, d2))
+            prod = monomial_mul(p, affine.monomial(params, d1), affine.monomial(params, d2))
+            assert prod == affine.monomial(params, delta_mul(r, d1, d2))
             # the action agrees with the matrix
             v = tuple(rng.randrange(p) for _ in range(r - 1))
-            assert group.act(d1, v) == tuple(sum(a * x for a, x in zip(row, v)) % p
-                                             for row in dense_matrix(group, d1))
+            assert affine.act(params, d1, v) == tuple(sum(a * x for a, x in zip(row, v)) % p
+                                                      for row in dense_matrix(params, d1))
 
 
 def test_monomials_match_dense_matrices():
     rng = random.Random(2)
     for params in small_params():
-        group = DeltaGroup(params)
         p, r = params.p, params.r
         for _ in range(20):
             d1, d2 = ((rng.randrange(1, r), rng.randrange(r)) for _ in range(2))
-            m1, m2 = group.monomial(d1), group.monomial(d2)
-            dense1, dense2 = dense_matrix(group, d1), dense_matrix(group, d2)
+            m1, m2 = affine.monomial(params, d1), affine.monomial(params, d2)
+            dense1, dense2 = dense_matrix(params, d1), dense_matrix(params, d2)
             assert from_monomial(m1) == dense1
             prod = monomial_mul(p, m1, m2)
             assert from_monomial(prod) == [[v % p for v in row] for row in mat_mul(dense1, dense2)]
             n = rng.randrange(r + 1)
-            power = group.monomial((1, 0))
+            power = affine.monomial(params, (1, 0))
             for _ in range(n):
                 power = monomial_mul(p, power, m1)
             assert from_monomial(power) == mat_pow(dense1, n, p)
 
 
-def test_build_delta_matches_dense(monkeypatch):
+def test_build_delta_matches_dense():
     for params in small_params():
         assert build_delta(params) == dense_build_delta(params)
     # with xi of order 2r the relation D^r = 1 fails by either route
-    group = DeltaGroup(PARAMS)
-    group.xi = 2
-    monkeypatch.setattr(affine, "delta_group", lambda params: group)
-    checks = build_delta(PARAMS)
-    assert checks == dense_build_delta(PARAMS)
+    bad = unchecked_params(5, 11, 2)
+    checks = build_delta(bad)
+    assert checks == dense_build_delta(bad)
     assert not checks["d_power_r_is_identity"] and not checks["passed"]
 
 
@@ -280,13 +275,12 @@ def test_generator_powers_stay_scalar():
 def dense_projection(params, coord):
     """Reference: C = sum beta_j D^j as a dense matrix, with beta solved
     from the Vandermonde system by elimination."""
-    group = delta_group(params)
     p, dim = params.p, params.dim
     vander = [[pow(params.xi, (i + 1) * j, p) for j in range(dim)] for i in range(dim)]
     beta = [row[0] for row in solve_mod(vander, [[int(i == coord)] for i in range(dim)], p)]
     c_mat = [[0] * dim for _ in range(dim)]
     for j, b in enumerate(beta):
-        dj = diag_matrix(group, j)
+        dj = diag_matrix(params, j)
         c_mat = [[(c + b * d) % p for c, d in zip(row, drow)] for row, drow in zip(c_mat, dj)]
     return c_mat
 
@@ -341,7 +335,6 @@ def test_geometric_sums_match_powers():
 def test_commuting_copy_mixing_action():
     # the entrywise affine action and any linear mixing of the copies
     # commute on W = V (x) F_p^(r-2)
-    group = DeltaGroup(PARAMS)
     rng = random.Random(3)
     dim, copies, p = PARAMS.dim, PARAMS.copies, PARAMS.p
     for _ in range(30):
@@ -354,7 +347,7 @@ def test_commuting_copy_mixing_action():
                           for t in range(dim)) for i in range(copies)]
 
         def acted(vecs):
-            return [group.act(d, v) for v in vecs]
+            return [affine.act(PARAMS, d, v) for v in vecs]
 
         assert mixed(acted(w)) == acted(mixed(w))
 
@@ -402,20 +395,21 @@ def test_r_above_the_certificate_cap_is_rejected(monkeypatch):
         AffineParams(67, 269, 2)
 
 
-def test_delta_group_is_built_once(monkeypatch):
-    group = delta_group(PARAMS)
-    assert delta_group(AffineParams(5, 11, 3)) is group
-    assert delta_group(AffineParams(5, 11, 4)) is not group
+def test_primitive_root_is_searched_once_per_r(monkeypatch):
+    # the same r with another p, and with another xi
+    same_r = [AffineParams.choose(5, 31), AffineParams(5, 11, 4)]
+    assert primitive_root(5) == 2
 
-    def no_search(r):
+    def no_search(x, p):
         raise AssertionError("primitive_root searched again")
 
-    monkeypatch.setattr(affine, "primitive_root", no_search)
+    monkeypatch.setattr(affine, "multiplicative_order", no_search)
     rng = random.Random(4)
-    g, h = rand_gamma(rng, PARAMS), rand_gamma(rng, PARAMS)
-    assert (g * h) * h.inverse() == g
-    assert build_delta(PARAMS)["passed"]
-    assert two_generation_certificate(PARAMS)["passed"]
+    for params in same_r:
+        g, h = rand_gamma(rng, params), rand_gamma(rng, params)
+        assert (g * h) * h.inverse() == g
+        assert build_delta(params)["passed"]
+        assert two_generation_certificate(params)["passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -458,17 +452,17 @@ def spin_dimensions(params, seeds):
     """Reference: (total, per-copy) dimensions of the Delta-submodule of W
     that the seeds generate, by spinning flat vectors of length
     (r-1)(r-2) under the entrywise action of D and S."""
-    group = delta_group(params)
     dim, copies, p = params.dim, params.copies, params.p
 
     def entrywise(d):
         def act(flat):
             return tuple(x for c in range(copies)
-                         for x in group.act(d, flat[c * dim:(c + 1) * dim]))
+                         for x in affine.act(params, d, flat[c * dim:(c + 1) * dim]))
         return act
 
     flat = [tuple(x for v in w for x in v) for w in seeds]
-    basis = spin_closure(flat, [entrywise(group.d_gen), entrywise(group.s_gen)], p)
+    s_gen = (primitive_root(params.r), 0)
+    basis = spin_closure(flat, [entrywise((1, 1)), entrywise(s_gen)], p)
     per_copy = []
     for c in range(copies):
         proj = [row[c * dim:(c + 1) * dim] for row in basis]
@@ -479,10 +473,10 @@ def spin_dimensions(params, seeds):
 def spin_two_generation_certificate(params):
     """Reference: the two-generation certificate with the closure found by
     spinning and C applied as a full matrix."""
-    group = delta_group(params)
     p, r = params.p, params.r
     dim, copies = params.dim, params.copies
-    l = next(m for m in range(1, r - 1) if pow(group.a, m, r) * (r - 1) % r == 1)
+    a = primitive_root(r)
+    l = next(m for m in range(1, r - 1) if pow(a, m, r) * (r - 1) % r == 1)
     w_elt, k = affine.conjugate_translation(params, l)
     e1_confined = all(w_elt.w_part[j][0] % p == 0 for j in range(1, copies))
     e1_present = w_elt.w_part[0][0] % p != 0

@@ -15,15 +15,13 @@ from fgcert.magnus import (
     fox_coordinates,
     fox_identity_holds,
     j_composition_identity,
-    j_identity,
     j_of_endo,
     ka_check,
     local_commutator_check,
     magnus_image,
     mat_mul,
-    twist_matrix,
 )
-from fgcert.words import Word, _reduce, alphabet, parse_word, random_word
+from fgcert.words import Word, WordError, _reduce, alphabet, parse_word, random_word
 from word_letters import letters
 import word_ring
 
@@ -307,11 +305,26 @@ def test_endo_on_ring_matches_the_word_ring(h, pair):
     assert word_ring.as_word_ring(magnus.endo_on_ring(h, e)) == word_ring.endo_on_ring(h, ref)
 
 
+def test_endo_on_ring_refuses_a_hom_that_is_not_an_endomorphism():
+    # y -> v^2 into F(u, v, w) must not come back as y^2 over (x, y)
+    h = hom(XY, "u", "v^2", codomain=alphabet("u", "v", "w"))
+    e = FreeGroupRingElement.monomial(parse_word("y", XY))
+    with pytest.raises(WordError, match="needs an endomorphism"):
+        magnus.endo_on_ring(h, e)
+    with pytest.raises(WordError, match="needs an endomorphism"):
+        j_composition_identity(h, hom(XY, "x y", "y"))
+
+
+def twisted(f, mat):
+    """f applied to each entry of a matrix over Z[F_n]."""
+    return [[magnus.endo_on_ring(f, e) for e in row] for row in mat]
+
+
 @settings(max_examples=40)
 @given(endomorphisms(), endomorphisms())
 def test_j_composition_matches_the_word_ring(f, g):
     lhs = j_of_endo(compose(f, g))
-    rhs = mat_mul(j_of_endo(f), twist_matrix(f, j_of_endo(g)))
+    rhs = mat_mul(j_of_endo(f), twisted(f, j_of_endo(g)))
     ref_lhs, ref_rhs = word_ring.j_composition_sides(f, g)
     as_ref = lambda mat: [[word_ring.as_word_ring(e) for e in row] for row in mat]
     assert as_ref(lhs) == ref_lhs and as_ref(rhs) == ref_rhs
@@ -343,7 +356,8 @@ def test_fox_checks_build_no_word_per_term(monkeypatch):
 
 
 def test_j_of_identity():
-    assert j_of_endo(hom(XY, "x", "y")) == j_identity(XY)
+    one, zero = FreeGroupRingElement.one(XY), FreeGroupRingElement.zero(XY)
+    assert j_of_endo(hom(XY, "x", "y")) == [[one, zero], [zero, one]]
 
 
 def test_j_composition_golden_pair():
@@ -353,30 +367,30 @@ def test_j_composition_golden_pair():
     assert j_composition_identity(g, f)
 
 
-def test_j_composition_random():
+def random_endomorphism_pairs():
     rng = random.Random(21)
     for _ in range(40):
         f = hom(XY, str(random_word(rng, XY, 5)), str(random_word(rng, XY, 5)))
         g = hom(XY, str(random_word(rng, XY, 5)), str(random_word(rng, XY, 5)))
+        yield f, g
+
+
+def test_j_composition_random():
+    for f, g in random_endomorphism_pairs():
         assert j_composition_identity(f, g)
-        assert j_composition_identity(f, g, m=4)
 
 
-def test_twist_respects_finite_push():
-    f = hom(XY, "x", "y x^2")
-    w = parse_word("x y x^-1", XY)
-    coords = fox_coordinates(w)
-    pushed = [push_to_finite(c, 3) for c in coords]
-    twisted = twist_matrix(f, [pushed], 3)
-    direct = [push_to_finite(c, 3) for c in
-              (c_applied for c_applied in _apply_endo(f, coords))]
-    assert twisted == [direct]
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_j_composition_pushed_to_the_finite_ring(m):
+    # both sides of the free chain rule pushed to Z_m[(Z/m)^n], the
+    # right side multiplied there
+    def push(mat):
+        return [[push_to_finite(e, m) for e in row] for row in mat]
 
-
-def _apply_endo(f, coords):
-    from fgcert.magnus import endo_on_ring
-
-    return [endo_on_ring(f, c) for c in coords]
+    for f, g in random_endomorphism_pairs():
+        lhs = push(j_of_endo(compose(f, g)))
+        assert lhs == mat_mul(push(j_of_endo(f)), push(twisted(f, j_of_endo(g))))
+        assert lhs == j_of_endo(compose(f, g), m)
 
 
 def test_acts_trivially_mod():
