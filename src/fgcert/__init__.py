@@ -12,9 +12,7 @@ from .homs import (
     compose,
     compose_auts,
     hom,
-    identity_hom,
     inner_aut,
-    parse_hom,
 )
 from .quotients import (
     FiniteQuotient,

@@ -454,6 +454,16 @@ def verify(suite: str, seed: int | None, out: str | None, fmt: str) -> None:
 # take years.
 SAMPLES_CAP = 1_000_000
 
+# Cap on the syllables that quotients schreier prints, counted from the
+# BFS tree before any word is built.  The output grows with the square
+# of the index: on a 2-vCPU host a "ladder" quotient, a = (0 1)(2 3)...
+# and b = (1 2)(3 4)..., asks for 1.5M syllables at 1,000 points (4.5 MB
+# of JSON, 47 MB peak RSS, 0.5 s), 6.0M at 2,000 (18 MB, 134 MB, 1.7 s)
+# and 24M at 4,000 (72 MB, 663 MB, 6.3 s) from a 46 kB file.  The cap
+# admits about 15 MB of JSON, as DIGIT_CAP does for certificates; the
+# 90,000 cosets of (Z/300)^2 need 0.63M.
+SYLLABLE_CAP = 5_000_000
+
 
 @main.group()
 def congruence() -> None:
@@ -473,7 +483,8 @@ def congruence() -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def congruence_certify(k_path: str | None, prime: int, samples: int,
                        seed: int, out: str | None) -> None:
-    """Build N and M for the given K and p and certify the order bound."""
+    """Build N for the given K and p and certify the order of F/M
+    against the bound."""
     if k_path is None:
         quotient = trivial_quotient(ALPHA_BETA)
     else:
@@ -555,6 +566,11 @@ def quotients_schreier(path: str, max_cosets: int) -> None:
         system = kernel_subgroup(quotient, max_cosets=max_cosets)
     except SchreierError as exc:
         raise click.UsageError(str(exc))
+    syllables = system.syllable_bound()
+    if syllables > SYLLABLE_CAP:
+        raise click.UsageError(
+            f"the transversal and generator words have up to {syllables} syllables, "
+            f"above the cap {SYLLABLE_CAP} on output syllables")
     payload = {
         "index": system.index,
         "rank": schreier_rank(system.index, quotient.alphabet.rank),

@@ -37,7 +37,7 @@ arithmetic, not floating point: every rounding is trapped and raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .intlinalg import PRIME_CAP, Factored, decimals, is_prime
 from .quotients import (
@@ -111,7 +111,10 @@ class NOracle:
         self.transversal = self.delta.transversal  # (1, x, y, xy)
 
         mod6 = abelian_quotient(F2, (6, 6))
-        conjugated = [induced_quotient(self.pi, input.k_quotient, base_shift=t)
+        # pi^-1(K) is the stabilizer of the preimage action's base point,
+        # and its conjugate by t_i that of the point t_i leads the base to
+        preimage = induced_quotient(self.pi, input.k_quotient)
+        conjugated = [replace(preimage, base_point=preimage.act_word(preimage.base_point, t))
                       for t in self.transversal]
         self.schreier = build_schreier_system(mod6, *conjugated, max_cosets=max_cosets)
         self.index = self.schreier.index

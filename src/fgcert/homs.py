@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intlinalg import IntMatrix
 from .words import (
     Alphabet,
     Word,
@@ -50,35 +49,11 @@ class FreeHom:
     def is_endo(self) -> bool:
         return self.domain == self.codomain
 
-    def __str__(self) -> str:
-        return "\n".join(
-            f"{name} -> {img}" for name, img in zip(self.domain.names, self.images)
-        )
-
-
-def identity_hom(alpha: Alphabet) -> FreeHom:
-    return FreeHom(alpha, alpha, tuple(alpha.generators()))
-
 
 def hom(alpha: Alphabet, *image_texts: str, codomain: Alphabet | None = None) -> FreeHom:
     """Build a hom from image strings, one per generator."""
     codomain = codomain or alpha
     return FreeHom(alpha, codomain, tuple(parse_word(t, codomain) for t in image_texts))
-
-
-def parse_hom(text: str, alpha: Alphabet, codomain: Alphabet | None = None) -> FreeHom:
-    """Parse the ``name -> word`` line format (one line per generator)."""
-    codomain = codomain or alpha
-    images: dict[str, Word] = {}
-    for line in text.strip().splitlines():
-        lhs, _, rhs = line.partition("->")
-        name = lhs.strip()
-        if name in images:
-            raise WordError(f"duplicate image for {name!r}")
-        images[name] = parse_word(rhs.strip(), codomain)
-    if set(images) != set(alpha.names):
-        raise WordError("images must cover exactly the domain generators")
-    return FreeHom(alpha, codomain, tuple(images[n] for n in alpha.names))
 
 
 def compose(f: FreeHom, g: FreeHom) -> FreeHom:
@@ -135,14 +110,6 @@ def inner_aut(g: Word) -> VerifiedAut:
     fwd = FreeHom(alpha, alpha, tuple(x.conjugated_by(g) for x in alpha.generators()))
     bwd = FreeHom(alpha, alpha, tuple(x.conjugated_by(ginv) for x in alpha.generators()))
     return VerifiedAut(fwd, bwd)
-
-
-def abelianization_matrix(h: FreeHom) -> IntMatrix:
-    """Column i = exponent-sum vector of the image of generator i, so
-    composition maps to matrix product."""
-    if not h.is_endo():
-        raise WordError("abelianization matrix needs an endomorphism")
-    return IntMatrix.from_columns([img.exponent_sums() for img in h.images])
 
 
 # ---------------------------------------------------------------------------

@@ -103,9 +103,6 @@ class Factored:
         if self.p < 2 or self.cofactor < 1 or self.exponent < 0 or self.cofactor % self.p == 0:
             raise ValueError(f"not a cofactor prime to p times a power of p: {self}")
 
-    def __int__(self) -> int:
-        return self.cofactor * self.p ** self.exponent
-
     def divides(self, other: "Factored") -> bool:
         """Whether self divides other: p-parts and cofactors apart,
         since neither cofactor has a factor p."""
@@ -121,7 +118,7 @@ class Factored:
         return len(str(self.cofactor)) + blocks * len(str(self.p ** 64))
 
     def decimal(self) -> str:
-        """The decimal digits of the value, equal to ``str(int(self))``."""
+        """The decimal digits of the value, cofactor * p**exponent."""
         return decimals([self])[0]
 
 
@@ -270,6 +267,3 @@ class Lattice:
         if any(v):
             return None
         return tuple(coords)
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return self.solve(v) is not None

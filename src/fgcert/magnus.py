@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .homs import FreeHom, VerifiedAut, abelianization_matrix, compose
+from .homs import FreeHom, VerifiedAut, compose
 from .intlinalg import PRIME_CAP, is_prime, mat_mul, solve_mod
 from .words import Alphabet, Word, WordError, _reduce
 
@@ -101,9 +101,6 @@ class FreeGroupRingElement:
                 s = _reduce(s1 + s2)
                 d[s] = d.get(s, 0) + c1 * c2
         return FreeGroupRingElement.from_dict(self.alphabet, d)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __str__(self) -> str:
         if not self.terms:
@@ -237,9 +234,6 @@ class FiniteGroupRingElement:
             self.modulus, self.rank,
             {tuple(a + b for a, b in zip(v, vec)): c for v, c in self.terms})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 @dataclass(frozen=True)
 class PhiElement:
@@ -274,11 +268,6 @@ class PhiElement:
         if total != expected:
             raise RingError("bottom row inconsistent with group part")
 
-    @staticmethod
-    def identity(m: int, n: int) -> "PhiElement":
-        return PhiElement(m, n, (0,) * n,
-                          tuple(FiniteGroupRingElement.zero(m, n) for _ in range(n)))
-
     def _check(self, other: "PhiElement") -> None:
         if (self.modulus, self.rank) != (other.modulus, other.rank):
             raise RingError("parameter mismatch")
@@ -291,12 +280,6 @@ class PhiElement:
         bottom = tuple(
             b1.translated(other.top) + b2 for b1, b2 in zip(self.bottom, other.bottom))
         return PhiElement(m, self.rank, top, bottom)
-
-    def inverse(self) -> "PhiElement":
-        m = self.modulus
-        top_inv = tuple((-a) % m for a in self.top)
-        bottom = tuple(-(b.translated(top_inv)) for b in self.bottom)
-        return PhiElement(m, self.rank, top_inv, bottom)
 
 
 def _finite_coordinates(w: Word, m: int) -> tuple[tuple[int, ...],
@@ -372,11 +355,12 @@ def j_composition_identity(f: FreeHom, g: FreeHom) -> bool:
 
 
 def acts_trivially_mod(h: FreeHom, m: int) -> bool:
-    """Abelianization matrix congruent to the identity mod m."""
-    mat = abelianization_matrix(h)
-    n = mat.nrows
-    return all((mat[i, j] - (1 if i == j else 0)) % m == 0
-               for i in range(n) for j in range(n))
+    """Whether the endomorphism acts trivially on the abelianization mod
+    m: the exponent sums of the image of generator j are e_j mod m."""
+    if not h.is_endo():
+        raise WordError("the action on the abelianization needs an endomorphism")
+    return all((s - (i == j)) % m == 0
+               for j, img in enumerate(h.images) for i, s in enumerate(img.exponent_sums()))
 
 
 def ka_check(auts: Sequence[VerifiedAut], m: int, pairs: int = 50,

@@ -43,7 +43,7 @@ words and of their inverses in ``words.substitute``.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import getitem
 from typing import Iterable, Sequence
@@ -56,7 +56,6 @@ from .words import (
     alphabet,
     image_syllables,
     numbered_alphabet,
-    parse_word,
     substitute,
 )
 
@@ -292,6 +291,20 @@ class SchreierSystem:
             syllables = cache[i] = self._spell(letters)
         return syllables
 
+    def syllable_bound(self) -> int:
+        """An upper bound on the syllables of the transversal and the
+        generator words together, read off the tree in O(index) with no
+        word built: t_c has the syllables of t_parent(c), and one more
+        where the letter changes, and t_c x t_c'^-1 has at most those of
+        t_c and t_c' and one."""
+        parent, parent_letter, table = self.parent, self.parent_letter, self.table
+        syllables = [0] * self.index
+        for c in range(1, self.index):  # a parent precedes its children
+            up = parent[c]
+            syllables[c] = syllables[up] + (parent_letter[c] != parent_letter[up])
+        return sum(syllables) + sum(syllables[c] + 1 + syllables[table[2 * gen][c]]
+                                    for c, gen in zip(self.edge_coset, self.edge_gen))
+
     def coset_of(self, w: Word) -> int:
         if w.alphabet != self.alphabet:
             raise WordError("alphabet mismatch")
@@ -350,16 +363,6 @@ class SchreierSystem:
             if (syllables if exp > 0 else inverses)[gen] is None:
                 self._generator_syllables(gen, exp < 0)
         return substitute(self.alphabet, syllables, inverses, sub_word.syllables)
-
-    def reordered(self, perm: Sequence[int]) -> "SchreierSystem":
-        """Same subgroup with Schreier generators listed in a new order:
-        new generator i is old generator perm[i]."""
-        if sorted(perm) != list(range(len(self.edge_coset))):
-            raise SchreierError("perm must be a permutation of the generators")
-        coset, gen = self.edge_coset, self.edge_gen
-        return SchreierSystem(self.alphabet, self.table, self.parent, self.parent_letter,
-                              array(coset.typecode, (coset[p] for p in perm)),
-                              array(gen.typecode, (gen[p] for p in perm)))
 
 
 def schreier_rank(index: int, rank: int) -> int:
@@ -562,8 +565,7 @@ class SubgroupHom:
 # ---------------------------------------------------------------------------
 
 
-def induced_quotient(sub_hom: SubgroupHom, target_quotient: FiniteQuotient,
-                     base_shift: Word | None = None) -> FiniteQuotient:
+def induced_quotient(sub_hom: SubgroupHom, target_quotient: FiniteQuotient) -> FiniteQuotient:
     """Action of the ambient free group on cosets of the preimage, under
     a subgroup hom, of a finite-index subgroup of the target.
 
@@ -573,7 +575,8 @@ def induced_quotient(sub_hom: SubgroupHom, target_quotient: FiniteQuotient,
     out.  Each image is compiled once into a permutation of the target
     points, so the whole action is a finite quotient of the ambient
     group.  The stabilizer of its base point is hom^-1(stabilizer of the
-    target base), conjugated by ``base_shift``.
+    target base); the stabilizer of the point the base reaches by a word
+    t is that preimage conjugated by t.
     """
     if target_quotient.alphabet != sub_hom.target:
         raise SchreierError("target quotient over wrong alphabet")
@@ -590,12 +593,8 @@ def induced_quotient(sub_hom: SubgroupHom, target_quotient: FiniteQuotient,
             offset = table[c] * size
             perm.extend(offset + pt for pt in (images[scan[c]] if scan[c] >= 0 else identity))
         perms.append(tuple(perm))
-    compiled = FiniteQuotient(system.alphabet, size * system.index, tuple(perms),
-                              target_quotient.base_point)
-    if base_shift is not None:
-        compiled = replace(compiled,
-                           base_point=compiled.act_word(compiled.base_point, base_shift))
-    return compiled
+    return FiniteQuotient(system.alphabet, size * system.index, tuple(perms),
+                          target_quotient.base_point)
 
 
 # ---------------------------------------------------------------------------
@@ -630,12 +629,11 @@ def rank3_c2_kernel() -> SchreierSystem:
     """The index-2 kernel of F(x,y,z) -> C2 (x -> the involution,
     y, z -> 1), with generators ordered x^2, y, xyx^-1, z, xzx^-1."""
     alpha = alphabet("x", "y", "z")
-    q = FiniteQuotient(alpha, 2, ((1, 0), (0, 1), (0, 1)))
-    system = kernel_subgroup(q)
-    # BFS scan order lists [y, z, x^2, xyx^-1, xzx^-1]; reorder to put
-    # the x-conjugate right after each plain generator.
-    texts = ["x^2", "y", "x y x^-1", "z", "x z x^-1"]
-    want = [str(parse_word(t, alpha)) for t in texts]
-    have = [str(g) for g in system.generators]
-    perm = [have.index(w) for w in want]
-    return system.reordered(perm)
+    system = kernel_subgroup(FiniteQuotient(alpha, 2, ((1, 0), (0, 1), (0, 1))))
+    # the BFS lists y, z, x^2, xyx^-1, xzx^-1; put each x-conjugate right
+    # after its plain generator
+    perm = (2, 0, 3, 1, 4)
+    coset, gen = system.edge_coset, system.edge_gen
+    return SchreierSystem(alpha, system.table, system.parent, system.parent_letter,
+                          array(coset.typecode, (coset[p] for p in perm)),
+                          array(gen.typecode, (gen[p] for p in perm)))

@@ -10,7 +10,15 @@ from click.testing import CliRunner
 import fgcert
 from fgcert import cli
 from fgcert.affine import AffineParams, gamma_order
-from fgcert.cli import SAMPLES_CAP, Runner, load_manifest, main, make_report, run_congruence
+from fgcert.cli import (
+    SAMPLES_CAP,
+    SYLLABLE_CAP,
+    Runner,
+    load_manifest,
+    main,
+    make_report,
+    run_congruence,
+)
 from fgcert.quotients import ALPHA_BETA, FiniteQuotient, SchreierSystem, SubgroupHom
 from fgcert.words import alphabet
 
@@ -155,7 +163,8 @@ def test_affine_certify_group_order_past_the_digit_limit(tmp_path):
     assert res.exit_code == 0, res.output
     cert = json.loads(out.read_text())
     assert len(cert["groupOrder"]) > 4300
-    assert cert["groupOrder"] == str(Decimal(int(gamma_order(AffineParams(r, p, xi)))))
+    order = gamma_order(AffineParams(r, p, xi))
+    assert cert["groupOrder"] == str(Decimal(order.cofactor * order.p ** order.exponent))
 
 
 def test_affine_certify_find_p():
@@ -365,3 +374,21 @@ def test_quotients_schreier_coset_cap_is_a_usage_error(tmp_path):
                        "coset limit exceeded (1); input too large")
     assert_usage_error(run("quotients", "schreier", "--quotient", str(path), "--max-cosets", "0"),
                        "Invalid value for '--max-cosets'")
+
+
+def test_quotients_schreier_syllable_cap_is_a_usage_error(tmp_path):
+    """A 4,000-point "ladder", a = (0 1)(2 3)... and b = (1 2)(3 4)...,
+    is a 46 kB file whose Schreier words have about 24M syllables: it is
+    refused from the tree before any word is built."""
+    n = 4000
+    a, b = list(range(n)), list(range(n))
+    for i in range(0, n - 1, 2):
+        a[i], a[i + 1] = i + 1, i
+    for i in range(1, n - 1, 2):
+        b[i], b[i + 1] = i + 1, i
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(FiniteQuotient(ALPHA_BETA, n, (tuple(a), tuple(b))).to_json()))
+    start = time.monotonic()
+    res = run("quotients", "schreier", "--quotient", str(path))
+    assert time.monotonic() - start < 1
+    assert_usage_error(res, f"above the cap {SYLLABLE_CAP} on output syllables")

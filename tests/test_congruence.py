@@ -53,6 +53,11 @@ def exact_decimal(value: int) -> str:
     return str(value) + "".join(reversed(chunks))
 
 
+def value_of(f: Factored) -> int:
+    """The integer a ``Factored`` stands for."""
+    return f.cofactor * f.p ** f.exponent
+
+
 def c2_quotient():
     # K = preimage of the subgroup fixing 0 under a -> swap, b -> id
     return FiniteQuotient(ALPHA_BETA, 2, ((1, 0), (0, 1)))
@@ -84,10 +89,10 @@ def test_certificate_trivial_k():
     cert = certify(CongruenceInput(trivial_quotient(ALPHA_BETA), 5))
     assert cert.index_of_n == 36
     assert cert.rank_of_n == 37
-    assert int(cert.order_mod_npn) == 36 * 5 ** 37
+    assert value_of(cert.order_mod_npn) == 36 * 5 ** 37
     assert cert.image_order_in_4torus == 4
-    assert int(cert.order_mod_m) == 144 * 5 ** 37
-    assert int(cert.bound) == 144 * 1 ** 4 * 5 ** (36 + 1)
+    assert value_of(cert.order_mod_m) == 144 * 5 ** 37
+    assert value_of(cert.bound) == 144 * 1 ** 4 * 5 ** (36 + 1)
     assert (cert.order_mod_npn, cert.order_mod_m, cert.bound) == (
         Factored(36, 5, 37), Factored(144, 5, 37), Factored(144, 5, 37))
     assert cert.divides
@@ -230,7 +235,7 @@ def test_nontrivial_k():
         assert inp.k_quotient.fixes_base(oracle.pi(w))
         assert oracle.contains(w)
     cert = certify(inp, n_oracle=oracle)
-    assert int(cert.order_mod_npn) == 72 * 5 ** 73
+    assert value_of(cert.order_mod_npn) == 72 * 5 ** 73
     assert cert.divides
 
 
@@ -272,7 +277,7 @@ def test_index4_sized_certificate_serialises():
     assert got["bound"] == str(Decimal(144 * n ** 4 * p ** (36 * n ** 4 + 1)))
     assert len(got["bound"]) > 4300
     assert int(got["orderOfF2ModM"]) == 16 * 36 * n ** 4 * p ** 3000
-    assert int(got["orderOfF2ModNpN"]) == int(order)
+    assert int(got["orderOfF2ModNpN"]) == value_of(order)
 
 
 def subgroup_order_mod4_by_closure(vectors):
@@ -383,7 +388,7 @@ def test_factored_certificate_matches_bigint_oracle(k, p):
     got = {key: getattr(cert, key) for key in want}
     for key in ("order_mod_npn", "order_mod_m", "bound"):
         assert got[key].p == p
-        got[key] = int(got[key])
+        got[key] = value_of(got[key])
     assert got == want
     data = cert.to_json()
     for key, field in (("orderOfF2ModNpN", "order_mod_npn"), ("orderOfF2ModM", "order_mod_m"),
@@ -444,7 +449,7 @@ def test_factored_value_and_digits(cofactor, p, exponent):
             Factored(cofactor, p, exponent)
         return
     f = Factored(cofactor, p, exponent)
-    value = int(f)
+    value = value_of(f)
     digits = exact_decimal(value)
     assert f.decimal() == digits
     assert len(digits) <= f.max_digits() <= len(digits) + exponent // 64 + 64 * 13 + 2
@@ -455,7 +460,7 @@ def test_factored_value_and_digits(cofactor, p, exponent):
                 max_size=6))
 def test_decimals_match_one_value_at_a_time(p, pairs):
     values = [Factored(c if c % p else c + 1, p, e) for c, e in pairs]
-    assert decimals(values) == [exact_decimal(int(v)) for v in values]
+    assert decimals(values) == [exact_decimal(value_of(v)) for v in values]
 
 
 class PowerCounter(type(intlinalg._EXACT)):
@@ -489,7 +494,7 @@ def test_certificate_json_computes_each_power_once(monkeypatch, k, p, powers):
 def test_factored_divides_matches_int_divisibility(p, pairs):
     (c1, e1), (c2, e2) = [(c if c % p else c + 1, e) for c, e in pairs]
     a, b = Factored(c1, p, e1), Factored(c2, p, e2)
-    assert a.divides(b) == (int(b) % int(a) == 0)
+    assert a.divides(b) == (value_of(b) % value_of(a) == 0)
 
 
 def test_factored_rejects_a_cofactor_with_a_factor_p():

@@ -5,13 +5,10 @@ import pytest
 from fgcert.homs import (
     FreeHom,
     VerifiedAut,
-    abelianization_matrix,
     compose,
     compose_auts,
     hom,
-    identity_hom,
     inner_aut,
-    parse_hom,
     shear_alpha3,
     shear_beta3,
     transvection_alpha,
@@ -29,15 +26,6 @@ def test_hom_application():
     assert str(f(parse_word("y", XY))) == "y x^2"
     assert str(f(parse_word("x y", XY))) == "x y x^2"
     assert f(XY.identity()).is_identity()
-
-
-def test_parse_hom_format():
-    f = parse_hom("x -> x\ny -> y x^2", XY)
-    assert f.images == hom(XY, "x", "y x^2").images
-    with pytest.raises(WordError):
-        parse_hom("x -> x", XY)  # missing a generator
-    with pytest.raises(WordError):
-        parse_hom("x -> x\nz -> y", XY)
 
 
 def test_compose_order():
@@ -68,16 +56,6 @@ def test_inner_aut_is_conjugation():
     inn = inner_aut(g)
     w = parse_word("y^2 x", XY)
     assert inn(w) == g.inverse() * w * g
-
-
-def test_abelianization_matrix_columns():
-    # column i = exponent sums of the image of generator i
-    f = hom(XY, "x y^2", "y x^3")
-    m = abelianization_matrix(f)
-    assert [m[0, 0], m[1, 0]] == [1, 2]
-    assert [m[0, 1], m[1, 1]] == [3, 1]
-    ident = abelianization_matrix(identity_hom(XY))
-    assert ident[0, 0] == ident[1, 1] == 1 and ident[0, 1] == ident[1, 0] == 0
 
 
 def test_transvections_fix_commutator():

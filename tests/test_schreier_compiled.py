@@ -18,10 +18,12 @@ the reference.
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fgcert import congruence
 from fgcert.congruence import CongruenceInput, MOracle, NOracle
 from fgcert.quotients import (
     ALPHA_BETA,
@@ -283,6 +285,17 @@ def test_compiled_bfs_matches_reference(q, seed):
     assert_same_system(kernel_subgroup(q), reference_system(RefQuotient(q), q.alphabet), words)
 
 
+@settings(max_examples=150, deadline=None)
+@given(quotients())
+def test_syllable_bound_holds_on_the_reference_words(q):
+    """Exact on the transversal; on each generator word at most the two
+    junctions merge, each saving one syllable."""
+    ref = reference_system(RefQuotient(q), q.alphabet)
+    spelled = sum(len(w.syllables) for w in [*ref.transversal, *ref.generators])
+    bound = kernel_subgroup(q).syllable_bound()
+    assert spelled <= bound <= spelled + 2 * len(ref.generators)
+
+
 def test_rank3_c2_kernel_matches_reordered_reference():
     q = FiniteQuotient(XYZ, 2, ((1, 0), (0, 1), (0, 1)))
     ref = reference_system(RefQuotient(q), XYZ)
@@ -337,6 +350,24 @@ def test_noracle_matches_reference(n, index):
     schreier = oracle.schreier
     for w in list(schreier.generators) + words:
         assert oracle.contains(w) == schreier.contains(w)
+
+
+def test_noracle_compiles_the_preimage_action_once(monkeypatch):
+    """The four conjugates of pi^-1(K) are four base points of one
+    compiled action, and N is still the reference N."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return induced_quotient(*args)
+
+    monkeypatch.setattr(congruence, "induced_quotient", counted)
+    k = seeded_k(3, 7)
+    oracle = NOracle(CongruenceInput(k, 5))
+    assert len(calls) == 1
+    rng = random.Random(7)
+    words = [random_word(rng, XY, 12) for _ in range(100)]
+    assert_same_system(oracle.schreier, reference_n(k), words)
 
 
 def image_classes(vectors, p):
@@ -408,8 +439,9 @@ def test_induced_action_matches_reference():
     for trial in range(5):
         images = tuple(random_word(rng, ALPHA_BETA, 3) for _ in system.generators)
         k, shift = seeded_k(3, trial), random_word(rng, XY, 5)
+        induced = induced_quotient(SubgroupHom(system, ALPHA_BETA, images), k)
         compiled = build_schreier_system(
-            induced_quotient(SubgroupHom(system, ALPHA_BETA, images), k, base_shift=shift))
+            replace(induced, base_point=induced.act_word(induced.base_point, shift)))
         words = [random_word(rng, XY, 12) for _ in range(50)]
         assert_same_system(compiled, reference_system(RefInduced(ref, images, k, shift), XY),
                            words)
@@ -441,7 +473,7 @@ def test_induced_quotient_is_a_finite_quotient():
     with pytest.raises(SchreierError, match="target quotient over wrong alphabet"):
         induced_quotient(pi, abelian_quotient(XY, (2, 2)))
     k = seeded_k(3, 2026)
-    q = induced_quotient(pi, k, base_shift=pi.system.transversal[3])
+    q = induced_quotient(pi, k)
     assert isinstance(q, FiniteQuotient)
     assert (q.alphabet, q.size) == (XY, 4 * k.size)
     assert FiniteQuotient.from_json(json.loads(json.dumps(q.to_json()))) == q
