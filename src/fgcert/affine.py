@@ -360,34 +360,35 @@ def conjugate_translation(params: AffineParams, l: int) -> tuple[GammaElement, i
     return w, k
 
 
-def two_generation_certificate(params: AffineParams) -> dict:
-    """Certify that D' and S' generate W x| Delta.
+def two_generation_certificate(params: AffineParams, irred: dict,
+                               c_diag: list[int]) -> dict:
+    """Certify that D' and S' generate W x| Delta, given the
+    irreducibility certificate ``irred`` and the diagonal ``c_diag`` of
+    C = E_11 from ``diagonal_projection(params, 0)``, which the caller
+    has computed and reported on first.
 
-    Find l with S^l sending e_(r-1) to e_1; then w = S'^l D' S'^-l D'^k
+    Take l with S^l sending e_(r-1) to e_1; then w = S'^l D' S'^-l D'^k
     (k chosen so the affine part cancels) lies in W with e_1 absent from
-    every entry but the first.  Solve the Vandermonde system for
-    C = sum beta_i D^i = E_11, which lies in the span of powers of D and
-    hence acts on W entrywise; C(w) is then a nonzero vector supported
-    in the first copy of V alone.  With the seeds C(w') for the other
-    exponents l', the group is generated by D' and S' when the seeds
-    generate W as a Delta-module: by the module's lemma, when their
-    coordinate slices have rank r-2.  ``passed`` also requires the
-    lemma's two hypotheses.  The keys ``*_spun_dimension`` keep their
+    every entry but the first.  C = sum beta_i D^i = E_11 lies in the
+    span of powers of D and hence acts on W entrywise; C(w) is then a
+    nonzero vector supported in the first copy of V alone.  With the
+    seeds C(w') for the other exponents l', the group is generated by D'
+    and S' when the seeds generate W as a Delta-module: by the module's
+    lemma, when their coordinate slices have rank r-2.  ``passed`` also
+    requires the lemma's two hypotheses.  The keys ``*_spun_dimension`` keep their
     names from the spinning computation, for byte-identical reports.
     """
     p, r, a = params.p, params.r, primitive_root(params.r)
     dim, copies = params.dim, params.copies
-    irred = irreducibility_certificate(params)
 
-    # l with P_(a^l) e_(r-1) = e_1, i.e. a^l (r-1) = 1 mod r
-    l = next((m for m in range(1, r - 1) if pow(a, m, r) * (r - 1) % r == 1), None)
-    if l is None:
+    # P_(a^l) e_(r-1) = e_1 when a^l (r-1) = 1, i.e. a^l = -1 mod r: for
+    # the primitive root a, the one l in 1..r-2 is (r-1)/2
+    l = (r - 1) // 2
+    if pow(a, l, r) != r - 1:
         raise AffineError("no power of S sends the last basis vector to the first")
     w_elt, k = conjugate_translation(params, l)
     e1_confined = all(w_elt.w_part[j][0] % p == 0 for j in range(1, copies))
     e1_present = w_elt.w_part[0][0] % p != 0
-
-    c_diag = diagonal_projection(params, 0)  # raises unless C = E_11
 
     def project(w_part):
         return tuple(tuple(c * x % p for c, x in zip(c_diag, v)) for v in w_part)

@@ -23,6 +23,7 @@ from .affine import (
     AffineError,
     AffineParams,
     build_delta,
+    diagonal_projection,
     gamma_order,
     geometric_sum_check,
     irreducibility_certificate,
@@ -47,6 +48,7 @@ from .magnus import (
 )
 from .quotients import (
     ALPHA_BETA,
+    MAX_COSETS,
     FiniteQuotient,
     SchreierError,
     kernel_subgroup,
@@ -353,8 +355,7 @@ def sample_of_n(oracle: NOracle, rng: random.Random) -> Word:
     return oracle.schreier.expand(random_word(rng, oracle.schreier.sub_alphabet, 6))
 
 
-def run_congruence(runner: Runner, manifest: dict, rng: random.Random,
-                   samples: int = 1000) -> None:
+def run_congruence(runner: Runner, manifest: dict, rng: random.Random) -> None:
     m = manifest["congruence"]
     inp = CongruenceInput(trivial_quotient(ALPHA_BETA), m["p"])
     oracle = NOracle(inp)
@@ -368,6 +369,7 @@ def run_congruence(runner: Runner, manifest: dict, rng: random.Random,
     # sampled containment: the outer projection of elements of N lands in
     # K; each count is recorded as soon as it is made, so that each
     # check's interval holds its own loop
+    samples = 1000
     ws = [sample_of_n(oracle, rng) for _ in range(samples)]
     k, fixes_base = inp.k_quotient, oracle.pi.fixes_base
     inside = sum(1 for w in ws if fixes_base(k, w))
@@ -387,11 +389,15 @@ def run_affine(runner: Runner, manifest: dict, rng: random.Random) -> None:
                      entry["deltaOrder"], delta["order"])
         runner.check(f"affine.{tag}.delta-relations", "defining matrix relations",
                      True, delta["passed"])
+        irred = irreducibility_certificate(params)
         runner.check(f"affine.{tag}.irreducible", "irreducibility certificate",
-                     True, irreducibility_certificate(params)["passed"])
-        cert = two_generation_certificate(params)
+                     True, irred["passed"])
+        # each fact is computed before its check, so that each check's
+        # interval holds its own work
+        c_diag = diagonal_projection(params, 0)  # raises unless C = E_11
         runner.check(f"affine.{tag}.vandermonde", "projection is the first matrix unit",
-                     True, cert["vandermonde_c_is_e11"])
+                     True, c_diag == [int(u == 0) for u in range(params.dim)])
+        cert = two_generation_certificate(params, irred, c_diag)
         runner.check(f"affine.{tag}.spun-dimensions",
                      "each copy spins to the full dimension",
                      [entry["dimension"]] * entry["copies"],
@@ -532,7 +538,7 @@ def affine_certify(r: int, prime: int | None, xi: int | None,
         raise click.UsageError(str(exc))
     delta = build_delta(params)
     irred = irreducibility_certificate(params)
-    twogen = two_generation_certificate(params)
+    twogen = two_generation_certificate(params, irred, diagonal_projection(params, 0))
     geom = geometric_sum_check(params)
     payload = {
         "r": params.r,
@@ -558,7 +564,8 @@ def quotients() -> None:
 @quotients.command("schreier")
 @click.option("--quotient", "path", type=click.Path(exists=True, dir_okay=False),
               required=True, help="JSON finite quotient description.")
-@click.option("--max-cosets", type=click.IntRange(min=1), default=100_000, show_default=True)
+@click.option("--max-cosets", type=click.IntRange(min=1), default=MAX_COSETS,
+              show_default=True)
 def quotients_schreier(path: str, max_cosets: int) -> None:
     """Print the Schreier system of the base-point stabilizer."""
     quotient = load_quotient(path, "--quotient")

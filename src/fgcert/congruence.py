@@ -42,6 +42,7 @@ from dataclasses import dataclass, field, replace
 from .intlinalg import PRIME_CAP, Factored, decimals, is_prime
 from .quotients import (
     ALPHA_BETA,
+    MAX_COSETS,
     FiniteQuotient,
     SchreierSystem,
     abelian_quotient,
@@ -104,7 +105,7 @@ def order_bound(n: int, p: int) -> Factored:
 class NOracle:
     """Membership oracle and Schreier system for N."""
 
-    def __init__(self, input: CongruenceInput, max_cosets: int = 100_000):
+    def __init__(self, input: CongruenceInput, max_cosets: int = MAX_COSETS):
         self.input = input
         self.delta = rank2_mod2_kernel()
         self.pi = rank2_outer_hom(self.delta)
@@ -240,19 +241,19 @@ def image_order_in_4torus(schreier: SchreierSystem) -> int:
     return len(classes)  # {0} or {0, v}: each nonzero class has order 2
 
 
-def certify(input: CongruenceInput, n_oracle: NOracle | None = None) -> Certificate:
-    oracle = n_oracle or NOracle(input)
+def certify(input: CongruenceInput, n_oracle: NOracle) -> Certificate:
+    """The order certificate of F/M, read off the oracle's N for this input."""
     n = input.k_index
     p = input.p
-    image_order = image_order_in_4torus(oracle.schreier)
-    order_mod_m = Factored(oracle.index * image_order, p, oracle.rank)
+    image_order = image_order_in_4torus(n_oracle.schreier)
+    order_mod_m = Factored(n_oracle.index * image_order, p, n_oracle.rank)
     bound = order_bound(n, p)
     return Certificate(
         n=n,
         p=p,
-        index_of_n=oracle.index,
-        rank_of_n=oracle.rank,
-        order_mod_npn=Factored(oracle.index, p, oracle.rank),
+        index_of_n=n_oracle.index,
+        rank_of_n=n_oracle.rank,
+        order_mod_npn=Factored(n_oracle.index, p, n_oracle.rank),
         image_order_in_4torus=image_order,
         order_mod_m=order_mod_m,
         bound=bound,

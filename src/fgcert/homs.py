@@ -50,10 +50,9 @@ class FreeHom:
         return self.domain == self.codomain
 
 
-def hom(alpha: Alphabet, *image_texts: str, codomain: Alphabet | None = None) -> FreeHom:
-    """Build a hom from image strings, one per generator."""
-    codomain = codomain or alpha
-    return FreeHom(alpha, codomain, tuple(parse_word(t, codomain) for t in image_texts))
+def hom(alpha: Alphabet, *image_texts: str) -> FreeHom:
+    """Build an endomorphism from image strings, one per generator."""
+    return FreeHom(alpha, alpha, tuple(parse_word(t, alpha) for t in image_texts))
 
 
 def compose(f: FreeHom, g: FreeHom) -> FreeHom:

@@ -25,10 +25,6 @@ class IntMatrix:
             raise ValueError("ragged rows")
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(v) for v in r) for r in rows))
-
-    @staticmethod
     def from_columns(cols: Sequence[Sequence[int]]) -> "IntMatrix":
         """The matrix whose column j is ``cols[j]``."""
         return IntMatrix(tuple(zip(*cols)))
@@ -40,10 +36,6 @@ class IntMatrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.rows[i][j]
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
@@ -239,14 +231,6 @@ class Lattice:
 
     ambient_dim: int
     basis: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def from_rows(ambient_dim: int, rows: Sequence[Sequence[int]]) -> "Lattice":
-        hnf = row_hnf(rows)
-        for r in hnf:
-            if len(r) != ambient_dim:
-                raise ValueError("row length != ambient dimension")
-        return Lattice(ambient_dim, tuple(tuple(r) for r in hnf))
 
     @property
     def rank(self) -> int:

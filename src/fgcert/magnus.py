@@ -13,10 +13,9 @@ An element of Z[F_n] holds each group element as the reduced syllable
 tuple of its word (``Word.syllables``), with its terms in the canonical
 order by (length, syllables), so equal elements have equal terms.  The
 Fox coordinates emit suffix tuples, a product is one free reduction of
-two concatenated tuples, and a ``Word`` is made only at the edges:
-``monomial`` takes one, ``endo_on_ring`` wraps each term to apply the
-endomorphism, and ``str`` prints through one.  The finite ring
-Z_m[(Z/m)^n] is keyed by exponent vectors mod m in the same way.
+two concatenated tuples, and a ``Word`` is made only where
+``endo_on_ring`` wraps each term to apply the endomorphism.  The finite
+ring Z_m[(Z/m)^n] is keyed by exponent vectors mod m in the same way.
 
 Matrix multiplication over these rings is ``intlinalg.mat_mul``, which
 uses only the ring operators, so it serves Z[F_n], Z_m[(Z/m)^n] and the
@@ -64,18 +63,6 @@ class FreeGroupRingElement:
         items = tuple(sorted(((s, c) for s, c in d.items() if c != 0), key=_term_key))
         return FreeGroupRingElement(alpha, items)
 
-    @staticmethod
-    def zero(alpha: Alphabet) -> "FreeGroupRingElement":
-        return FreeGroupRingElement(alpha, ())
-
-    @staticmethod
-    def monomial(w: Word, c: int = 1) -> "FreeGroupRingElement":
-        return FreeGroupRingElement.from_dict(w.alphabet, {w.syllables: c})
-
-    @staticmethod
-    def one(alpha: Alphabet) -> "FreeGroupRingElement":
-        return FreeGroupRingElement(alpha, (((), 1),))
-
     def _check(self, other: "FreeGroupRingElement") -> None:
         if self.alphabet != other.alphabet:
             raise RingError("alphabet mismatch")
@@ -87,12 +74,6 @@ class FreeGroupRingElement:
             d[s] = d.get(s, 0) + c
         return FreeGroupRingElement.from_dict(self.alphabet, d)
 
-    def __neg__(self) -> "FreeGroupRingElement":
-        return FreeGroupRingElement(self.alphabet, tuple((s, -c) for s, c in self.terms))
-
-    def __sub__(self, other: "FreeGroupRingElement") -> "FreeGroupRingElement":
-        return self + (-other)
-
     def __mul__(self, other: "FreeGroupRingElement") -> "FreeGroupRingElement":
         self._check(other)
         d: dict[Syllables, int] = {}
@@ -101,11 +82,6 @@ class FreeGroupRingElement:
                 s = _reduce(s1 + s2)
                 d[s] = d.get(s, 0) + c1 * c2
         return FreeGroupRingElement.from_dict(self.alphabet, d)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*({Word._trusted(self.alphabet, s)})" for s, c in self.terms)
 
 
 def fox_coordinates(w: Word) -> tuple[FreeGroupRingElement, ...]:
@@ -197,8 +173,8 @@ class FiniteGroupRingElement:
         return FiniteGroupRingElement.from_dict(m, n, {(0,) * n: 1})
 
     @staticmethod
-    def monomial(m: int, n: int, vec: Sequence[int], c: int = 1) -> "FiniteGroupRingElement":
-        return FiniteGroupRingElement.from_dict(m, n, {tuple(vec): c})
+    def monomial(m: int, n: int, vec: Sequence[int]) -> "FiniteGroupRingElement":
+        return FiniteGroupRingElement.from_dict(m, n, {tuple(vec): 1})
 
     def _check(self, other: "FiniteGroupRingElement") -> None:
         if (self.modulus, self.rank) != (other.modulus, other.rank):
@@ -363,21 +339,17 @@ def acts_trivially_mod(h: FreeHom, m: int) -> bool:
                for j, img in enumerate(h.images) for i, s in enumerate(img.exponent_sums()))
 
 
-def ka_check(auts: Sequence[VerifiedAut], m: int, pairs: int = 50,
-             rng=None) -> dict:
+def ka_check(auts: Sequence[VerifiedAut], m: int, pairs: int, rng) -> dict:
     """Verify, on automorphisms acting trivially mod the m-th congruence
     layer, that the finite J map is multiplicative and lands in
     invertible matrices (inverse exhibited as J of the inverse).
     """
-    import random
-
     if not auts:
         raise ValueError("ka_check needs at least one automorphism")
     if m < 2:
         raise ValueError(f"ka_check needs a modulus m >= 2, got {m}")
     if pairs < 1:
         raise ValueError(f"ka_check needs at least one pair to sample, got {pairs}")
-    rng = rng or random.Random(0)
     failures: list[str] = []
     for idx, aut in enumerate(auts):
         if not acts_trivially_mod(aut.forward, m):
@@ -411,15 +383,13 @@ def ka_check(auts: Sequence[VerifiedAut], m: int, pairs: int = 50,
 
 
 def local_commutator_check(p: int, k: int, s_power: int, t_power: int,
-                           samples: int = 200, rng=None) -> dict:
+                           samples: int, rng) -> dict:
     """In R = Z/p^k with ideals S = (p^s_power), T = (p^t_power): sample
     invertible I+A (A over S) and I+B (B over T) and verify the
     commutator is the identity mod S*T = (p^(s_power+t_power)).  The
     products are not reduced mod p^k: S*T divides p^k, so reducing
     cannot change the verdict.
     """
-    import random
-
     if p > PRIME_CAP or not is_prime(p):
         raise ValueError(f"local_commutator_check needs a prime p <= 2^40, got {p}")
     if k < 1:
@@ -429,7 +399,6 @@ def local_commutator_check(p: int, k: int, s_power: int, t_power: int,
                          f"got {s_power} and {t_power}")
     if samples < 1:
         raise ValueError(f"local_commutator_check needs at least one sample, got {samples}")
-    rng = rng or random.Random(0)
     mod = p ** k
     st = p ** min(s_power + t_power, k)
     ident = [[1 if i == j else 0 for j in range(3)] for i in range(3)]

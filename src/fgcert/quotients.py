@@ -59,6 +59,12 @@ from .words import (
     substitute,
 )
 
+# The default cap on the cosets of a Schreier system, wherever one is
+# built and for `quotients schreier --max-cosets`.  [F : N] divides
+# 36 n^4, so it admits N for every K of index n <= 7 (86,436 cosets at
+# n = 7).
+MAX_COSETS = 100_000
+
 
 class SchreierError(ValueError):
     """Raised for invalid coset data or out-of-subgroup rewriting."""
@@ -373,7 +379,7 @@ def schreier_rank(index: int, rank: int) -> int:
 
 
 def build_schreier_system(*quotients: FiniteQuotient,
-                          max_cosets: int = 100_000) -> SchreierSystem:
+                          max_cosets: int = MAX_COSETS) -> SchreierSystem:
     """Build the Schreier system of the stabilizer of the tuple of the
     quotients' base points: the intersection of their stabilizers.
 
@@ -426,7 +432,7 @@ def build_schreier_system(*quotients: FiniteQuotient,
     return SchreierSystem(alpha, table, parent, parent_letter, edge_coset, edge_gen)
 
 
-def kernel_subgroup(q: FiniteQuotient, max_cosets: int = 100_000) -> SchreierSystem:
+def kernel_subgroup(q: FiniteQuotient, max_cosets: int = MAX_COSETS) -> SchreierSystem:
     """Schreier system of the stabilizer of the base point (for a
     regular action, the kernel of the quotient map)."""
     return build_schreier_system(q, max_cosets=max_cosets)
@@ -612,10 +618,9 @@ def rank2_mod2_kernel() -> SchreierSystem:
     return kernel_subgroup(q)
 
 
-def rank2_outer_hom(system: SchreierSystem | None = None) -> SubgroupHom:
-    """The map from the mod-2 kernel onto the free group on a, b:
-    e1 -> a, e2 -> 1, e3 -> b, e4 -> a^-1, e5 -> b^-1."""
-    system = system or rank2_mod2_kernel()
+def rank2_outer_hom(system: SchreierSystem) -> SubgroupHom:
+    """The map from the mod-2 kernel (``rank2_mod2_kernel``) onto the
+    free group on a, b: e1 -> a, e2 -> 1, e3 -> b, e4 -> a^-1, e5 -> b^-1."""
     sub = system.sub_alphabet
     if sub.rank != 5:
         raise SchreierError("expected a rank-5 subgroup")

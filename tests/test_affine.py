@@ -32,6 +32,12 @@ from fgcert.intlinalg import PRIME_CAP, mat_mul, solve_mod
 PARAMS = AffineParams(5, 11, 3)
 
 
+def two_generation(params):
+    """The certificate, given the two facts its callers compute first."""
+    return two_generation_certificate(params, irreducibility_certificate(params),
+                                      diagonal_projection(params, 0))
+
+
 def test_params_validation():
     with pytest.raises(AffineError):
         AffineParams(4, 11, 3)       # r not prime
@@ -301,7 +307,7 @@ def test_diagonal_projection_units():
 def test_two_generation_golden():
     for r, p in ((5, 11), (3, 7), (7, 29)):
         params = AffineParams.choose(r, p)
-        cert = two_generation_certificate(params)
+        cert = two_generation(params)
         assert cert["e1_only_in_first_entry"]
         assert cert["vandermonde_c_is_e11"]
         assert cert["first_copy_spun_dimension"] == r - 1
@@ -410,7 +416,7 @@ def test_primitive_root_is_searched_once_per_r(monkeypatch):
         g, h = rand_gamma(rng, params), rand_gamma(rng, params)
         assert (g * h) * h.inverse() == g
         assert build_delta(params)["passed"]
-        assert two_generation_certificate(params)["passed"]
+        assert two_generation(params)["passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +477,33 @@ def spin_dimensions(params, seeds):
     return len(basis), per_copy
 
 
+def search_l(r):
+    """Reference: the first l in 1..r-2 with S^l e_(r-1) = e_1, that is
+    a^l (r-1) = 1 mod r for the primitive root a, by search."""
+    a = primitive_root(r)
+    return next(m for m in range(1, r - 1) if pow(a, m, r) * (r - 1) % r == 1)
+
+
+@pytest.mark.parametrize("r", [r for r in range(3, R_CAP + 1) if sympy.isprime(r)])
+def test_closed_form_l_is_the_searched_l(r):
+    assert search_l(r) == (r - 1) // 2
+
+
+def test_two_generation_refuses_a_root_that_is_not_primitive(monkeypatch):
+    # 2 has order 3 mod 7, so no power of it is -1 mod 7
+    params = AffineParams.choose(7, 29)
+    irred, c_diag = irreducibility_certificate(params), diagonal_projection(params, 0)
+    monkeypatch.setattr(affine, "primitive_root", lambda r: 2)
+    with pytest.raises(AffineError, match="no power of S sends the last basis vector"):
+        two_generation_certificate(params, irred, c_diag)
+
+
 def spin_two_generation_certificate(params):
     """Reference: the two-generation certificate with the closure found by
     spinning and C applied as a full matrix."""
     p, r = params.p, params.r
     dim, copies = params.dim, params.copies
-    a = primitive_root(r)
-    l = next(m for m in range(1, r - 1) if pow(a, m, r) * (r - 1) % r == 1)
+    l = search_l(r)
     w_elt, k = affine.conjugate_translation(params, l)
     e1_confined = all(w_elt.w_part[j][0] % p == 0 for j in range(1, copies))
     e1_present = w_elt.w_part[0][0] % p != 0
@@ -522,7 +548,7 @@ def first_primes_1_mod(r, count):
 def test_two_generation_matches_spin_oracle(r):
     for p in first_primes_1_mod(r, 3):
         params = AffineParams.choose(r, p)
-        assert two_generation_certificate(params) == spin_two_generation_certificate(params)
+        assert two_generation(params) == spin_two_generation_certificate(params)
 
 
 def random_seeds(rng, params):
@@ -584,21 +610,17 @@ def test_deficient_seeds_fail_the_certificate(monkeypatch):
     }
     for name, fake in fakes.items():
         monkeypatch.setattr(affine, "conjugate_translation", fake)
-        cert = two_generation_certificate(params)
+        cert = two_generation(params)
         assert cert == spin_two_generation_certificate(params), name
         assert cert["total_spun_dimension"] < cert["expected_dimension"], name
         assert not cert["passed"], name
 
 
 @pytest.mark.parametrize("hypothesis", ["distinct_eigenvalues", "permutation_transitive"])
-def test_two_generation_needs_both_lemma_hypotheses(monkeypatch, hypothesis):
+def test_two_generation_needs_both_lemma_hypotheses(hypothesis):
     params = AffineParams.choose(7, 29)
-    honest = two_generation_certificate(params)
+    irred, c_diag = irreducibility_certificate(params), diagonal_projection(params, 0)
+    honest = two_generation_certificate(params, irred, c_diag)
     assert honest["passed"]
-    real = affine.irreducibility_certificate
-
-    def failing(params):
-        return {**real(params), hypothesis: False}
-
-    monkeypatch.setattr(affine, "irreducibility_certificate", failing)
-    assert two_generation_certificate(params) == {**honest, "passed": False}
+    altered = {**irred, hypothesis: False}
+    assert two_generation_certificate(params, altered, c_diag) == {**honest, "passed": False}

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import fgcert
-from fgcert import cli
+from fgcert import affine, cli
 from fgcert.affine import AffineParams, gamma_order
 from fgcert.cli import (
     SAMPLES_CAP,
@@ -17,6 +17,7 @@ from fgcert.cli import (
     load_manifest,
     main,
     make_report,
+    run_affine,
     run_congruence,
 )
 from fgcert.quotients import ALPHA_BETA, FiniteQuotient, SchreierSystem, SubgroupHom
@@ -93,12 +94,43 @@ def test_each_sampled_congruence_check_holds_its_own_loop(monkeypatch):
     monkeypatch.setattr(SubgroupHom, "fixes_base", ticking(walk))
     monkeypatch.setattr(SchreierSystem, "contains", ticking(table_contains))
     runner = Runner(deterministic=False, last=0)
-    samples = 20
-    run_congruence(runner, load_manifest(), random.Random(0), samples=samples)
+    run_congruence(runner, load_manifest(), random.Random(0))
+    checks = {c["id"]: c for c in runner.checks}
+    samples = int(checks["congruence.projection-in-k"]["expected"])
+    assert all(c["status"] == "pass" for c in runner.checks)
+    assert checks["congruence.projection-in-k"]["elapsedMillis"] == samples * 1000
+    assert checks["congruence.oracle-agreement"]["elapsedMillis"] == samples * (4 + 1) * 1000
+
+
+def test_each_affine_fact_holds_its_own_check(monkeypatch):
+    """On a clock that ticks one second per projection C = E_11, per
+    conjugate translation and per closure, the projection lands in the
+    vandermonde check, the seeds and the closures (the spin) in
+    spun-dimensions, and the two-generated verdict holds no work."""
+    ticks = [0]
+
+    def ticking(fn):
+        def wrapped(*args):
+            ticks[0] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: ticks[0]))
+    monkeypatch.setattr(cli, "diagonal_projection", ticking(affine.diagonal_projection))
+    for name in ("conjugate_translation", "closure_dimensions"):
+        monkeypatch.setattr(affine, name, ticking(getattr(affine, name)))
+    runner = Runner(deterministic=False, last=0)
+    manifest = load_manifest()
+    run_affine(runner, manifest, random.Random(0))
     elapsed = {c["id"]: c["elapsedMillis"] for c in runner.checks}
     assert all(c["status"] == "pass" for c in runner.checks)
-    assert elapsed["congruence.projection-in-k"] == samples * 1000
-    assert elapsed["congruence.oracle-agreement"] == samples * (4 + 1) * 1000
+    for entry in manifest["affine"]:
+        tag = f"affine.r{entry['r']}p{entry['p']}"
+        assert elapsed[f"{tag}.vandermonde"] == 1000
+        # one conjugate translation per copy (r - 2 of them), then two
+        # closures: the first seed's and all seeds'
+        assert elapsed[f"{tag}.spun-dimensions"] == (entry["copies"] + 2) * 1000
+        assert elapsed[f"{tag}.two-generated"] == 0
 
 
 @pytest.mark.parametrize("command", [

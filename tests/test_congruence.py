@@ -86,7 +86,8 @@ def test_k_index():
 
 
 def test_certificate_trivial_k():
-    cert = certify(CongruenceInput(trivial_quotient(ALPHA_BETA), 5))
+    inp = CongruenceInput(trivial_quotient(ALPHA_BETA), 5)
+    cert = certify(inp, NOracle(inp))
     assert cert.index_of_n == 36
     assert cert.rank_of_n == 37
     assert value_of(cert.order_mod_npn) == 36 * 5 ** 37
@@ -240,7 +241,8 @@ def test_nontrivial_k():
 
 
 def test_certificate_json_uses_decimal_strings():
-    cert = certify(CongruenceInput(trivial_quotient(ALPHA_BETA), 5))
+    inp = CongruenceInput(trivial_quotient(ALPHA_BETA), 5)
+    cert = certify(inp, NOracle(inp))
     data = cert.to_json()
     assert isinstance(data["orderOfF2ModNpN"], str)
     assert isinstance(data["bound"], str)
@@ -417,7 +419,7 @@ def test_cyclic_k_of_index_13_certifies():
     big-integer route took 14 s to print."""
     n, p = 13, 11
     inp = CongruenceInput(cyclic_k(n), p)
-    cert = certify(inp)
+    cert = certify(inp, NOracle(inp))
     assert cert.index_of_n == 36 * n ** 2 and cert.rank_of_n == 36 * n ** 2 + 1
     assert cert.divides
     data = cert.to_json()
@@ -437,7 +439,8 @@ def test_divides_is_decided_on_the_factors(monkeypatch):
         Factored(72, 7, 3).divides(bound)
     # every K meets the real bound, so a smaller one shows the verdict is computed
     monkeypatch.setattr(congruence, "order_bound", lambda n, p: Factored(144 * n ** 4, p, 36))
-    assert not certify(CongruenceInput(trivial_quotient(ALPHA_BETA), 5)).divides
+    inp = CongruenceInput(trivial_quotient(ALPHA_BETA), 5)
+    assert not certify(inp, NOracle(inp)).divides
 
 
 @settings(max_examples=200, deadline=None)
@@ -481,7 +484,8 @@ class PowerCounter(type(intlinalg._EXACT)):
 def test_certificate_json_computes_each_power_once(monkeypatch, k, p, powers):
     """At index 4, rank(N) = 36 n^4 + 1, so the three big numbers share
     p^9217; for the cyclic K, [F:N] = 36 n^2 and the bound has its own."""
-    cert = certify(CongruenceInput(k, p))
+    inp = CongruenceInput(k, p)
+    cert = certify(inp, NOracle(inp))
     want = cert.to_json()
     exponents = []
     monkeypatch.setattr(intlinalg, "_EXACT", PowerCounter(exponents))

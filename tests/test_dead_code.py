@@ -1,23 +1,62 @@
-"""No package definition that only the tests call.
+"""No package definition or method that only the tests call.
 
-Every undecorated module-level ``def`` and ``class`` of ``src/fgcert``
-(``__init__`` aside) must be named somewhere in the package outside
-``__init__``, or in the benchmark harness ``perfbench/*.py``: as a
-name, an attribute, or an imported name.  The tests do not count, and
-neither does the export list of ``__init__``, so a function that only
-tests call fails here.  A decorated definition (a click command) is
-registered by its decorator and is skipped.
+Module level: every undecorated module-level ``def`` and ``class`` of
+``src/fgcert`` (``__init__`` aside) must be named somewhere in the
+package outside ``__init__``, or in the benchmark harness
+``perfbench/*.py``: as a name, an attribute, or an imported name.  The
+tests do not count, and neither does the export list of ``__init__``,
+so a function that only tests call fails here.  A decorated definition
+(a click command) is registered by its decorator and is skipped.
+
+Methods: every method of a module-level class of the package must be
+named as an attribute (``x.name``) in the same code.  A method name
+that several classes define counts only through a qualified reference:
+``Class.name`` anywhere, or ``self.name`` and ``cls.name`` inside that
+class.  A scan of names cannot tell which class an instance
+``x.name`` belongs to, so such a method, reached through instances
+only, is listed in ``KEPT`` with the class that keeps it and the
+reason.  Operator methods (``__mul__``, ``__getitem__``, ...) are
+called by syntax, not by name, and are out of reach of this scan.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fgcert"
 
+# Methods whose name another class shares, reached only through an
+# instance: "Class.method" -> who calls it.
+KEPT = {
+    "Alphabet.generators": "homs.inner_aut and VerifiedAut: alpha.generators()",
+    "SchreierSystem.generators": "cli's section2, largeness and quotients schreier output",
+    "Alphabet.index": "words.parse_word: alpha.index(name)",
+    "_NumberedNames.index": "Alphabet.index: self.names.index(name), a tuple's method too",
+    "VerifiedAut.inverse": "cli's largeness and magnus suites: aut.inverse()",
+    "NOracle.contains": "cli's congruence suite: oracle.contains(w)",
+    "SchreierSystem.contains": "cli's congruence suite: oracle.schreier.contains(w)",
+    "MOracle.contains": "perfbench schreier-queries: self.moracle.contains(w)",
+    "SubgroupHom.fixes_base": "NOracle.contains and cli's congruence checks: pi.fixes_base",
+    "FiniteQuotient.fixes_base": "perfbench certify-ladder samples: k.fixes_base(...)",
+    "Certificate.to_json": "cli's congruence suite and certify command: cert.to_json()",
+    "FiniteQuotient.to_json": "the inverse of from_json, so that one module decides "
+                              "the quotient file format",
+}
+
 
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def package_modules() -> dict[Path, ast.Module]:
+    return {path: parse(path) for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def caller_trees(modules: dict[Path, ast.Module]) -> list[ast.Module]:
+    """The package outside ``__init__``, and the benchmark harness."""
+    return [*modules.values(), *map(parse, sorted((ROOT / "perfbench").glob("*.py")))]
 
 
 def names_used(tree: ast.Module) -> set[str]:
@@ -33,14 +72,66 @@ def names_used(tree: ast.Module) -> set[str]:
     return used
 
 
+def classes(modules: dict[Path, ast.Module]) -> list[ast.ClassDef]:
+    return [node for tree in modules.values() for node in tree.body
+            if isinstance(node, ast.ClassDef)]
+
+
+def methods(cls: ast.ClassDef) -> list[str]:
+    """The names of the class's methods, operator methods aside."""
+    return [node.name for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def attribute_references(trees, class_defs) -> tuple[set[str], set[tuple[str, str]]]:
+    """Every attribute name, and the (class, attribute) pairs of the
+    qualified references: ``Class.name``, and ``self.name`` or
+    ``cls.name`` inside the class."""
+    attrs, qualified = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    qualified.add((node.value.id, node.attr))
+    for cls in class_defs:
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in ("self", "cls")):
+                qualified.add((cls.name, node.attr))
+    return attrs, qualified
+
+
+def unreached_methods() -> list[str]:
+    """"Class.method" for each method no package or harness code names."""
+    modules = package_modules()
+    class_defs = classes(modules)
+    attrs, qualified = attribute_references(caller_trees(modules), class_defs)
+    defined = Counter(name for cls in class_defs for name in methods(cls))
+    return [f"{cls.name}.{name}" for cls in class_defs for name in methods(cls)
+            if not ((cls.name, name) in qualified if defined[name] > 1 else name in attrs)]
+
+
 def test_every_package_definition_is_named_outside_the_tests():
-    modules = {path: parse(path) for path in sorted(PACKAGE.glob("*.py"))
-               if path.name != "__init__.py"}
+    modules = package_modules()
     used = set()
-    for tree in [*modules.values(), *map(parse, sorted((ROOT / "perfbench").glob("*.py")))]:
+    for tree in caller_trees(modules):
         used |= names_used(tree)
     unused = [f"{path.stem}.{node.name}"
               for path, tree in modules.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and not node.decorator_list and node.name not in used]
     assert not unused, f"defined in src/fgcert but named only by tests: {unused}"
+
+
+def test_every_package_method_is_reached_outside_the_tests():
+    unreached = [name for name in unreached_methods() if name not in KEPT]
+    assert not unreached, f"methods in src/fgcert reached only by tests: {unreached}"
+
+
+def test_every_kept_method_still_needs_its_entry():
+    # an entry whose method is gone, or is now reached by a qualified
+    # reference, would let a later dead method of that name through
+    stale = set(KEPT) - set(unreached_methods())
+    assert not stale, f"KEPT entries the scan no longer needs: {sorted(stale)}"

@@ -26,16 +26,16 @@ def random_matrix(rng, rows, cols, bound=6):
 
 
 def test_matrix_arithmetic():
-    a = IntMatrix.from_rows([[1, 2], [3, 4]])
-    b = IntMatrix.from_rows([[0, 1], [1, 0]])
+    a = IntMatrix(((1, 2), (3, 4)))
+    b = IntMatrix(((0, 1), (1, 0)))
     assert (a * b).rows == ((2, 1), (4, 3))
     assert a.apply((1, 0)) == (1, 3)
     assert a.apply((0, 1)) == (2, 4)
 
 
 def test_shape_mismatch():
-    a = IntMatrix.from_rows([[1, 2]])
-    b = IntMatrix.from_rows([[1, 2]])
+    a = IntMatrix(((1, 2),))
+    b = IntMatrix(((1, 2),))
     with pytest.raises(ValueError):
         a * b
 
@@ -99,7 +99,7 @@ def test_kernel_matches_sympy_nullspace():
     for _ in range(50):
         nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
         rows = random_matrix(rng, nrows, ncols)
-        m = IntMatrix.from_rows(rows)
+        m = IntMatrix(tuple(map(tuple, rows)))
         ours = kernel_basis(m)
         theirs = sympy.Matrix(rows).nullspace()
         assert len(ours) == len(theirs)
@@ -111,16 +111,16 @@ def test_kernel_matches_sympy_nullspace():
 def test_kernel_is_saturated():
     # the saturation property: if k*v is in the kernel lattice for some
     # k > 0, then v itself is
-    m = IntMatrix.from_rows([[2, -2]])
+    m = IntMatrix(((2, -2),))
     basis = [tuple(v) for v in kernel_basis(m)]
     assert basis == [(1, 1)]
     # a non-primitive relation must still produce a primitive generator
-    m2 = IntMatrix.from_rows([[4, 6]])
+    m2 = IntMatrix(((4, 6),))
     assert [tuple(v) for v in kernel_basis(m2)] == [(3, -2)]
 
 
 def test_lattice_solve_and_contains():
-    lat = Lattice.from_rows(3, [[1, 0, 1], [0, 2, 0]])
+    lat = Lattice(3, ((1, 0, 1), (0, 2, 0)))
     assert lat.rank == 2
     assert lat.solve((1, 2, 1)) == (1, 1)
     assert lat.solve((0, 1, 0)) is None
@@ -133,7 +133,7 @@ def test_lattice_solve_random_roundtrip():
     for _ in range(60):
         dim = rng.randint(2, 5)
         nrows = rng.randint(1, dim)
-        lat = Lattice.from_rows(dim, random_matrix(rng, nrows, dim))
+        lat = Lattice(dim, tuple(map(tuple, row_hnf(random_matrix(rng, nrows, dim)))))
         coeffs = [rng.randint(-4, 4) for _ in range(lat.rank)]
         v = [sum(c * b[j] for c, b in zip(coeffs, lat.basis)) for j in range(dim)]
         got = lat.solve(v)
@@ -173,7 +173,8 @@ def test_mat_mul_matches_the_replaced_products():
         expected = product_by_columns(a, b)
         assert mat_mul(a, b) == [list(r) for r in expected]
         if n:  # an IntMatrix without rows has no columns either
-            assert (IntMatrix.from_rows(a) * IntMatrix.from_rows(b)).rows == expected
+            product = IntMatrix(tuple(map(tuple, a))) * IntMatrix(tuple(map(tuple, b)))
+            assert product.rows == expected
         if n and p:
             assert mat_mul(a, b) == product_by_dot(a, b)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fgcert import magnus
-from fgcert.homs import compose, hom, transvection_alpha, transvection_beta
+from fgcert.homs import FreeHom, compose, hom, transvection_alpha, transvection_beta
 from fgcert.intlinalg import solve_mod
 from fgcert.magnus import (
     FiniteGroupRingElement,
@@ -67,14 +67,14 @@ def fox_by_recursion(w):
     multiplies every coordinate by x_i on the right and adds 1 (resp.
     -x_i^-1 for the inverse letter) at position i."""
     alpha = w.alphabet
-    coords = [FreeGroupRingElement.zero(alpha) for _ in range(alpha.rank)]
+    coords = [FreeGroupRingElement.from_dict(alpha, {}) for _ in range(alpha.rank)]
     for gen, sign in letters(w):
         letter = alpha.generator(gen, sign)
         coords = [times_word(c, letter) for c in coords]
         if sign > 0:
-            delta = FreeGroupRingElement.one(alpha)
+            delta = FreeGroupRingElement.from_dict(alpha, {(): 1})
         else:
-            delta = FreeGroupRingElement.monomial(letter, -1)
+            delta = FreeGroupRingElement.from_dict(alpha, {letter.syllables: -1})
         coords[gen] = coords[gen] + delta
     return tuple(coords)
 
@@ -114,10 +114,10 @@ def test_finite_j_matches_pushed_free_j(u, v):
 def test_fox_coordinates_of_generators():
     x, y = XY.generators()
     cx = fox_coordinates(x)
-    assert cx[0] == FreeGroupRingElement.one(XY) and not cx[1].terms
+    assert cx[0] == FreeGroupRingElement.from_dict(XY, {(): 1}) and not cx[1].terms
     cinv = fox_coordinates(x.inverse())
     # coordinate of x^-1 is -x^-1
-    assert cinv[0] == FreeGroupRingElement.monomial(x.inverse(), -1)
+    assert cinv[0] == FreeGroupRingElement.from_dict(XY, {x.inverse().syllables: -1})
     assert not cinv[1].terms
     assert all(not c.terms for c in fox_coordinates(XY.identity()))
 
@@ -134,15 +134,15 @@ def test_fox_identity_rank3(w):
 
 def fox_identity_by_ring(w):
     """The former oracle: sum (x_i - 1) w_i through group-ring products,
-    compared with w - 1.  Reads ``magnus.fox_coordinates`` through the
-    module, so a patched one reaches both routes."""
+    plus 1, compared with w.  Reads ``magnus.fox_coordinates`` through
+    the module, so a patched one reaches both routes."""
     alpha = w.alphabet
-    total = FreeGroupRingElement.zero(alpha)
+    one = FreeGroupRingElement.from_dict(alpha, {(): 1})
+    total = FreeGroupRingElement.from_dict(alpha, {})
     for i, c in enumerate(magnus.fox_coordinates(w)):
-        xi = FreeGroupRingElement.monomial(alpha.generator(i))
-        total = total + (xi - FreeGroupRingElement.one(alpha)) * c
-    expected = FreeGroupRingElement.monomial(w) - FreeGroupRingElement.one(alpha)
-    return total == expected
+        xi_minus_one = FreeGroupRingElement.from_dict(alpha, {((i, 1),): 1, (): -1})
+        total = total + xi_minus_one * c
+    return total + one == FreeGroupRingElement.from_dict(alpha, {w.syllables: 1})
 
 
 @pytest.mark.parametrize("alpha", [XY, XYZ])
@@ -214,11 +214,11 @@ def test_fox_product_rule(u, v):
 
 def test_finite_ring_arithmetic():
     a = FiniteGroupRingElement.monomial(3, 2, (1, 0))
-    b = FiniteGroupRingElement.monomial(3, 2, (0, 2), 2)
+    b = FiniteGroupRingElement.from_dict(3, 2, {(0, 2): 2})
     assert (a + b) - b == a
     assert a * FiniteGroupRingElement.one(3, 2) == a
     prod = a * b
-    assert prod == FiniteGroupRingElement.monomial(3, 2, (1, 2), 2)
+    assert prod == FiniteGroupRingElement.from_dict(3, 2, {(1, 2): 2})
     with pytest.raises(RingError):
         a + FiniteGroupRingElement.one(5, 2)
 
@@ -266,9 +266,9 @@ def ring_elements(alpha=XY, max_terms=5):
     term = st.tuples(words(alpha, 5, max_exponent=3), st.integers(-3, 3))
 
     def build(terms):
-        e, ref = FreeGroupRingElement.zero(alpha), word_ring.WordRingElement.zero(alpha)
+        e, ref = FreeGroupRingElement.from_dict(alpha, {}), word_ring.WordRingElement.zero(alpha)
         for w, c in terms:
-            e = e + FreeGroupRingElement.monomial(w, c)
+            e = e + FreeGroupRingElement.from_dict(alpha, {w.syllables: c})
             ref = ref + word_ring.WordRingElement.monomial(w, c)
         return e, ref
 
@@ -287,11 +287,8 @@ def test_ring_matches_the_word_ring(pair):
     (a, ra), (b, rb) = pair
     assert word_ring.as_word_ring(a) == ra and word_ring.as_word_ring(b) == rb
     assert word_ring.as_word_ring(a + b) == ra + rb
-    assert word_ring.as_word_ring(a - b) == ra - rb
-    assert word_ring.as_word_ring(-a) == -ra
     assert word_ring.as_word_ring(a * b) == ra * rb
     assert (not (a * b).terms) is (ra * rb).is_zero()
-    assert str(a * b) == str(ra * rb)
 
 
 @given(st.sampled_from([XY, XYZ]).flatmap(lambda a: words(a, 12, max_exponent=6)))
@@ -308,8 +305,9 @@ def test_endo_on_ring_matches_the_word_ring(h, pair):
 
 def test_endo_on_ring_refuses_a_hom_that_is_not_an_endomorphism():
     # y -> v^2 into F(u, v, w) must not come back as y^2 over (x, y)
-    h = hom(XY, "u", "v^2", codomain=alphabet("u", "v", "w"))
-    e = FreeGroupRingElement.monomial(parse_word("y", XY))
+    uvw = alphabet("u", "v", "w")
+    h = FreeHom(XY, uvw, (parse_word("u", uvw), parse_word("v^2", uvw)))
+    e = FreeGroupRingElement.from_dict(XY, {parse_word("y", XY).syllables: 1})
     with pytest.raises(WordError, match="needs an endomorphism"):
         magnus.endo_on_ring(h, e)
     with pytest.raises(WordError, match="needs an endomorphism"):
@@ -334,10 +332,12 @@ def test_j_composition_matches_the_word_ring(f, g):
 
 def test_fox_checks_build_no_word_per_term(monkeypatch):
     """``fox_identity_holds`` and the injectivity key read the Fox terms
-    as syllable tuples: ``Word._trusted`` is never called, where printing
-    the coordinates makes one word per term."""
+    as syllable tuples: ``Word._trusted`` is never called, where applying
+    an endomorphism to the coordinates makes two words per term, the term
+    and its image."""
     rng = random.Random(5)
     ws = [random_word(rng, a, 30) for a in (XY, XYZ) for _ in range(20)]
+    identity = hom(ws[0].alphabet, *ws[0].alphabet.names)
     calls = []
     trusted = Word._trusted
 
@@ -352,12 +352,13 @@ def test_fox_checks_build_no_word_per_term(monkeypatch):
     assert len(keys) == len(set(ws))
     coords = fox_coordinates(ws[0])
     for c in coords:
-        str(c)
-    assert len(calls) == sum(len(c.terms) for c in coords) > 0
+        magnus.endo_on_ring(identity, c)
+    assert len(calls) == 2 * sum(len(c.terms) for c in coords) > 0
 
 
 def test_j_of_identity():
-    one, zero = FreeGroupRingElement.one(XY), FreeGroupRingElement.zero(XY)
+    one = FreeGroupRingElement.from_dict(XY, {(): 1})
+    zero = FreeGroupRingElement.from_dict(XY, {})
     assert j_of_endo(hom(XY, "x", "y")) == [[one, zero], [zero, one]]
 
 
@@ -405,7 +406,7 @@ def test_acts_trivially_mod():
     assert acts_trivially_mod(inversion, 2)
     assert not acts_trivially_mod(inversion, 3)
     with pytest.raises(WordError, match="needs an endomorphism"):
-        acts_trivially_mod(hom(XY, "x", "z", codomain=XYZ), 2)
+        acts_trivially_mod(FreeHom(XY, XYZ, (parse_word("x", XYZ), parse_word("z", XYZ))), 2)
 
 
 def test_ka_check_passes_mod2():
@@ -417,64 +418,64 @@ def test_ka_check_passes_mod2():
 
 
 def test_ka_check_rejects_nontrivial_aut():
-    res = ka_check([nielsen_inversion(XY, 0)], 3, pairs=5)
+    res = ka_check([nielsen_inversion(XY, 0)], 3, pairs=5, rng=random.Random(0))
     assert not res["passed"]
 
 
 def test_ka_check_refuses_no_automorphisms():
     with pytest.raises(ValueError, match="at least one automorphism"):
-        ka_check([], 2)
+        ka_check([], 2, pairs=1, rng=random.Random(0))
 
 
 @pytest.mark.parametrize("pairs", [0, -3])
 def test_ka_check_refuses_no_pairs(pairs):
     with pytest.raises(ValueError, match="at least one pair"):
-        ka_check([transvection_alpha()], 2, pairs=pairs)
+        ka_check([transvection_alpha()], 2, pairs=pairs, rng=random.Random(0))
 
 
 @pytest.mark.parametrize("m", [1, 0, -2])
 def test_ka_check_refuses_a_modulus_below_two(m):
     with pytest.raises(ValueError, match="modulus m >= 2"):
-        ka_check([transvection_alpha()], m)
+        ka_check([transvection_alpha()], m, pairs=1, rng=random.Random(0))
 
 
 @pytest.mark.parametrize("samples", [0, -5])
 def test_local_commutator_refuses_no_samples(samples):
     with pytest.raises(ValueError, match="at least one sample"):
-        local_commutator_check(3, 2, 1, 1, samples=samples)
+        local_commutator_check(3, 2, 1, 1, samples=samples, rng=random.Random(0))
 
 
 @pytest.mark.parametrize("powers", [(3, 1), (1, 3), (-1, 1), (1, -1)])
 def test_local_commutator_refuses_an_ideal_power_outside_0_to_k(powers):
     with pytest.raises(ValueError, match="0 <= s_power, t_power <= k"):
-        local_commutator_check(3, 2, *powers, samples=10)
+        local_commutator_check(3, 2, *powers, samples=10, rng=random.Random(0))
 
 
 @pytest.mark.parametrize("p", [1, 4, 9, 0, -3, 2 ** 41 + 1])
 def test_local_commutator_refuses_a_p_that_is_not_a_prime_up_to_the_cap(p):
     with pytest.raises(ValueError, match="needs a prime p"):
-        local_commutator_check(p, 2, 1, 1, samples=10)
+        local_commutator_check(p, 2, 1, 1, samples=10, rng=random.Random(0))
 
 
 def test_local_commutator_refuses_k_below_one():
     with pytest.raises(ValueError, match="k >= 1"):
-        local_commutator_check(3, 0, 0, 0, samples=10)
+        local_commutator_check(3, 0, 0, 0, samples=10, rng=random.Random(0))
 
 
 def test_local_commutator_mod9_and_mod8():
-    assert local_commutator_check(3, 2, 1, 1, samples=100)["passed"]
-    assert local_commutator_check(2, 3, 1, 2, samples=100)["passed"]
+    assert local_commutator_check(3, 2, 1, 1, samples=100, rng=random.Random(0))["passed"]
+    assert local_commutator_check(2, 3, 1, 2, samples=100, rng=random.Random(0))["passed"]
 
 
 def test_local_commutator_reporting():
-    res = local_commutator_check(3, 2, 1, 1, samples=100)
+    res = local_commutator_check(3, 2, 1, 1, samples=100, rng=random.Random(0))
     assert res["samples"] == 100 and res["failures"] == 0
     assert res["modulus"] == 9 and res["ideal_product"] == 9
 
 
 def test_mat_mul_over_group_ring():
-    one = FreeGroupRingElement.one(XY)
-    x = FreeGroupRingElement.monomial(XY.generator(0))
+    one = FreeGroupRingElement.from_dict(XY, {(): 1})
+    x = FreeGroupRingElement.from_dict(XY, {((0, 1),): 1})
     prod = mat_mul([[one, x]], [[x], [one]])
     assert prod == [[x + x]]
 
@@ -489,7 +490,8 @@ def test_mat_mul_matches_dot_products_over_the_group_ring():
 
     rng = random.Random(31)
     for _ in range(30):
-        a, b = ([[FreeGroupRingElement.monomial(random_word(rng, XY, 4), rng.randint(-2, 2))
+        a, b = ([[FreeGroupRingElement.from_dict(XY, {random_word(rng, XY, 4).syllables:
+                                                      rng.randint(-2, 2)})
                   for _ in range(2)] for _ in range(2)] for _ in range(2))
         assert mat_mul(a, b) == [[dot(a[i], [b[0][j], b[1][j]]) for j in range(2)]
                                  for i in range(2)]

@@ -174,7 +174,7 @@ def test_coset_of_is_transversal_index():
 
 
 def test_outer_hom_images():
-    pi = rank2_outer_hom()
+    pi = rank2_outer_hom(rank2_mod2_kernel())
     assert [str(w) for w in pi.images] == ["a", "1", "b", "a^-1", "b^-1"]
     assert pi.target == ALPHA_BETA
     s = pi.system
@@ -287,7 +287,7 @@ def test_move_table_matches_substitute_of_the_swept_letters(case, xy_syllables):
     in size, and with the same errors outside the subgroup and over a
     wrong alphabet."""
     s, hom, u, w = case
-    pi = rank2_outer_hom()
+    pi = rank2_outer_hom(rank2_mod2_kernel())
     x = Word.from_syllables(XY, xy_syllables)
     for h, v in ((hom, w), (pi, x)):
         system = h.system
@@ -331,7 +331,7 @@ def test_fixes_base_matches_the_conjugate_route(case, q, xy_syllables):
     the subgroup both routes raise."""
     s, hom, u, w = case
     x = Word.from_syllables(XY, xy_syllables)
-    for h, v in ((hom, w), (rank2_outer_hom(), x)):
+    for h, v in ((hom, w), (rank2_outer_hom(rank2_mod2_kernel()), x)):
         system = h.system
         member = v * system.transversal[system.coset_of(v)].inverse()
         elements = [v, member, member ** 3]
@@ -351,7 +351,7 @@ def test_fixes_base_matches_the_conjugate_route(case, q, xy_syllables):
 
 
 def test_fixes_base_refuses_a_wrong_alphabet_or_coset():
-    pi = rank2_outer_hom()
+    pi = rank2_outer_hom(rank2_mod2_kernel())
     k = abelian_quotient(ALPHA_BETA, (2, 3))
     x2 = parse_word("x^2", XY)
     # pi(t_c x^2 t_c^-1) is a or a^-1, of order 2 in Z/2 x Z/3

@@ -34,6 +34,7 @@ from fgcert.quotients import (
     build_schreier_system,
     induced_quotient,
     kernel_subgroup,
+    rank2_mod2_kernel,
     rank2_outer_hom,
     rank3_c2_kernel,
 )
@@ -331,7 +332,7 @@ def seeded_k(n: int, seed: int) -> FiniteQuotient:
 def reference_n(k: FiniteQuotient, max_cosets=100_000) -> RefSystem:
     """N built as before: letter-stepped actions over a reference delta."""
     delta = reference_system(RefQuotient(abelian_quotient(XY, (2, 2))), XY)
-    images = rank2_outer_hom().images
+    images = rank2_outer_hom(rank2_mod2_kernel()).images
     conjugated = [RefInduced(delta, images, k, base_shift=t) for t in delta.transversal]
     product = RefProduct([RefQuotient(abelian_quotient(XY, (6, 6)))] + conjugated)
     return reference_system(product, XY, max_cosets)
@@ -469,7 +470,7 @@ def test_build_needs_quotients_over_one_alphabet():
 
 
 def test_induced_quotient_is_a_finite_quotient():
-    pi = rank2_outer_hom()
+    pi = rank2_outer_hom(rank2_mod2_kernel())
     with pytest.raises(SchreierError, match="target quotient over wrong alphabet"):
         induced_quotient(pi, abelian_quotient(XY, (2, 2)))
     k = seeded_k(3, 2026)

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from fgcert.homs import compose_auts, shear_alpha3, shear_beta3
-from fgcert.intlinalg import IntMatrix, Lattice, kernel_basis
+from fgcert.intlinalg import IntMatrix, Lattice, kernel_basis, row_hnf
 from fgcert.quotients import FiniteQuotient, SchreierError, kernel_subgroup, rank3_c2_kernel
 from fgcert.schreier_modules import (
     abelianized_image,
@@ -142,7 +142,7 @@ def test_abelianized_image_is_exponent_vector():
 
 
 def test_eigenlattices_golden():
-    b = IntMatrix.from_rows([list(r) for r in B_ROWS])
+    b = IntMatrix(B_ROWS)
     plus = eigen_lattice(b, 1)
     minus = eigen_lattice(b, -1)
     assert [list(r) for r in plus.basis] == [
@@ -157,7 +157,7 @@ def test_eigenlattice_against_sympy():
     for _ in range(30):
         n = rng.randint(2, 4)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        m = IntMatrix.from_rows(rows)
+        m = IntMatrix(tuple(map(tuple, rows)))
         for lam in (-1, 0, 1, 2):
             lat = eigen_lattice(m, lam)
             shifted = sympy.Matrix(rows) - lam * sympy.eye(n)
@@ -172,12 +172,12 @@ def test_eigenlattice_against_sympy():
        st.integers(-2, 2))
 def test_eigen_lattice_matches_the_shifted_kernel(rows, lam):
     """The eigenlattice against the saturated kernel of m - lam*I, the
-    shifted matrix built here and its kernel put through Lattice.from_rows."""
+    shifted matrix built here and its kernel put in Hermite normal form."""
     n = len(rows)
-    shifted = IntMatrix.from_rows(
-        [[v - lam * (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)])
-    assert eigen_lattice(IntMatrix.from_rows(rows), lam) == Lattice.from_rows(
-        n, kernel_basis(shifted))
+    shifted = IntMatrix(tuple(tuple(v - lam * (i == j) for j, v in enumerate(row))
+                              for i, row in enumerate(rows)))
+    assert eigen_lattice(IntMatrix(tuple(map(tuple, rows))), lam) == Lattice(
+        n, tuple(map(tuple, row_hnf(kernel_basis(shifted)))))
 
 
 def test_induced_action_golden():

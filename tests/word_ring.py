@@ -51,12 +51,6 @@ class WordRingElement:
             d[w] = d.get(w, 0) + c
         return WordRingElement.from_dict(self.alphabet, d)
 
-    def __neg__(self) -> "WordRingElement":
-        return WordRingElement(self.alphabet, tuple((w, -c) for w, c in self.terms))
-
-    def __sub__(self, other: "WordRingElement") -> "WordRingElement":
-        return self + (-other)
-
     def __mul__(self, other: "WordRingElement") -> "WordRingElement":
         assert self.alphabet == other.alphabet
         d: dict[Word, int] = {}
@@ -68,11 +62,6 @@ class WordRingElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*({w})" for w, c in self.terms)
 
 
 def as_word_ring(e) -> WordRingElement:
