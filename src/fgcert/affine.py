@@ -36,8 +36,8 @@ from .intlinalg import PRIME_CAP, Factored, echelon_mod, is_prime
 
 
 # The certificate's work grows as r^4, all of it in conjugate_translation's
-# products in W: `affine certify --find-p` takes about 13 s at r = 61 and
-# 100 s at r = 101 (2 vCPU, Python 3.11.7).
+# products in W: `affine certify --find-p` takes about 10 s at r = 61
+# (2 vCPU, Python 3.11.7).
 R_CAP = 61
 
 

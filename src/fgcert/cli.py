@@ -197,7 +197,7 @@ def run_section2(runner: Runner, manifest: dict, rng: random.Random) -> None:
     for i, name in enumerate(names):
         runner.check(f"section2.outer-image.{name}",
                      "projection of the subgroup onto the outer rank-2 free group",
-                     m["outerImages"][name], pi.images[i])
+                     m["outerImages"][name], pi.hom.images[i])
     for text in m["kernelNormalGenerators"]:
         w = system.expand(parse_word(text, sub))
         runner.check(f"section2.kernel-member.{text.replace(' ', '')}",

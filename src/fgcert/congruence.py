@@ -42,7 +42,6 @@ from dataclasses import dataclass, field, replace
 from .intlinalg import PRIME_CAP, Factored, decimals, is_prime
 from .quotients import (
     ALPHA_BETA,
-    MAX_COSETS,
     FiniteQuotient,
     SchreierSystem,
     abelian_quotient,
@@ -105,7 +104,7 @@ def order_bound(n: int, p: int) -> Factored:
 class NOracle:
     """Membership oracle and Schreier system for N."""
 
-    def __init__(self, input: CongruenceInput, max_cosets: int = MAX_COSETS):
+    def __init__(self, input: CongruenceInput):
         self.input = input
         self.delta = rank2_mod2_kernel()
         self.pi = rank2_outer_hom(self.delta)
@@ -117,7 +116,7 @@ class NOracle:
         preimage = induced_quotient(self.pi, input.k_quotient)
         conjugated = [replace(preimage, base_point=preimage.act_word(preimage.base_point, t))
                       for t in self.transversal]
-        self.schreier = build_schreier_system(mod6, *conjugated, max_cosets=max_cosets)
+        self.schreier = build_schreier_system(mod6, *conjugated)
         self.index = self.schreier.index
         self.rank = schreier_rank(self.index, 2)
         n = input.k_index

@@ -13,8 +13,8 @@ from .words import (
     Alphabet,
     Word,
     WordError,
+    _inverted,
     alphabet,
-    image_syllables,
     parse_word,
     substitute,
 )
@@ -28,6 +28,7 @@ class FreeHom:
     codomain: Alphabet
     images: tuple[Word, ...]
     # the syllables of the images and of their inverses, for ``substitute``
+    # and a subgroup hom's move table
     _syllables: tuple = field(init=False, repr=False, compare=False)
     _inverses: tuple = field(init=False, repr=False, compare=False)
 
@@ -37,9 +38,9 @@ class FreeHom:
         for img in self.images:
             if img.alphabet != self.codomain:
                 raise WordError("image over wrong alphabet")
-        syllables, inverses = image_syllables(self.codomain, self.images)
-        object.__setattr__(self, "_syllables", syllables)
-        object.__setattr__(self, "_inverses", inverses)
+        object.__setattr__(self, "_syllables", tuple(img.syllables for img in self.images))
+        object.__setattr__(self, "_inverses", tuple(_inverted(self.codomain, img.syllables)
+                                                    for img in self.images))
 
     def __call__(self, w: Word) -> Word:
         if w.alphabet != self.domain:

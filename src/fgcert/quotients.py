@@ -25,9 +25,10 @@ never turns back, and in t_c x t_c'^-1 neither junction cancels, since
 x after the last letter of t_c, or before the first letter of t_c'^-1,
 cancels only when (c, x) is a tree edge in one direction or the other.
 
-A subgroup hom is evaluated off a move table, built on its first
-evaluation: for each letter and coset, the syllables that step emits,
-the shared syllables of the image of the Schreier generator it sweeps
+A subgroup hom holds a ``homs.FreeHom`` on the Schreier generators, and
+is evaluated off a move table, built on its first evaluation: for each
+letter and coset, the syllables that step emits, the syllables the
+``FreeHom`` keeps of the image of the Schreier generator it sweeps
 out, of that image's inverse, or none.  One walk of the word through
 the move table and the coset table joins them, and one reduction ends
 it; no Schreier letter or word over the Schreier generators is built in
@@ -43,18 +44,18 @@ words and of their inverses in ``words.substitute``.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import getitem
 from typing import Iterable, Sequence
 
+from .homs import FreeHom
 from .words import (
     Alphabet,
     Word,
     WordError,
     _reduce,
     alphabet,
-    image_syllables,
     numbered_alphabet,
     substitute,
 )
@@ -224,22 +225,12 @@ class SchreierSystem:
         self.scan = [array("i", [-1]) * self.index for _ in range(alphabet.rank)]
         for i, (c, gen) in enumerate(zip(edge_coset, edge_gen)):
             self.scan[gen][c] = i
-
-    @cached_property
-    def _syllables(self) -> list[tuple[tuple[int, int], ...] | None]:
-        """The syllables of each generator word read so far, else None."""
-        return [None] * len(self.edge_coset)
-
-    @cached_property
-    def _inverse_syllables(self) -> list[tuple[tuple[int, int], ...] | None]:
-        """The syllables of each inverse generator word read so far, else None."""
-        return [None] * len(self.edge_coset)
-
-    @cached_property
-    def _runs(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """The one tuple of each syllable of exponent other than +-1 that
-        the words read off the tree hold."""
-        return {}
+        # the syllables of each generator word, and of each inverse, read
+        # so far, else None; and the one tuple of each syllable of
+        # exponent other than +-1 that the words read off the tree hold
+        self._syllables = [None] * len(edge_coset)
+        self._inverse_syllables = [None] * len(edge_coset)
+        self._runs: dict[tuple[int, int], tuple[int, int]] = {}
 
     @cached_property
     def transversal(self) -> tuple[Word, ...]:
@@ -440,14 +431,15 @@ def kernel_subgroup(q: FiniteQuotient, max_cosets: int = MAX_COSETS) -> Schreier
 
 @dataclass(frozen=True)
 class SubgroupHom:
-    """A homomorphism from a Schreier subgroup, given by one image word
-    (over a target alphabet) per Schreier generator.
+    """A homomorphism from a Schreier subgroup: ``hom`` is a free-group
+    hom from the Schreier generators (``system.sub_alphabet``) to the
+    target, and checks the images.
 
     Evaluation is one walk of the word through the move table and one
     free reduction of what it emits: each step emits the images'
     syllables, or their inverses', for the Schreier letter that
     ``sweep`` would read there, so the result is the same as rewriting
-    first and substituting after, since every word has one reduced
+    first and applying ``hom`` after, since every word has one reduced
     form.  When the target is a free
     group, kernel membership is free-word triviality; composing with a
     finite quotient of the target decides membership in preimages of
@@ -457,22 +449,11 @@ class SubgroupHom:
     """
 
     system: SchreierSystem
-    target: Alphabet
-    images: tuple[Word, ...]
-    # the syllables of the images and of their inverses, for ``substitute``
-    # and the move table
-    _syllables: tuple = field(init=False, repr=False, compare=False)
-    _inverses: tuple = field(init=False, repr=False, compare=False)
+    hom: FreeHom
 
     def __post_init__(self):
-        if len(self.images) != self.system.sub_alphabet.rank:
-            raise SchreierError("one image per Schreier generator required")
-        for img in self.images:
-            if img.alphabet != self.target:
-                raise WordError("image over wrong alphabet")
-        syllables, inverses = image_syllables(self.target, self.images)
-        object.__setattr__(self, "_syllables", syllables)
-        object.__setattr__(self, "_inverses", inverses)
+        if self.hom.domain != self.system.sub_alphabet:
+            raise SchreierError("the hom must be defined on the Schreier generators")
 
     @cached_property
     def _moves(self) -> list[list[tuple[tuple[int, int], ...]]]:
@@ -482,7 +463,7 @@ class SubgroupHom:
         inverse, or () on a tree edge.  The letter then leads to coset
         ``system.table[l][c]``; a negative letter sweeps the generator of
         the edge it walks back along, from the coset it leads to."""
-        system, images, inverses = self.system, self._syllables, self._inverses
+        system, images, inverses = self.system, self.hom._syllables, self.hom._inverses
         moves = []
         for gen, scan in enumerate(system.scan):
             moves.append([() if i < 0 else images[i] for i in scan])
@@ -517,7 +498,7 @@ class SubgroupHom:
                     coset = step[coset]
         if coset != 0:
             raise SchreierError(f"word not in the subgroup: {w}")
-        return Word._trusted(self.target, _reduce(syllables))
+        return Word._trusted(self.hom.codomain, _reduce(syllables))
 
     @cached_property
     def _move_letters(self) -> list[list[tuple[int, ...]]]:
@@ -539,7 +520,7 @@ class SubgroupHom:
         built.  Raises if the walk does not end at ``coset``, that is,
         if t_c w t_c^-1 is not in the subgroup."""
         system = self.system
-        if w.alphabet != system.alphabet or quotient.alphabet != self.target:
+        if w.alphabet != system.alphabet or quotient.alphabet != self.hom.codomain:
             raise WordError("alphabet mismatch")
         if not 0 <= coset < system.index:
             raise SchreierError(f"coset {coset} out of range")
@@ -584,12 +565,12 @@ def induced_quotient(sub_hom: SubgroupHom, target_quotient: FiniteQuotient) -> F
     target base); the stabilizer of the point the base reaches by a word
     t is that preimage conjugated by t.
     """
-    if target_quotient.alphabet != sub_hom.target:
+    if target_quotient.alphabet != sub_hom.hom.codomain:
         raise SchreierError("target quotient over wrong alphabet")
     system = sub_hom.system
     size = target_quotient.size
     images = [tuple(target_quotient.act_word(pt, img) for pt in range(size))
-              for img in sub_hom.images]
+              for img in sub_hom.hom.images]
     identity = tuple(range(size))
     perms = []
     for gen in range(system.alphabet.rank):
@@ -627,7 +608,7 @@ def rank2_outer_hom(system: SchreierSystem) -> SubgroupHom:
     a = ALPHA_BETA.generator(0)
     b = ALPHA_BETA.generator(1)
     images = (a, ALPHA_BETA.identity(), b, a.inverse(), b.inverse())
-    return SubgroupHom(system, ALPHA_BETA, images)
+    return SubgroupHom(system, FreeHom(sub, ALPHA_BETA, images))
 
 
 def rank3_c2_kernel() -> SchreierSystem:

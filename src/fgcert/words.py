@@ -250,13 +250,6 @@ class Word:
         return f"Word({self})"
 
 
-def image_syllables(alpha: Alphabet, images: Sequence[Word]) -> tuple[tuple, tuple]:
-    """The syllables of each image word and of its inverse, the two
-    tables ``substitute`` reads."""
-    return (tuple(img.syllables for img in images),
-            tuple(_inverted(alpha, img.syllables) for img in images))
-
-
 def substitute(alpha: Alphabet, images: Sequence[tuple[tuple[int, int], ...]],
                inverses: Sequence[tuple[tuple[int, int], ...]],
                letters: Iterable[tuple[int, int]]) -> Word:

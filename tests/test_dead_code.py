@@ -17,6 +17,14 @@ class.  A scan of names cannot tell which class an instance
 only, is listed in ``KEPT`` with the class that keeps it and the
 reason.  Operator methods (``__mul__``, ``__getitem__``, ...) are
 called by syntax, not by name, and are out of reach of this scan.
+
+Defaults: every defaulted parameter of an undecorated module-level
+function, or of a method of a module-level class, must be set by some
+call in the same code: by keyword, by position, or through ``*args`` or
+``**kwargs``.  A call matches by the name it calls (the class name for
+``__init__``), and positions skip ``self`` or ``cls`` except on a
+``staticmethod``.  A parameter that only tests set is an option no
+caller takes, and fails here.
 """
 
 import ast
@@ -113,6 +121,60 @@ def unreached_methods() -> list[str]:
             if not ((cls.name, name) in qualified if defined[name] > 1 else name in attrs)]
 
 
+def functions(modules: dict[Path, ast.Module]) -> list[tuple[str, str, ast.FunctionDef, int]]:
+    """("module.qualname", the name a call uses, the def, how many leading
+    parameters a call does not pass) for each function and method."""
+    out = []
+    for path, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.decorator_list:
+                out.append((f"{path.stem}.{node.name}", node.name, node, 0))
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in fn.decorator_list)
+                        callee = node.name if fn.name == "__init__" else fn.name
+                        out.append((f"{path.stem}.{node.name}.{fn.name}", callee, fn,
+                                    0 if static else 1))
+    return out
+
+
+def defaulted(fn: ast.FunctionDef, skipped: int) -> list[tuple[str, int | None]]:
+    """(name, position in a call, or None if keyword-only) of each
+    parameter with a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(arg.arg, i - skipped) for i, arg in enumerate(positional) if i >= first]
+            + [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None])
+
+
+def sets(call: ast.Call, name: str, position: int | None) -> bool:
+    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position or any(
+        isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def unset_defaults() -> list[str]:
+    """"module.qualname parameter" for each defaulted parameter that no
+    package or harness call sets."""
+    modules = package_modules()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in caller_trees(modules):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    return [f"{qualname} {name}" for qualname, callee, fn, skipped in functions(modules)
+            for name, position in defaulted(fn, skipped)
+            if not any(sets(call, name, position) for call in calls.get(callee, ()))]
+
+
 def test_every_package_definition_is_named_outside_the_tests():
     modules = package_modules()
     used = set()
@@ -135,3 +197,8 @@ def test_every_kept_method_still_needs_its_entry():
     # reference, would let a later dead method of that name through
     stale = set(KEPT) - set(unreached_methods())
     assert not stale, f"KEPT entries the scan no longer needs: {sorted(stale)}"
+
+
+def test_every_defaulted_parameter_is_set_outside_the_tests():
+    unset = unset_defaults()
+    assert not unset, f"defaulted parameters in src/fgcert set only by tests: {unset}"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fgcert.congruence import CongruenceInput, NOracle
+from fgcert.homs import FreeHom
 from fgcert.quotients import (
     ALPHA_BETA,
     FiniteQuotient,
@@ -22,7 +23,8 @@ from fgcert.quotients import (
     trivial_quotient,
 )
 from fgcert.schreier_modules import abelianized_image
-from fgcert.words import Alphabet, Word, WordError, _reduce, alphabet, parse_word, random_word, substitute
+from fgcert.words import (Alphabet, Word, WordError, _reduce, alphabet, numbered_alphabet,
+                          parse_word, random_word, substitute)
 from word_letters import letters
 
 XY = alphabet("x", "y")
@@ -175,12 +177,27 @@ def test_coset_of_is_transversal_index():
 
 def test_outer_hom_images():
     pi = rank2_outer_hom(rank2_mod2_kernel())
-    assert [str(w) for w in pi.images] == ["a", "1", "b", "a^-1", "b^-1"]
-    assert pi.target == ALPHA_BETA
+    assert [str(w) for w in pi.hom.images] == ["a", "1", "b", "a^-1", "b^-1"]
+    assert pi.hom.codomain == ALPHA_BETA
     s = pi.system
     assert pi.in_kernel(s.expand(parse_word("e2", s.sub_alphabet)))
     assert pi.in_kernel(s.expand(parse_word("e1 e4", s.sub_alphabet)))
     assert not pi.in_kernel(s.expand(parse_word("e1", s.sub_alphabet)))
+
+
+def test_subgroup_hom_needs_a_hom_on_the_schreier_generators():
+    s = rank2_mod2_kernel()
+    a = ALPHA_BETA.generator(0)
+    # rank 5 like the Schreier alphabet e1..e5, but other names
+    with pytest.raises(SchreierError, match="Schreier generators"):
+        SubgroupHom(s, FreeHom(alphabet("a", "b", "c", "d", "e"), ALPHA_BETA, (a,) * 5))
+    with pytest.raises(SchreierError, match="Schreier generators"):
+        SubgroupHom(s, FreeHom(numbered_alphabet("e", 4), ALPHA_BETA, (a,) * 4))
+    # the hom itself refuses a wrong image count or image alphabet
+    with pytest.raises(WordError, match="one image per domain generator"):
+        FreeHom(s.sub_alphabet, ALPHA_BETA, (a,) * 4)
+    with pytest.raises(WordError, match="image over wrong alphabet"):
+        FreeHom(s.sub_alphabet, ALPHA_BETA, (a,) * 4 + (XY.generator(0),))
 
 
 def test_rank3_kernel_generator_order():
@@ -247,7 +264,7 @@ def systems_and_words(draw):
     sub = s.sub_alphabet.rank
     u = Word.from_syllables(s.sub_alphabet, draw(syllable_lists(sub)))
     w = Word.from_syllables(alpha, draw(syllable_lists(alpha.rank)))
-    return s, SubgroupHom(s, ALPHA_BETA, images), u, w
+    return s, SubgroupHom(s, FreeHom(s.sub_alphabet, ALPHA_BETA, images)), u, w
 
 
 @settings(max_examples=150, deadline=None)
@@ -269,7 +286,7 @@ def test_one_sweep_routes_match_the_two_step_routes(case):
         assert s.expand(u) == Word.from_syllables(alpha, syllables)
     member = w * s.transversal[s.coset_of(w)].inverse()
     for x in (member, s.expand(u), member * s.expand(u) ** -2):
-        assert hom(x) == substitute(hom.target, hom._syllables, hom._inverses,
+        assert hom(x) == substitute(hom.hom.codomain, hom.hom._syllables, hom.hom._inverses,
                                     s.rewrite(x).syllables)
         assert abelianized_image(s, x) == s.rewrite(x).exponent_sums()
     if s.coset_of(w):
@@ -293,7 +310,8 @@ def test_move_table_matches_substitute_of_the_swept_letters(case, xy_syllables):
         system = h.system
 
         def swept(y):
-            return substitute(h.target, h._syllables, h._inverses, system.schreier_letters(y))
+            return substitute(h.hom.codomain, h.hom._syllables, h.hom._inverses,
+                              system.schreier_letters(y))
 
         member = v * system.transversal[system.coset_of(v)].inverse()
         cubed = Word.from_syllables(system.alphabet, [(g, 3 * e) for g, e in v.syllables])

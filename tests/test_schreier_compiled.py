@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from fgcert import congruence
 from fgcert.congruence import CongruenceInput, MOracle, NOracle
+from fgcert.homs import FreeHom
 from fgcert.quotients import (
     ALPHA_BETA,
     FiniteQuotient,
@@ -332,7 +333,7 @@ def seeded_k(n: int, seed: int) -> FiniteQuotient:
 def reference_n(k: FiniteQuotient, max_cosets=100_000) -> RefSystem:
     """N built as before: letter-stepped actions over a reference delta."""
     delta = reference_system(RefQuotient(abelian_quotient(XY, (2, 2))), XY)
-    images = rank2_outer_hom(rank2_mod2_kernel()).images
+    images = rank2_outer_hom(rank2_mod2_kernel()).hom.images
     conjugated = [RefInduced(delta, images, k, base_shift=t) for t in delta.transversal]
     product = RefProduct([RefQuotient(abelian_quotient(XY, (6, 6)))] + conjugated)
     return reference_system(product, XY, max_cosets)
@@ -440,7 +441,8 @@ def test_induced_action_matches_reference():
     for trial in range(5):
         images = tuple(random_word(rng, ALPHA_BETA, 3) for _ in system.generators)
         k, shift = seeded_k(3, trial), random_word(rng, XY, 5)
-        induced = induced_quotient(SubgroupHom(system, ALPHA_BETA, images), k)
+        hom = FreeHom(system.sub_alphabet, ALPHA_BETA, images)
+        induced = induced_quotient(SubgroupHom(system, hom), k)
         compiled = build_schreier_system(
             replace(induced, base_point=induced.act_word(induced.base_point, shift)))
         words = [random_word(rng, XY, 12) for _ in range(50)]
@@ -448,10 +450,14 @@ def test_induced_action_matches_reference():
                            words)
 
 
-def test_coset_cap_on_product_action():
+def test_coset_cap_on_product_action(monkeypatch):
+    # NOracle builds N under the default cap of build_schreier_system
     k = seeded_k(2, 2026)
-    NOracle(CongruenceInput(k, 5), max_cosets=72)
-    for build in (lambda: NOracle(CongruenceInput(k, 5), max_cosets=71),
+    caps = build_schreier_system.__kwdefaults__
+    monkeypatch.setitem(caps, "max_cosets", 72)
+    assert NOracle(CongruenceInput(k, 5)).index == 72
+    monkeypatch.setitem(caps, "max_cosets", 71)
+    for build in (lambda: NOracle(CongruenceInput(k, 5)),
                   lambda: reference_n(k, max_cosets=71)):
         with pytest.raises(SchreierError, match=r"coset limit exceeded \(71\); input too large"):
             build()

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from fgcert.homs import FreeHom
 from fgcert.words import (
     Alphabet,
     Word,
@@ -10,7 +11,6 @@ from fgcert.words import (
     _reduce,
     alphabet,
     commutator,
-    image_syllables,
     numbered_alphabet,
     parse_word,
     random_word,
@@ -245,7 +245,8 @@ def test_inverse_and_products_match_the_oracle(a, b):
 
 @given(words(XYZ), st.lists(words(XY), min_size=3, max_size=3))
 def test_substitute_matches_the_oracle(w, images):
-    got = substitute(XY, *image_syllables(XY, images), w.syllables)
+    h = FreeHom(XYZ, XY, tuple(images))
+    got = substitute(XY, h._syllables, h._inverses, w.syllables)
     assert got == old_substitute(XY, images.__getitem__, w)
     assert_exact_syllables(got)
 
