@@ -129,10 +129,11 @@ class NOracle:
         conjugate t_i w t_i^-1 mapping into K under the outer hom.  The
         image of t_i w t_i^-1 is what w emits walked from coset i of
         Delta, and K acts on it as it is emitted, so no conjugate and
-        no image word is built (``SubgroupHom.fixes_base``).  This route
-        reads only pi's move table and K's own permutations, not the
-        compiled actions the coset table of N is built from, so it stays
-        a second check of that table."""
+        no image word is built (``SubgroupHom.fixes_base``, one lookup
+        per letter in a walk table compiled once for K).  That table is
+        compiled from pi's move table and K's own permutations, not from
+        ``induced_quotient``, whose actions the coset table of N is built
+        from, so this route stays a second check of that table."""
         if w.alphabet != F2:
             raise WordError("word must be over (x, y)")
         if any(s % 6 for s in w.exponent_sums()):

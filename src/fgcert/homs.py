@@ -43,7 +43,7 @@ class FreeHom:
                                                     for img in self.images))
 
     def __call__(self, w: Word) -> Word:
-        if w.alphabet != self.domain:
+        if w.alphabet is not self.domain and w.alphabet != self.domain:
             raise WordError("word not over the domain alphabet")
         return substitute(self.codomain, self._syllables, self._inverses, w.syllables)
 

@@ -33,18 +33,25 @@ out, of that image's inverse, or none.  One walk of the word through
 the move table and the coset table joins them, and one reduction ends
 it; no Schreier letter or word over the Schreier generators is built in
 between.  ``SubgroupHom.fixes_base`` walks a word from any coset c
-instead, and acts on a finite quotient of the target as it goes: the
+instead, and acts on a finite quotient q of the target as it goes: the
 tree paths t_c and t_c^-1 emit nothing, so the walk emits the image of
-t_c w t_c^-1, and an action needs no reduced word, so each emitted
-letter steps the quotient's point at once and nothing is built.
+t_c w t_c^-1, and an action needs no reduced word.  So the move table
+and q's permutations are compiled, once per quotient, into a walk table
+on the pairs (coset, point of q), and the walk costs one lookup per
+letter; nothing is built.  The walk table comes from the move table, not
+from ``induced_quotient``, so a membership test through it stays
+independent of the actions a coset table is built from.
 ``SchreierSystem.expand`` joins the cached syllables of the generator
-words and of their inverses in ``words.substitute``.
+words and of their inverses in ``words.substitute``, which reduces
+only where one of them meets what came before it.  Every walk of a
+word through a coset or quotient table (``_act``, ``sweep``) steps a
+unit syllable at once, with no inner loop.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import getitem
 from typing import Iterable, Sequence
@@ -71,12 +78,23 @@ class SchreierError(ValueError):
     """Raised for invalid coset data or out-of-subgroup rewriting."""
 
 
-def _act(tables: Sequence[Sequence[int]], state: int, w: Word) -> int:
-    """Image of ``state`` under ``w`` for per-letter int tables."""
-    for gen, exp in w.syllables:
-        table = tables[2 * gen + (exp < 0)]
-        for _ in range(abs(exp)):
-            state = table[state]
+def _act(tables: Sequence[Sequence[int]], state: int,
+         syllables: Iterable[tuple[int, int]]) -> int:
+    """Image of ``state`` under the word of ``syllables`` for per-letter
+    int tables; a unit syllable is one step."""
+    for gen, exp in syllables:
+        if exp == 1:
+            state = tables[2 * gen][state]
+        elif exp == -1:
+            state = tables[2 * gen + 1][state]
+        elif exp > 0:
+            table = tables[2 * gen]
+            for _ in range(exp):
+                state = table[state]
+        else:
+            table = tables[2 * gen + 1]
+            for _ in range(-exp):
+                state = table[state]
     return state
 
 
@@ -111,9 +129,9 @@ class FiniteQuotient:
         object.__setattr__(self, "_tables", tuple(tables))
 
     def act_word(self, state: int, w: Word) -> int:
-        if w.alphabet != self.alphabet:
+        if w.alphabet is not self.alphabet and w.alphabet != self.alphabet:
             raise WordError("alphabet mismatch")
-        return _act(self._tables, state, w)
+        return _act(self._tables, state, w.syllables)
 
     def fixes_base(self, w: Word) -> bool:
         return self.act_word(self.base_point, w) == self.base_point
@@ -303,9 +321,9 @@ class SchreierSystem:
                                     for c, gen in zip(self.edge_coset, self.edge_gen))
 
     def coset_of(self, w: Word) -> int:
-        if w.alphabet != self.alphabet:
+        if w.alphabet is not self.alphabet and w.alphabet != self.alphabet:
             raise WordError("alphabet mismatch")
-        return _act(self.table, 0, w)
+        return _act(self.table, 0, w.syllables)
 
     def contains(self, w: Word) -> bool:
         return self.coset_of(w) == 0
@@ -313,25 +331,34 @@ class SchreierSystem:
     def sweep(self, w: Word) -> tuple[int, list[tuple[int, int]]]:
         """The coset w leads to from coset 0, and the Schreier letters
         (generator index, +-1) it sweeps out on the way."""
-        if w.alphabet != self.alphabet:
+        if w.alphabet is not self.alphabet and w.alphabet != self.alphabet:
             raise WordError("alphabet mismatch")
         coset = 0
         letters: list[tuple[int, int]] = []
+        append = letters.append
         tables, scans = self.table, self.scan
         for gen, exp in w.syllables:
             scan = scans[gen]
-            if exp > 0:
+            if exp == 1:
+                if scan[coset] >= 0:
+                    append((scan[coset], 1))
+                coset = tables[2 * gen][coset]
+            elif exp == -1:
+                coset = tables[2 * gen + 1][coset]
+                if scan[coset] >= 0:
+                    append((scan[coset], -1))
+            elif exp > 0:
                 table = tables[2 * gen]
                 for _ in range(exp):
                     if scan[coset] >= 0:
-                        letters.append((scan[coset], 1))
+                        append((scan[coset], 1))
                     coset = table[coset]
             else:
                 table = tables[2 * gen + 1]
                 for _ in range(-exp):
                     coset = table[coset]
                     if scan[coset] >= 0:
-                        letters.append((scan[coset], -1))
+                        append((scan[coset], -1))
         return coset, letters
 
     def schreier_letters(self, w: Word) -> list[tuple[int, int]]:
@@ -353,7 +380,7 @@ class SchreierSystem:
         """Substitute each Schreier generator by its word and reduce,
         from the cached syllables of the generator words and of their
         inverses, each built on first use."""
-        if sub_word.alphabet != self.sub_alphabet:
+        if sub_word.alphabet is not self.sub_alphabet and sub_word.alphabet != self.sub_alphabet:
             raise WordError("alphabet mismatch")
         syllables, inverses = self._syllables, self._inverse_syllables
         for gen, exp in sub_word.syllables:
@@ -444,12 +471,16 @@ class SubgroupHom:
     group, kernel membership is free-word triviality; composing with a
     finite quotient of the target decides membership in preimages of
     finite-index subgroups.  ``fixes_base`` decides that membership for
-    t_c w t_c^-1 without building a word: it walks w from coset c and
-    steps the quotient's point by each letter the walk emits.
+    t_c w t_c^-1 without building a word: it walks w from coset c
+    through a walk table compiled from the move table and the
+    quotient's permutations, one lookup per letter, which moves the
+    coset and the quotient's point together.
     """
 
     system: SchreierSystem
     hom: FreeHom
+    # the last quotient ``fixes_base`` was asked about, and its walk table
+    _walk_of: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.hom.domain != self.system.sub_alphabet:
@@ -477,7 +508,7 @@ class SubgroupHom:
         it emits, with no Schreier letter or word over the Schreier
         generators in between."""
         system = self.system
-        if w.alphabet != system.alphabet:
+        if w.alphabet is not system.alphabet and w.alphabet != system.alphabet:
             raise WordError("alphabet mismatch")
         moves, table = self._moves, system.table
         syllables: list[tuple[int, int]] = []
@@ -500,48 +531,53 @@ class SubgroupHom:
             raise SchreierError(f"word not in the subgroup: {w}")
         return Word._trusted(self.hom.codomain, _reduce(syllables))
 
-    @cached_property
-    def _move_letters(self) -> list[list[tuple[int, ...]]]:
-        """The move table spelled out, built on first use by
-        ``fixes_base``: ``_move_letters[l][c]`` holds the target letters
-        k = 2*gen + (sign < 0) of what ``_moves[l][c]`` emits, one per
-        unit step, so that each indexes a quotient's per-letter table."""
-        spelled = {move: tuple(2 * g + (e < 0) for g, e in move for _ in range(abs(e)))
-                   for row in self._moves for move in row}
-        return [[spelled[move] for move in row] for row in self._moves]
+    def _walk(self, quotient: FiniteQuotient) -> list[list[int]]:
+        """The walk table of ``fixes_base`` for a quotient q of the
+        target, compiled from the move table and q's permutations, and
+        kept for the last quotient asked about (by identity: a quotient
+        hashes all of its permutations).  State c * size + pt is coset c
+        of the system and point pt of q; ``walk[l][c * size + pt]`` is
+        ``system.table[l][c] * size`` plus the point that what letter l
+        emits at coset c takes pt to."""
+        if self._walk_of is not None and self._walk_of[0] is quotient:
+            return self._walk_of[1]
+        size, act, points = quotient.size, quotient._tables, range(quotient.size)
+        perms: dict[tuple[tuple[int, int], ...], list[int]] = {}
+        walk = []
+        for moves, step in zip(self._moves, self.system.table):
+            row: list[int] = []
+            for move, c2 in zip(moves, step):
+                perm = perms.get(move)
+                if perm is None:
+                    perm = perms[move] = [_act(act, pt, move) for pt in points]
+                offset = c2 * size
+                row += [offset + pt for pt in perm]
+            walk.append(row)
+        object.__setattr__(self, "_walk_of", (quotient, walk))
+        return walk
 
     def fixes_base(self, quotient: FiniteQuotient, w: Word, coset: int = 0) -> bool:
         """Whether the image of t_c w t_c^-1 fixes the base point of a
         quotient of the target, for t_c the transversal word of
-        ``coset``: one walk of w from that coset through the move table
-        and the coset table, each emitted letter stepping the point at
-        once.  The tree paths t_c and t_c^-1 emit nothing, and the
-        action needs no reduced word, so no conjugate, list or word is
-        built.  Raises if the walk does not end at ``coset``, that is,
-        if t_c w t_c^-1 is not in the subgroup."""
+        ``coset``: one walk of w from that coset through the compiled
+        walk table (``_walk``), one lookup per letter.  The tree paths
+        t_c and t_c^-1 emit nothing, and the action needs no reduced
+        word, so no conjugate, list or word is built.  Raises if the walk
+        does not end at ``coset``, that is, if t_c w t_c^-1 is not in the
+        subgroup."""
         system = self.system
-        if w.alphabet != system.alphabet or quotient.alphabet != self.hom.codomain:
+        if w.alphabet is not system.alphabet and w.alphabet != system.alphabet:
             raise WordError("alphabet mismatch")
+        codomain = self.hom.codomain
+        if quotient.alphabet is not codomain and quotient.alphabet != codomain:
+            raise SchreierError("target quotient over wrong alphabet")
         if not 0 <= coset < system.index:
             raise SchreierError(f"coset {coset} out of range")
-        moves, table, act = self._move_letters, system.table, quotient._tables
-        point = quotient.base_point
-        c = coset
-        for gen, exp in w.syllables:
-            l = 2 * gen + (exp < 0)
-            move, step = moves[l], table[l]
-            if exp == 1 or exp == -1:
-                for k in move[c]:
-                    point = act[k][point]
-                c = step[c]
-            else:
-                for _ in range(exp if exp > 0 else -exp):
-                    for k in move[c]:
-                        point = act[k][point]
-                    c = step[c]
-        if c != coset:
+        size, base = quotient.size, quotient.base_point
+        end, point = divmod(_act(self._walk(quotient), coset * size + base, w.syllables), size)
+        if end != coset:
             raise SchreierError(f"t_{coset} w t_{coset}^-1 not in the subgroup: w = {w}")
-        return point == quotient.base_point
+        return point == base
 
     def in_kernel(self, w: Word) -> bool:
         return self(w).is_identity()

@@ -15,6 +15,11 @@ syllables (g, +-1) of an inverse come from the alphabet's one table
 ``unit_syllables``.  So ``Word._trusted`` takes a tuple of tuples only;
 lists are turned into tuples at the boundary, by ``_reduce``.
 
+A product of reduced words (``*``, ``**``, ``substitute``) is reduced
+only at its seams, by ``_joined``: cancellation can start only where a
+piece meets what came before it.  ``_reduce`` is kept for input that is
+not known to be reduced.
+
 An alphabet's names are a tuple, or the numbered names prefix1 ..
 prefixN of ``numbered_alphabet`` (the default Schreier-generator
 names), which are made only when read: such an alphabet has an O(1)
@@ -157,6 +162,31 @@ def _reduce(syllables: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]
     return tuple(stack)
 
 
+def _joined(pieces: Iterable[tuple[tuple[int, int], ...]]) -> tuple[tuple[int, int], ...]:
+    """The reduced product of reduced syllable sequences.  A product of
+    reduced words cancels only where a piece meets the end of what came
+    before it, so each piece is merged there and the rest of it is
+    appended as it is.  Where a piece and the end cancel completely,
+    the merge goes on with what is left on each side, so cancellation
+    may reach back across several pieces."""
+    out: list[tuple[int, int]] = []
+    for piece in pieces:
+        i = 0
+        while out and i < len(piece):
+            gen, exp = piece[i]
+            top_gen, top_exp = out[-1]
+            if gen != top_gen:
+                break
+            i += 1
+            exp += top_exp
+            if exp:
+                out[-1] = (gen, exp)
+                break
+            out.pop()
+        out.extend(piece[i:])
+    return tuple(out)
+
+
 def _inverted(alpha: Alphabet, syllables: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """The syllables of the inverse word, unit syllables taken from the
     alphabet's shared table."""
@@ -195,25 +225,25 @@ class Word:
     @staticmethod
     def _trusted(alpha: Alphabet, syllables: tuple[tuple[int, int], ...]) -> "Word":
         """A word from a tuple of syllable tuples already known to be
-        valid and reduced (``_reduce`` of valid words, an inverse, a
-        suffix); skips the ``__post_init__`` checks, which stay at the
-        boundary."""
+        valid and reduced (``_reduce`` or ``_joined`` of valid words,
+        an inverse, a suffix); skips the ``__post_init__`` checks, which
+        stay at the boundary."""
         w = object.__new__(Word)
         object.__setattr__(w, "alphabet", alpha)
         object.__setattr__(w, "syllables", syllables)
         return w
 
     def _check(self, other: "Word") -> None:
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise WordError("alphabet mismatch")
 
     def __mul__(self, other: "Word") -> "Word":
         self._check(other)
-        return Word._trusted(self.alphabet, _reduce(self.syllables + other.syllables))
+        return Word._trusted(self.alphabet, _joined((self.syllables, other.syllables)))
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inverse()
-        return Word._trusted(self.alphabet, _reduce(base.syllables * abs(n)))
+        return Word._trusted(self.alphabet, _joined((base.syllables,) * abs(n)))
 
     def inverse(self) -> "Word":
         return Word._trusted(self.alphabet, _inverted(self.alphabet, self.syllables))
@@ -257,20 +287,21 @@ def substitute(alpha: Alphabet, images: Sequence[tuple[tuple[int, int], ...]],
     or the (index, +-1) letters of a Schreier sweep) under the hom
     sending generator i to the word over ``alpha`` with syllables
     ``images[i]``, whose inverse has syllables ``inverses[i]``: the
-    images are concatenated and freely reduced once, in time linear in
-    the total length."""
-    syllables: list[tuple[int, int]] = []
-    extend = syllables.extend
+    images are reduced words, so they are joined with reduction only at
+    the seams (``_joined``), in time linear in the seams and the total
+    length."""
+    pieces: list[tuple[tuple[int, int], ...]] = []
+    append = pieces.append
     for gen, exp in letters:
         if exp == 1:
-            extend(images[gen])
+            append(images[gen])
         elif exp == -1:
-            extend(inverses[gen])
+            append(inverses[gen])
         elif exp > 0:
-            extend(images[gen] * exp)
+            pieces += (images[gen],) * exp
         else:
-            extend(inverses[gen] * -exp)
-    return Word._trusted(alpha, _reduce(syllables))
+            pieces += (inverses[gen],) * -exp
+    return Word._trusted(alpha, _joined(pieces))
 
 
 def commutator(a: Word, b: Word) -> Word:

@@ -15,6 +15,7 @@ from fgcert.quotients import (
     SubgroupHom,
     abelian_quotient,
     build_schreier_system,
+    induced_quotient,
     kernel_subgroup,
     rank2_mod2_kernel,
     rank2_outer_hom,
@@ -341,31 +342,46 @@ def finite_quotients(draw, alpha: Alphabet, max_size: int = 5):
 
 
 @settings(max_examples=150, deadline=None)
-@given(systems_and_words(), finite_quotients(ALPHA_BETA), syllable_lists(2, 12))
-def test_fixes_base_matches_the_conjugate_route(case, q, xy_syllables):
+@given(systems_and_words(),
+       st.lists(finite_quotients(ALPHA_BETA), min_size=2, max_size=2,
+                unique_by=lambda q: (q.size, q.perms, q.base_point)),
+       syllable_lists(2, 12))
+def test_fixes_base_matches_the_conjugate_route(case, quotients, xy_syllables):
     """Walking w from coset c against the word-product route, for a
     random hom and for pi: ``fixes_base(q, w, c)`` is whether the image
     of t_c w t_c^-1 fixes q's base point, and where t_c w t_c^-1 leaves
-    the subgroup both routes raise."""
+    the subgroup both routes raise.  Each hom is asked about two
+    different quotients in turn, from every coset, so a walk table
+    compiled for one quotient must not answer for the other; for pi the
+    letter x, which moves every coset of the mod-2 kernel, must raise
+    from every coset."""
     s, hom, u, w = case
     x = Word.from_syllables(XY, xy_syllables)
-    for h, v in ((hom, w), (rank2_outer_hom(rank2_mod2_kernel()), x)):
+    pi = rank2_outer_hom(rank2_mod2_kernel())
+    for h, v in ((hom, w), (pi, x)):
         system = h.system
         member = v * system.transversal[system.coset_of(v)].inverse()
         elements = [v, member, member ** 3]
         if h is hom:
             elements.append(s.expand(u) * member)
+        else:
+            elements.append(XY.generator(0))
         for y in elements:
             for c, t in enumerate(system.transversal):
                 conj = t * y * t.inverse()
                 if system.contains(conj):
-                    assert h.fixes_base(q, y, c) == q.fixes_base(h(conj))
+                    for q in quotients:
+                        assert h.fixes_base(q, y, c) == q.fixes_base(h(conj))
                     continue
-                with pytest.raises(SchreierError,
-                                   match=re.escape(f"t_{c} w t_{c}^-1 not in the subgroup: w = {y}") + "$"):
-                    h.fixes_base(q, y, c)
+                for q in quotients:
+                    with pytest.raises(SchreierError, match=re.escape(
+                            f"t_{c} w t_{c}^-1 not in the subgroup: w = {y}") + "$"):
+                        h.fixes_base(q, y, c)
                 with pytest.raises(SchreierError, match="not in the subgroup"):
                     h(conj)
+    # x moves every coset of the mod-2 kernel, so its walk never returns
+    assert not any(pi.system.contains(t * XY.generator(0) * t.inverse())
+                   for t in pi.system.transversal)
 
 
 def test_fixes_base_refuses_a_wrong_alphabet_or_coset():
@@ -376,11 +392,25 @@ def test_fixes_base_refuses_a_wrong_alphabet_or_coset():
     assert all(pi.fixes_base(k, x2 ** 2, c) and not pi.fixes_base(k, x2, c) for c in range(4))
     with pytest.raises(WordError, match="alphabet mismatch"):
         pi.fixes_base(k, parse_word("x^2", XYZ))  # the word
-    with pytest.raises(WordError, match="alphabet mismatch"):
+    with pytest.raises(SchreierError, match="target quotient over wrong alphabet"):
         pi.fixes_base(abelian_quotient(XY, (2, 3)), x2)  # the quotient: over the source
     for c in (-1, 4):
         with pytest.raises(SchreierError, match=f"coset {c} out of range"):
             pi.fixes_base(k, x2, c)
+
+
+def test_a_target_quotient_over_the_wrong_alphabet_is_one_error():
+    """``fixes_base`` and ``induced_quotient`` raise the same error for a
+    quotient of the source where one of the target belongs; a word over
+    the wrong alphabet stays a ``WordError``."""
+    pi = rank2_outer_hom(rank2_mod2_kernel())
+    wrong = trivial_quotient(alphabet("x", "y"))
+    for route in (lambda: pi.fixes_base(wrong, parse_word("x^2", XY)),
+                  lambda: induced_quotient(pi, wrong)):
+        with pytest.raises(SchreierError, match="^target quotient over wrong alphabet$"):
+            route()
+    with pytest.raises(WordError, match="alphabet mismatch"):
+        pi.fixes_base(trivial_quotient(ALPHA_BETA), parse_word("a", ALPHA_BETA))
 
 
 def test_generator_words_of_n_are_their_reduced_letters():

@@ -251,6 +251,58 @@ def test_substitute_matches_the_oracle(w, images):
     assert_exact_syllables(got)
 
 
+@st.composite
+def cancelling_pieces(draw, alpha=XYZ):
+    """Reduced words whose product cancels across its seams: each is a
+    random word, the inverse of the product of the last one to three
+    (which cancels them completely, so cancellation runs across more
+    than one piece), or that inverse followed by a random word."""
+    pieces = []
+    for _ in range(draw(st.integers(0, 6))):
+        w = draw(words(alpha, 6))
+        kind = draw(st.sampled_from(["word", "undo", "undo then word"]))
+        if kind != "word" and pieces:
+            back = pieces[-draw(st.integers(1, min(3, len(pieces)))):]
+            undo = old_inverse(Word(alpha, old_reduce(
+                [syl for piece in back for syl in piece.syllables])))
+            tail = w.syllables if kind == "undo then word" else ()
+            w = Word(alpha, old_reduce(undo.syllables + tail))
+        pieces.append(w)
+    return pieces
+
+
+@given(cancelling_pieces(), st.lists(st.tuples(st.integers(0, 8), st.integers(-3, 3)
+                                               .filter(bool)), max_size=8),
+       st.integers(-4, 4))
+def test_seam_reduction_matches_full_reduction(pieces, extra_letters, k):
+    """``substitute``, ``*`` and ``**`` reduce only at the seams; each
+    must equal ``_reduce`` of the plain concatenation of its pieces."""
+    def concatenation(ws):
+        return Word._trusted(XYZ, _reduce([syl for w in ws for syl in w.syllables]))
+
+    product = XYZ.identity()
+    for w in pieces:
+        product = product * w
+    assert product == concatenation(pieces)
+    assert_exact_syllables(product)
+
+    n = max(len(pieces), 1)
+    images = tuple(pieces) if pieces else (XYZ.identity(),)
+    h = FreeHom(numbered_alphabet("e", n), XYZ, images)
+    letters = [(i, 1) for i in range(len(pieces))] + [(i % n, e) for i, e in extra_letters]
+    expanded = [images[i] if e > 0 else images[i].inverse()
+                for i, e in letters for _ in range(abs(e))]
+    got = substitute(XYZ, h._syllables, h._inverses, letters)
+    assert got == concatenation(expanded)
+    assert_exact_syllables(got)
+
+    a, b = XYZ.generator(0), XYZ.generator(1)
+    for base in pieces + [a * b * a.inverse(), a ** 2 * b ** -3 * a ** -2, product]:
+        power = base ** k
+        assert power == concatenation([base if k > 0 else base.inverse()] * abs(k))
+        assert_exact_syllables(power)
+
+
 def test_unit_syllables_are_one_table_per_alphabet():
     units = XYZ.unit_syllables
     assert units == ((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1))
