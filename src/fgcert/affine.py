@@ -128,12 +128,14 @@ class AffineParams:
 
     @staticmethod
     def choose(r: int, p: int | None = None, xi: int | None = None) -> "AffineParams":
+        # r and its cap before any search; an explicit xi is judged first
+        _check_r(r)
+        if xi is None:
+            _check_r_cap(r)
         if p is None:
-            _check_r(r)
             p = smallest_prime_1_mod(r)
         if xi is None:
             _check_r_p(r, p)
-            _check_r_cap(r)
             xi = smallest_root_of_order(r, p)
         return AffineParams(r, p, xi)
 

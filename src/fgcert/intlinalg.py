@@ -232,10 +232,6 @@ class Lattice:
     ambient_dim: int
     basis: tuple[tuple[int, ...], ...]
 
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
     def solve(self, v: Sequence[int]) -> tuple[int, ...] | None:
         """Integer coordinates of v in the basis, or None if v is not
         in the lattice.  Back-substitution against the HNF pivots."""

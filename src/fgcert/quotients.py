@@ -10,8 +10,9 @@ a preimage's action into one, without coset enumeration.
 The coset table is built by breadth-first search from the base point,
 trying generators in index order, positive letter before negative; this
 fixes the transversal {1, x, y, xy} for the rank-2 mod-2 kernel and
-makes every golden value deterministic.  Schreier generators are
-enumerated in (transversal position, generator) lexicographic order.
+makes every golden value deterministic.  The BFS lists each Schreier
+generator when it meets the off-tree edge, so they come in (transversal
+position, generator) lexicographic order.
 
 The search runs on ints only.  Letter l = 2*gen + (sign < 0) indexes the
 per-letter tables of every quotient and of the coset table, the
@@ -403,7 +404,10 @@ def build_schreier_system(*quotients: FiniteQuotient,
 
     BFS order: cosets in discovery order, edges tried generator index
     ascending with the positive letter before the negative one.  A state
-    is the tuple of the quotients' points.
+    is the tuple of the quotients' points.  Each Schreier generator is
+    listed as the BFS meets its edge: a positive letter that leads to a
+    coset already seen, unless it walks back the tree edge into the
+    coset it leaves.  So they come in (coset, generator) order.
     """
     if not quotients:
         raise SchreierError("at least one finite quotient required")
@@ -417,6 +421,7 @@ def build_schreier_system(*quotients: FiniteQuotient,
     states = [base]
     parent, parent_letter = [-1], [-1]
     table: list[list[int]] = [[] for _ in letters]
+    edge_coset, edge_gen = array("i"), array("B" if alpha.rank <= 256 else "i")
     c = 0
     while c < len(states):
         state = states[c]
@@ -432,21 +437,14 @@ def build_schreier_system(*quotients: FiniteQuotient,
                 states.append(nxt)
                 parent.append(c)
                 parent_letter.append(l)
+            elif not (l & 1 or (parent[c] == c2 and parent_letter[c] == l + 1)):
+                # a positive letter to a coset seen before, other than c's
+                # own tree edge walked back: t_c x t_c'^-1 is nontrivial
+                edge_coset.append(c)
+                edge_gen.append(l >> 1)
             table[l].append(c2)
         c += 1
-    index = len(states)
-    del states, coset_of_state  # freed before the edges are listed
-
-    # t_c x t_c'^-1 is trivial exactly on the tree edges, in either direction
-    edge_coset, edge_gen = array("i"), array("B" if alpha.rank <= 256 else "i")
-    for c in range(index):
-        for gen in range(alpha.rank):
-            c2 = table[2 * gen][c]
-            if not ((parent[c2] == c and parent_letter[c2] == 2 * gen)
-                    or (parent[c] == c2 and parent_letter[c] == 2 * gen + 1)):
-                edge_coset.append(c)
-                edge_gen.append(gen)
-
+    del states, coset_of_state  # freed before the scan arrays are made
     return SchreierSystem(alpha, table, parent, parent_letter, edge_coset, edge_gen)
 
 
@@ -529,6 +527,7 @@ class SubgroupHom:
                     coset = step[coset]
         if coset != 0:
             raise SchreierError(f"word not in the subgroup: {w}")
+        # one _reduce beats _joined here: each move is one syllable or none
         return Word._trusted(self.hom.codomain, _reduce(syllables))
 
     def _walk(self, quotient: FiniteQuotient) -> list[list[int]]:
@@ -542,16 +541,12 @@ class SubgroupHom:
         if self._walk_of is not None and self._walk_of[0] is quotient:
             return self._walk_of[1]
         size, act, points = quotient.size, quotient._tables, range(quotient.size)
-        perms: dict[tuple[tuple[int, int], ...], list[int]] = {}
         walk = []
         for moves, step in zip(self._moves, self.system.table):
             row: list[int] = []
             for move, c2 in zip(moves, step):
-                perm = perms.get(move)
-                if perm is None:
-                    perm = perms[move] = [_act(act, pt, move) for pt in points]
                 offset = c2 * size
-                row += [offset + pt for pt in perm]
+                row += [offset + _act(act, pt, move) for pt in points]
             walk.append(row)
         object.__setattr__(self, "_walk_of", (quotient, walk))
         return walk

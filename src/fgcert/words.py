@@ -23,8 +23,8 @@ not known to be reduced.
 An alphabet's names are a tuple, or the numbered names prefix1 ..
 prefixN of ``numbered_alphabet`` (the default Schreier-generator
 names), which are made only when read: such an alphabet has an O(1)
-``rank`` and ``index``, and equals, and hashes like, the alphabet of
-the same names spelled out.
+``rank``, and equals, and hashes like, the alphabet of the same names
+spelled out.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ class _NumberedNames(SequenceABC):
     """The names prefix1 .. prefix<count>, each made when read; compares
     and hashes as the tuple of those names."""
 
-    __slots__ = ("prefix", "count", "_hash")
+    __slots__ = ("prefix", "count")
 
     def __init__(self, prefix: str, count: int):
-        self.prefix, self.count, self._hash = prefix, count, None
+        self.prefix, self.count = prefix, count
 
     def __len__(self) -> int:
         return self.count
@@ -63,25 +63,13 @@ class _NumberedNames(SequenceABC):
     def __iter__(self):
         return (f"{self.prefix}{k}" for k in range(1, self.count + 1))
 
-    def index(self, name) -> int:
-        """Position of ``name``: its digits after the prefix, read as
-        written (ASCII, no leading zero), minus one."""
-        if isinstance(name, str) and name.startswith(self.prefix):
-            digits = name[len(self.prefix):]
-            if (digits.isascii() and digits.isdigit() and digits[0] != "0"
-                    and int(digits) <= self.count):
-                return int(digits) - 1
-        raise ValueError(f"{name!r} is not in the names")
-
     def __eq__(self, other) -> bool:
         if isinstance(other, _NumberedNames):
             return (self.prefix, self.count) == (other.prefix, other.count)
         return isinstance(other, tuple) and len(other) == self.count and tuple(self) == other
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(self))
-        return self._hash
+        return hash(tuple(self))
 
     def __repr__(self) -> str:
         return f"_NumberedNames({self.prefix!r}, {self.count})"

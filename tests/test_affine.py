@@ -389,8 +389,15 @@ def test_r_above_the_certificate_cap_is_rejected(monkeypatch):
     def no_search(r, p):
         raise AssertionError("searched for xi above the cap")
 
-    # the cap is checked before the search for xi, which takes r powers
+    def no_p_search(r):
+        raise AssertionError("searched for p above the cap")
+
+    # the cap is checked before the searches for p and for xi, which
+    # step through p = 1 mod r and take r powers
     monkeypatch.setattr(affine, "smallest_root_of_order", no_search)
+    monkeypatch.setattr(affine, "smallest_prime_1_mod", no_p_search)
+    with pytest.raises(AffineError, match="r = 549755813881 is above the cap 61"):
+        AffineParams.choose(549755813881)  # a prime under 2^40
     with pytest.raises(AffineError, match="r = 67 is above the cap 61"):
         AffineParams.choose(67)
     with pytest.raises(AffineError, match="r = 67 is above the cap 61"):

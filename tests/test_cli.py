@@ -342,6 +342,9 @@ def test_r_above_the_certificate_cap_is_a_usage_error():
     start = time.monotonic()
     res = run("affine", "certify", "--r", "1000000007", "--find-p")
     assert_usage_error(res, "r = 1000000007 is above the cap 61 on r for the affine certificate")
+    # refused before the search for p, which finds none up to 2^40 here
+    res = run("affine", "certify", "--r", "549755813881", "--find-p")
+    assert_usage_error(res, "r = 549755813881 is above the cap 61 on r for the affine certificate")
     assert time.monotonic() - start < 2
     for args in (("--find-p",), ("--p", "269"), ("--p", "269", "--xi", "16")):
         assert_usage_error(run("affine", "certify", "--r", "67", *args),

@@ -10,13 +10,15 @@ so a function that only tests call fails here.  A decorated definition
 
 Methods: every method of a module-level class of the package must be
 named as an attribute (``x.name``) in the same code.  A method name
-that several classes define counts only through a qualified reference:
-``Class.name`` anywhere, or ``self.name`` and ``cls.name`` inside that
-class.  A scan of names cannot tell which class an instance
-``x.name`` belongs to, so such a method, reached through instances
-only, is listed in ``KEPT`` with the class that keeps it and the
-reason.  Operator methods (``__mul__``, ``__getitem__``, ...) are
-called by syntax, not by name, and are out of reach of this scan.
+that several classes define, or that another class has as a field (a
+dataclass field, or an attribute set as ``self.name = ...``), counts
+only through a qualified reference: ``Class.name`` anywhere, or
+``self.name`` and ``cls.name`` inside that class.  A scan of names
+cannot tell which class an instance ``x.name`` belongs to, so such a
+method, reached through instances only, is listed in ``KEPT`` with the
+class that keeps it and the reason.  Operator methods (``__mul__``,
+``__getitem__``, ...) are called by syntax, not by name, and are out of
+reach of this scan.
 
 Defaults: every defaulted parameter of an undecorated module-level
 function, or of a method of a module-level class, must be set by some
@@ -34,13 +36,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fgcert"
 
-# Methods whose name another class shares, reached only through an
-# instance: "Class.method" -> who calls it.
+# Methods whose name another class shares as a method or a field,
+# reached only through an instance: "Class.method" -> who calls it.
 KEPT = {
     "Alphabet.generators": "homs.inner_aut and VerifiedAut: alpha.generators()",
     "SchreierSystem.generators": "cli's section2, largeness and quotients schreier output",
-    "Alphabet.index": "words.parse_word: alpha.index(name)",
-    "_NumberedNames.index": "Alphabet.index: self.names.index(name), a tuple's method too",
+    "SchreierSystem.transversal": "NOracle: self.delta.transversal; cli's quotients "
+                                  "schreier output: system.transversal",
+    "Alphabet.index": "words.parse_word: alpha.index(name); index is also a field "
+                      "of NOracle and SchreierSystem",
+    "VerifiedAut.alphabet": "magnus.ka_check: auts[0].alphabet.rank",
+    "Factored.divides": "congruence.certify: order_mod_m.divides(bound)",
     "VerifiedAut.inverse": "cli's largeness and magnus suites: aut.inverse()",
     "NOracle.contains": "cli's congruence suite: oracle.contains(w)",
     "SchreierSystem.contains": "cli's congruence suite: oracle.schreier.contains(w)",
@@ -85,6 +91,23 @@ def classes(modules: dict[Path, ast.Module]) -> list[ast.ClassDef]:
             if isinstance(node, ast.ClassDef)]
 
 
+def fields(cls: ast.ClassDef) -> set[str]:
+    """The class's annotated fields, and the attributes its code sets on
+    ``self``."""
+    names = {node.target.id for node in cls.body
+             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+    for node in ast.walk(cls):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                   else [])
+        for target in targets:
+            for leaf in ast.walk(target):
+                if (isinstance(leaf, ast.Attribute) and isinstance(leaf.value, ast.Name)
+                        and leaf.value.id == "self"):
+                    names.add(leaf.attr)
+    return names
+
+
 def methods(cls: ast.ClassDef) -> list[str]:
     """The names of the class's methods, operator methods aside."""
     return [node.name for node in cls.body
@@ -117,8 +140,14 @@ def unreached_methods() -> list[str]:
     class_defs = classes(modules)
     attrs, qualified = attribute_references(caller_trees(modules), class_defs)
     defined = Counter(name for cls in class_defs for name in methods(cls))
+    field_names = {cls.name: fields(cls) for cls in class_defs}
+
+    def shared(cls: ast.ClassDef, name: str) -> bool:
+        return defined[name] > 1 or any(
+            name in names for owner, names in field_names.items() if owner != cls.name)
+
     return [f"{cls.name}.{name}" for cls in class_defs for name in methods(cls)
-            if not ((cls.name, name) in qualified if defined[name] > 1 else name in attrs)]
+            if not ((cls.name, name) in qualified if shared(cls, name) else name in attrs)]
 
 
 def functions(modules: dict[Path, ast.Module]) -> list[tuple[str, str, ast.FunctionDef, int]]:
