@@ -14,8 +14,22 @@ tuple of its word (``Word.syllables``), with its terms in the canonical
 order by (length, syllables), so equal elements have equal terms.  The
 Fox coordinates emit suffix tuples, a product is one free reduction of
 two concatenated tuples, and a ``Word`` is made only where
-``endo_on_ring`` wraps each term to apply the endomorphism.  The finite
-ring Z_m[(Z/m)^n] is keyed by exponent vectors mod m in the same way.
+``endo_on_ring`` wraps each term to apply the endomorphism.  The public
+``from_dict`` refuses a key that is not the reduced syllable tuple of a
+word over the alphabet; ``+``, ``*`` and ``endo_on_ring`` build from
+valid terms and only sort.
+
+The finite ring Z_m[(Z/m)^n] keeps its elements in normal form: each
+exponent vector has length n and entries in 0..m-1, each coefficient
+lies in 1..m-1, and the terms are sorted by vector.  ``from_dict``,
+``zero``, ``one`` and ``monomial`` establish it at the boundary,
+refusing a vector of the wrong length, and ``translated`` checks the
+length of its vector.  ``+`` trusts its operands: it reduces only the
+summed coefficients, drops zeros and sorts once; unary ``-`` keeps the
+term order and sorts nothing, so ``a - b`` is ``a + (-b)``; and
+``translated`` permutes the vectors, so it merges nothing and only
+sorts.  ``*`` still hands its sums to ``from_dict``.  ``PhiElement``
+refuses a group part outside 0..m-1.
 
 Matrix multiplication over these rings is ``intlinalg.mat_mul``, which
 uses only the ring operators, so it serves Z[F_n], Z_m[(Z/m)^n] and the
@@ -59,9 +73,19 @@ class FreeGroupRingElement:
     terms: tuple[tuple[Syllables, int], ...]  # sorted by _term_key, no zero coefficients
 
     @staticmethod
-    def from_dict(alpha: Alphabet, d: dict[Syllables, int]) -> "FreeGroupRingElement":
+    def _normalised(alpha: Alphabet, d: dict[Syllables, int]) -> "FreeGroupRingElement":
+        """The element with coefficients ``d``, keyed by reduced syllable
+        tuples over ``alpha``: zeros dropped, the terms sorted."""
         items = tuple(sorted(((s, c) for s, c in d.items() if c != 0), key=_term_key))
         return FreeGroupRingElement(alpha, items)
+
+    @staticmethod
+    def from_dict(alpha: Alphabet, d: dict[Syllables, int]) -> "FreeGroupRingElement":
+        """Each key must be the reduced syllable tuple of a word over
+        ``alpha``; ``Word`` checks it."""
+        for s in d:
+            Word(alpha, s)
+        return FreeGroupRingElement._normalised(alpha, d)
 
     def _check(self, other: "FreeGroupRingElement") -> None:
         if self.alphabet != other.alphabet:
@@ -72,7 +96,7 @@ class FreeGroupRingElement:
         d = dict(self.terms)
         for s, c in other.terms:
             d[s] = d.get(s, 0) + c
-        return FreeGroupRingElement.from_dict(self.alphabet, d)
+        return FreeGroupRingElement._normalised(self.alphabet, d)
 
     def __mul__(self, other: "FreeGroupRingElement") -> "FreeGroupRingElement":
         self._check(other)
@@ -81,7 +105,7 @@ class FreeGroupRingElement:
             for s2, c2 in other.terms:
                 s = _reduce(s1 + s2)
                 d[s] = d.get(s, 0) + c1 * c2
-        return FreeGroupRingElement.from_dict(self.alphabet, d)
+        return FreeGroupRingElement._normalised(self.alphabet, d)
 
 
 def fox_coordinates(w: Word) -> tuple[FreeGroupRingElement, ...]:
@@ -144,12 +168,26 @@ def fox_identity_holds(w: Word) -> bool:
 
 @dataclass(frozen=True)
 class FiniteGroupRingElement:
-    """Sparse element of Z_m[(Z/m)^n]: exponent vectors mod m mapped to
-    nonzero coefficients mod m."""
+    """Sparse element of Z_m[(Z/m)^n], kept in the normal form that the
+    module docstring states: exponent vectors mod m mapped to nonzero
+    coefficients mod m, sorted by vector."""
 
     modulus: int
     rank: int
     terms: tuple[tuple[tuple[int, ...], int], ...]
+
+    @staticmethod
+    def _normalised(m: int, n: int, d: dict[tuple[int, ...], int]) -> "FiniteGroupRingElement":
+        """The element with coefficient sums ``d``, keyed by vectors
+        already reduced mod m: the sums are reduced, zeros dropped and
+        the terms sorted."""
+        items = []
+        for v, c in d.items():
+            c %= m
+            if c:
+                items.append((v, c))
+        items.sort()
+        return FiniteGroupRingElement(m, n, tuple(items))
 
     @staticmethod
     def from_dict(m: int, n: int, d: dict) -> "FiniteGroupRingElement":
@@ -157,6 +195,8 @@ class FiniteGroupRingElement:
             raise RingError("modulus must be >= 2")
         clean: dict[tuple[int, ...], int] = {}
         for vec, c in d.items():
+            if len(vec) != n:
+                raise RingError(f"exponent vector {tuple(vec)} does not have length {n}")
             vec = tuple(v % m for v in vec)
             c = c % m
             if c:
@@ -185,11 +225,11 @@ class FiniteGroupRingElement:
         d = dict(self.terms)
         for v, c in other.terms:
             d[v] = d.get(v, 0) + c
-        return FiniteGroupRingElement.from_dict(self.modulus, self.rank, d)
+        return FiniteGroupRingElement._normalised(self.modulus, self.rank, d)
 
     def __neg__(self) -> "FiniteGroupRingElement":
-        return FiniteGroupRingElement.from_dict(
-            self.modulus, self.rank, {v: -c for v, c in self.terms})
+        m = self.modulus
+        return FiniteGroupRingElement(m, self.rank, tuple((v, m - c) for v, c in self.terms))
 
     def __sub__(self, other: "FiniteGroupRingElement") -> "FiniteGroupRingElement":
         return self + (-other)
@@ -205,10 +245,14 @@ class FiniteGroupRingElement:
         return FiniteGroupRingElement.from_dict(self.modulus, self.rank, d)
 
     def translated(self, vec: Sequence[int]) -> "FiniteGroupRingElement":
-        """Multiply by the group element with the given exponent vector."""
-        return FiniteGroupRingElement.from_dict(
-            self.modulus, self.rank,
-            {tuple(a + b for a, b in zip(v, vec)): c for v, c in self.terms})
+        """Multiply by the group element with the given exponent vector.
+        Translation permutes the vectors, so no two terms merge and the
+        coefficients stay as they are."""
+        if len(vec) != self.rank:
+            raise RingError(f"exponent vector {tuple(vec)} does not have length {self.rank}")
+        m = self.modulus
+        return FiniteGroupRingElement(m, self.rank, tuple(sorted(
+            (tuple((a + b) % m for a, b in zip(v, vec)), c) for v, c in self.terms)))
 
 
 @dataclass(frozen=True)
@@ -230,6 +274,8 @@ class PhiElement:
         m, n = self.modulus, self.rank
         if len(self.top) != n or len(self.bottom) != n:
             raise RingError("wrong number of coordinates")
+        if not all(0 <= t < m for t in self.top):
+            raise RingError(f"group part {self.top} not reduced mod {m}")
         for b in self.bottom:
             if (b.modulus, b.rank) != (m, n):
                 raise RingError("bottom row in wrong ring")
@@ -314,7 +360,7 @@ def endo_on_ring(h: FreeHom, e: FreeGroupRingElement) -> FreeGroupRingElement:
     for s, c in e.terms:
         img = h(Word._trusted(alpha, s)).syllables
         d[img] = d.get(img, 0) + c
-    return FreeGroupRingElement.from_dict(alpha, d)
+    return FreeGroupRingElement._normalised(alpha, d)
 
 
 def j_composition_identity(f: FreeHom, g: FreeHom) -> bool:

@@ -56,6 +56,9 @@ KEPT = {
     "Certificate.to_json": "cli's congruence suite and certify command: cert.to_json()",
     "FiniteQuotient.to_json": "the inverse of from_json, so that one module decides "
                               "the quotient file format",
+    "FreeGroupRingElement.from_dict": "the public constructor of Z[F_n] elements, which "
+                                      "validates its keys; the package builds its own "
+                                      "elements from valid terms through _normalised",
 }
 
 

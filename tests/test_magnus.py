@@ -24,6 +24,7 @@ from fgcert.magnus import (
 from fgcert.words import Word, WordError, _reduce, alphabet, parse_word, random_word
 from nielsen import nielsen_inversion
 from word_letters import letters
+import finite_ring
 import word_ring
 
 XY = alphabet("x", "y")
@@ -229,6 +230,89 @@ def test_phi_element_validates_membership():
     with pytest.raises(RingError):
         PhiElement(4, 2, (1, 0), (FiniteGroupRingElement.zero(4, 2),
                                   FiniteGroupRingElement.one(4, 2)))
+
+
+def test_phi_element_refuses_an_unreduced_group_part():
+    x = magnus_image(parse_word("x", XY), 4)
+    assert x.top == (1, 0)
+    with pytest.raises(RingError, match="not reduced mod 4"):
+        PhiElement(4, 2, (5, 0), x.bottom)
+    with pytest.raises(RingError, match="not reduced mod 4"):
+        PhiElement(4, 2, (-3, 0), x.bottom)
+
+
+def test_finite_ring_refuses_vectors_of_the_wrong_length():
+    with pytest.raises(RingError, match="length 2"):
+        FiniteGroupRingElement.from_dict(3, 2, {(0, 1): 1, (1,): 2})
+    with pytest.raises(RingError, match="length 2"):
+        FiniteGroupRingElement.monomial(3, 2, (1,))
+    one = FiniteGroupRingElement.one(3, 2)
+    with pytest.raises(RingError, match="length 2"):
+        one.translated((1,))
+    with pytest.raises(RingError, match="length 2"):
+        one.translated((1, 1, 1))
+
+
+@pytest.mark.parametrize("key", [((5, 1),), ((0, 1), (0, 1)), ((1, 0),), ((-1, 2),)])
+def test_free_ring_refuses_a_key_that_is_not_a_reduced_word(key):
+    with pytest.raises(WordError):
+        FreeGroupRingElement.from_dict(XY, {key: 1})
+    with pytest.raises(WordError):
+        FreeGroupRingElement.from_dict(XY, {((0, 1),): 1, key: 2})
+
+
+FINITE_RINGS = [(2, 2), (2, 3), (3, 2), (3, 4)]  # (n, m)
+
+
+def in_normal_form(e) -> bool:
+    """Vectors of length n with entries in 0..m-1, coefficients in
+    1..m-1, terms strictly increasing by vector."""
+    m, n = e.modulus, e.rank
+    vecs = [v for v, _ in e.terms]
+    return (all(type(v) is tuple and len(v) == n and all(0 <= x < m for x in v) for v in vecs)
+            and all(0 < c < m for _, c in e.terms)
+            and all(a < b for a, b in zip(vecs, vecs[1:])))
+
+
+def finite_elements(n, m):
+    """(element, dense reference): from_dict of unreduced vectors and
+    coefficients, and the same terms summed in the dense ring."""
+    vector = st.lists(st.integers(-2 * m, 2 * m), min_size=n, max_size=n).map(tuple)
+    terms = st.lists(st.tuples(vector, st.integers(-2 * m, 2 * m)), max_size=6)
+    return terms.map(lambda ts: (FiniteGroupRingElement.from_dict(m, n, dict(ts)),
+                                 finite_ring.DenseElement.from_terms(m, n, dict(ts).items())))
+
+
+def finite_ring_cases():
+    def case(nm):
+        n, m = nm
+        vector = st.lists(st.integers(-2 * m, 2 * m), min_size=n, max_size=n)
+        return st.tuples(st.just(nm), finite_elements(n, m), finite_elements(n, m), vector)
+    return st.sampled_from(FINITE_RINGS).flatmap(case)
+
+
+@given(finite_ring_cases())
+@settings(max_examples=200)
+def test_finite_ring_matches_the_dense_ring(case):
+    (n, m), (a, da), (b, db), vec = case
+    results = {"a": (a, da), "+": (a + b, da + db), "-a": (-a, -da), "-": (a - b, da - db),
+               "*": (a * b, da * db), "translated": (a.translated(vec), da.translated(vec))}
+    for op, (got, want) in results.items():
+        assert in_normal_form(got), op
+        assert (got.modulus, got.rank) == (m, n), op
+        assert finite_ring.as_dense(got) == want, op
+
+
+@given(st.sampled_from(FINITE_RINGS).flatmap(lambda nm: st.tuples(
+    st.just(nm), *[words({2: XY, 3: XYZ}[nm[0]], 10)] * 2)))
+@settings(max_examples=100)
+def test_magnus_products_match_the_dense_ring(case):
+    (n, m), u, v = case
+    prod = magnus_image(u, m) * magnus_image(v, m)
+    top, bottom = finite_ring.magnus_image(u * v, m)
+    assert prod.top == top
+    assert all(in_normal_form(b) for b in prod.bottom)
+    assert tuple(map(finite_ring.as_dense, prod.bottom)) == bottom
 
 
 @given(words(max_length=12), words(max_length=12))
