@@ -1,8 +1,10 @@
 """Exact integer linear algebra: matrices, Hermite normal form, kernels.
 
 Everything here works over plain Python integers; no floating point is
-ever used.  Lattices are stored with their basis rows in row-style
-Hermite normal form, so equal lattices have equal representations.
+ever used.  There are two eliminations: the Euclidean one over Z behind
+the Hermite normal form and the kernels, and Gauss-Jordan over F_p.
+Lattices are stored with their basis rows in row-style Hermite normal
+form, so equal lattices have equal representations.
 """
 
 from __future__ import annotations
@@ -158,39 +160,26 @@ def _echelon(mat: list[list[int]], ncols: int) -> int:
     return pivot_row
 
 
-def echelon_mod(mat: list[list[int]], ncols: int, p: int, k: int = 1) -> int:
-    """Gauss-Jordan elimination over Z/p^k of the first ``ncols``
-    columns, in place, for entries in [0, p^k); returns the rank.  A
-    pivot is an entry not divisible by p, a unit of the local ring.  The
-    first rank rows get leading 1s, in increasing columns, and are the
-    only rows nonzero in those columns; for k = 1 the rows from the rank
-    on are zero in the first ncols columns."""
-    q = p ** k
+def echelon_mod(mat: list[list[int]], ncols: int, p: int) -> int:
+    """Gauss-Jordan elimination over F_p of the first ``ncols`` columns,
+    in place, for entries in [0, p); returns the rank.  The first rank
+    rows get leading 1s, in increasing columns, and are the only rows
+    nonzero in those columns; the rows from the rank on are zero in the
+    first ncols columns."""
     rank = 0
     for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] % p), None)
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, q)
-        lead = mat[rank] = [v * inv % q for v in mat[rank]]
+        inv = pow(mat[rank][col], -1, p)
+        lead = mat[rank] = [v * inv % p for v in mat[rank]]
         for i, row in enumerate(mat):
             if i != rank and row[col]:
                 f = row[col]
-                mat[i] = [(v - f * w) % q for v, w in zip(row, lead)]
+                mat[i] = [(v - f * w) % p for v, w in zip(row, lead)]
         rank += 1
     return rank
-
-
-def solve_mod(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int,
-              k: int = 1) -> list[list[int]] | None:
-    """The X with A X = B over Z/p^k, entries in [0, p^k), for square A;
-    None when A is singular, that is, not invertible mod p."""
-    n, q = len(a), p ** k
-    aug = [[v % q for v in row] + [v % q for v in rhs] for row, rhs in zip(a, b)]
-    if echelon_mod(aug, n, p, k) < n:
-        return None
-    return [row[n:] for row in aug]
 
 
 def row_hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -21,15 +21,15 @@ valid terms and only sort.
 
 The finite ring Z_m[(Z/m)^n] keeps its elements in normal form: each
 exponent vector has length n and entries in 0..m-1, each coefficient
-lies in 1..m-1, and the terms are sorted by vector.  ``from_dict``,
-``zero``, ``one`` and ``monomial`` establish it at the boundary,
-refusing a vector of the wrong length, and ``translated`` checks the
-length of its vector.  ``+`` trusts its operands: it reduces only the
-summed coefficients, drops zeros and sorts once; unary ``-`` keeps the
-term order and sorts nothing, so ``a - b`` is ``a + (-b)``; and
-``translated`` permutes the vectors, so it merges nothing and only
-sorts.  ``*`` still hands its sums to ``from_dict``.  ``PhiElement``
-refuses a group part outside 0..m-1.
+lies in 1..m-1, and the terms are sorted by vector.  The constructor
+refuses anything else; ``from_dict``, ``zero``, ``one`` and
+``monomial`` establish the form from any vectors of length n.  The
+operators trust their operands and build through ``_trusted``, which
+skips the constructor's check: ``+`` reduces only the summed
+coefficients, drops zeros and sorts; unary ``-`` keeps the term order,
+so ``a - b`` is ``a + (-b)``; ``translated`` permutes the vectors, so
+it merges nothing and only sorts; ``*`` hands its sums to
+``from_dict``.  ``PhiElement`` refuses a group part outside 0..m-1.
 
 Matrix multiplication over these rings is ``intlinalg.mat_mul``, which
 uses only the ring operators, so it serves Z[F_n], Z_m[(Z/m)^n] and the
@@ -37,7 +37,8 @@ integer matrices alike.
 
 Each J-matrix check runs in one ring: the chain rule over Z[F_n], with
 f applied to the entries of J(g) by ``endo_on_ring``, and ``ka_check``
-over Z_m[(Z/m)^n].
+over Z_m[(Z/m)^n].  The local-ring commutator check inverts each I + A,
+A = 0 mod p, by its terminating Neumann series, with no elimination.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .homs import FreeHom, VerifiedAut, compose
-from .intlinalg import PRIME_CAP, is_prime, mat_mul, solve_mod
+from .intlinalg import PRIME_CAP, is_prime, mat_mul
 from .words import Alphabet, Word, WordError, _reduce
 
 
@@ -176,6 +177,25 @@ class FiniteGroupRingElement:
     rank: int
     terms: tuple[tuple[tuple[int, ...], int], ...]
 
+    def __post_init__(self):
+        m, n, terms = self.modulus, self.rank, self.terms
+        if not (type(m) is int and m >= 2 and type(n) is int and n >= 0 and type(terms) is tuple
+                and all(type(t) is tuple and len(t) == 2 and type(t[0]) is tuple and len(t[0]) == n
+                        and all(type(x) is int and 0 <= x < m for x in t[0])
+                        and type(t[1]) is int and 0 < t[1] < m for t in terms)
+                and all(a[0] < b[0] for a, b in zip(terms, terms[1:]))):
+            raise RingError(f"terms {terms!r} not in normal form over Z_{m}[(Z/{m})^{n}]")
+
+    @staticmethod
+    def _trusted(m: int, n: int, terms: tuple) -> "FiniteGroupRingElement":
+        """An element from terms already in normal form; skips the
+        ``__post_init__`` checks, which stay at the boundary."""
+        e = object.__new__(FiniteGroupRingElement)
+        object.__setattr__(e, "modulus", m)
+        object.__setattr__(e, "rank", n)
+        object.__setattr__(e, "terms", terms)
+        return e
+
     @staticmethod
     def _normalised(m: int, n: int, d: dict[tuple[int, ...], int]) -> "FiniteGroupRingElement":
         """The element with coefficient sums ``d``, keyed by vectors
@@ -187,7 +207,7 @@ class FiniteGroupRingElement:
             if c:
                 items.append((v, c))
         items.sort()
-        return FiniteGroupRingElement(m, n, tuple(items))
+        return FiniteGroupRingElement._trusted(m, n, tuple(items))
 
     @staticmethod
     def from_dict(m: int, n: int, d: dict) -> "FiniteGroupRingElement":
@@ -198,11 +218,8 @@ class FiniteGroupRingElement:
             if len(vec) != n:
                 raise RingError(f"exponent vector {tuple(vec)} does not have length {n}")
             vec = tuple(v % m for v in vec)
-            c = c % m
-            if c:
-                clean[vec] = (clean.get(vec, 0) + c) % m
-        items = tuple(sorted((v, c) for v, c in clean.items() if c))
-        return FiniteGroupRingElement(m, n, items)
+            clean[vec] = clean.get(vec, 0) + c
+        return FiniteGroupRingElement._normalised(m, n, clean)
 
     @staticmethod
     def zero(m: int, n: int) -> "FiniteGroupRingElement":
@@ -229,7 +246,8 @@ class FiniteGroupRingElement:
 
     def __neg__(self) -> "FiniteGroupRingElement":
         m = self.modulus
-        return FiniteGroupRingElement(m, self.rank, tuple((v, m - c) for v, c in self.terms))
+        return FiniteGroupRingElement._trusted(m, self.rank,
+                                               tuple((v, m - c) for v, c in self.terms))
 
     def __sub__(self, other: "FiniteGroupRingElement") -> "FiniteGroupRingElement":
         return self + (-other)
@@ -251,7 +269,7 @@ class FiniteGroupRingElement:
         if len(vec) != self.rank:
             raise RingError(f"exponent vector {tuple(vec)} does not have length {self.rank}")
         m = self.modulus
-        return FiniteGroupRingElement(m, self.rank, tuple(sorted(
+        return FiniteGroupRingElement._trusted(m, self.rank, tuple(sorted(
             (tuple((a + b) % m for a, b in zip(v, vec)), c) for v, c in self.terms)))
 
 
@@ -428,43 +446,44 @@ def ka_check(auts: Sequence[VerifiedAut], m: int, pairs: int, rng) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _series_inverse(a: list[list[int]], s_power: int, k: int, mod: int) -> list[list[int]]:
+    """(I + A)^-1 over Z/p^k = Z/mod for A = 0 mod p^s_power, s_power >= 1:
+    A^j = 0 mod p^k from j = ceil(k / s_power) on, so the Neumann series
+    sum_j (-A)^j terminates there.  Horner sums it, X <- I - A X from I."""
+    x = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    for _ in range(-(-k // s_power) - 1):
+        x = [[(int(i == j) - v) % mod for j, v in enumerate(row)]
+             for i, row in enumerate(mat_mul(a, x))]
+    return x
+
+
 def local_commutator_check(p: int, k: int, s_power: int, t_power: int,
                            samples: int, rng) -> dict:
-    """In R = Z/p^k with ideals S = (p^s_power), T = (p^t_power): sample
-    invertible I+A (A over S) and I+B (B over T) and verify the
-    commutator is the identity mod S*T = (p^(s_power+t_power)).  The
-    products are not reduced mod p^k: S*T divides p^k, so reducing
-    cannot change the verdict.
-    """
+    """In R = Z/p^k with ideals S = (p^s_power), T = (p^t_power), powers
+    in 1..k (a power of 0 makes the check vacuous): sample I+A (A over S)
+    and I+B (B over T) and verify that the commutator is I mod S*T =
+    (p^(s_power+t_power)).  Its products are not reduced mod p^k: S*T
+    divides p^k, so reducing cannot change the verdict."""
     if p > PRIME_CAP or not is_prime(p):
         raise ValueError(f"local_commutator_check needs a prime p <= 2^40, got {p}")
     if k < 1:
         raise ValueError(f"local_commutator_check needs k >= 1, got {k}")
-    if not (0 <= s_power <= k and 0 <= t_power <= k):
-        raise ValueError(f"local_commutator_check needs 0 <= s_power, t_power <= k = {k}, "
+    if not (1 <= s_power <= k and 1 <= t_power <= k):
+        raise ValueError(f"local_commutator_check needs 1 <= s_power, t_power <= k = {k}, "
                          f"got {s_power} and {t_power}")
     if samples < 1:
         raise ValueError(f"local_commutator_check needs at least one sample, got {samples}")
     mod = p ** k
     st = p ** min(s_power + t_power, k)
-    ident = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
     failures = 0
-    tested = 0
-    while tested < samples:
-        a = [[(p ** s_power) * rng.randrange(p ** (k - s_power)) % mod
-              for _ in range(3)] for _ in range(3)]
-        b = [[(p ** t_power) * rng.randrange(p ** (k - t_power)) % mod
-              for _ in range(3)] for _ in range(3)]
-        ia = [[(ident[i][j] + a[i][j]) % mod for j in range(3)] for i in range(3)]
-        ib = [[(ident[i][j] + b[i][j]) % mod for j in range(3)] for i in range(3)]
-        ia_inv = solve_mod(ia, ident, p, k)
-        ib_inv = solve_mod(ib, ident, p, k)
-        if ia_inv is None or ib_inv is None:
-            continue
-        comm = mat_mul(mat_mul(ia, ib), mat_mul(ia_inv, ib_inv))
-        tested += 1
-        ok = all((comm[i][j] - ident[i][j]) % st == 0 for i in range(3) for j in range(3))
-        if not ok:
-            failures += 1
-    return {"passed": failures == 0, "samples": tested, "failures": failures,
+    for _ in range(samples):
+        a, b = ([[p ** e * rng.randrange(p ** (k - e)) for _ in range(3)] for _ in range(3)]
+                for e in (s_power, t_power))
+        ia, ib = ([[int(i == j) + v for j, v in enumerate(row)] for i, row in enumerate(m)]
+                  for m in (a, b))
+        comm = mat_mul(mat_mul(ia, ib), mat_mul(_series_inverse(a, s_power, k, mod),
+                                                _series_inverse(b, t_power, k, mod)))
+        failures += any((v - (i == j)) % st
+                        for i, row in enumerate(comm) for j, v in enumerate(row))
+    return {"passed": failures == 0, "samples": samples, "failures": failures,
             "modulus": mod, "ideal_product": st}

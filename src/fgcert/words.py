@@ -197,7 +197,11 @@ class Word:
 
     def __post_init__(self):
         prev = None
-        for gen, exp in self.syllables:
+        for syllable in self.syllables:
+            if not (type(syllable) is tuple and len(syllable) == 2
+                    and type(syllable[0]) is int and type(syllable[1]) is int):
+                raise WordError(f"syllable {syllable!r} is not a pair of ints")
+            gen, exp = syllable
             if exp == 0:
                 raise WordError("zero exponent in syllable")
             if not 0 <= gen < self.alphabet.rank:

@@ -27,7 +27,7 @@ from fgcert.affine import (
     smallest_root_of_order,
     two_generation_certificate,
 )
-from fgcert.intlinalg import PRIME_CAP, mat_mul, solve_mod
+from fgcert.intlinalg import PRIME_CAP, echelon_mod, mat_mul
 
 PARAMS = AffineParams(5, 11, 3)
 
@@ -283,8 +283,10 @@ def dense_projection(params, coord):
     """Reference: C = sum beta_j D^j as a dense matrix, with beta solved
     from the Vandermonde system by elimination."""
     p, dim = params.p, params.dim
-    vander = [[pow(params.xi, (i + 1) * j, p) for j in range(dim)] for i in range(dim)]
-    beta = [row[0] for row in solve_mod(vander, [[int(i == coord)] for i in range(dim)], p)]
+    aug = [[pow(params.xi, (i + 1) * j, p) for j in range(dim)] + [int(i == coord)]
+           for i in range(dim)]
+    assert echelon_mod(aug, dim, p) == dim
+    beta = [row[dim] for row in aug]
     c_mat = [[0] * dim for _ in range(dim)]
     for j, b in enumerate(beta):
         dj = diag_matrix(params, j)

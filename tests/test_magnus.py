@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from fgcert import magnus
 from fgcert.homs import FreeHom, compose, hom, transvection_alpha, transvection_beta
-from fgcert.intlinalg import solve_mod
 from fgcert.magnus import (
     FiniteGroupRingElement,
     FreeGroupRingElement,
@@ -253,7 +252,49 @@ def test_finite_ring_refuses_vectors_of_the_wrong_length():
         one.translated((1, 1, 1))
 
 
-@pytest.mark.parametrize("key", [((5, 1),), ((0, 1), (0, 1)), ((1, 0),), ((-1, 2),)])
+@pytest.mark.parametrize("args", [
+    (3, 2, (((5, 0), 7),)),                # vector and coefficient not reduced
+    (3, 2, (((2, 0), 3),)),                # zero coefficient mod 3
+    (3, 2, (((1, 0), -1),)),               # coefficient below 1
+    (3, 2, (((1, 0), 1), ((0, 1), 1))),    # terms out of order
+    (3, 2, (((1, 0), 1), ((1, 0), 2))),    # a vector twice
+    (3, 2, (((1,), 1),)),                  # vector of the wrong length
+    (3, 2, (((1.0, 0), 1),)),              # entry not an int
+    (3, 2, (((1, 0), 1.0),)),              # coefficient not an int
+    (3, 2, (([1, 0], 1),)),                # vector not a tuple
+    (3, 2, (((1, 0), 1, 0),)),             # term not a pair
+    (3, 2, [((1, 0), 1)]),                 # terms not a tuple
+    (1, 2, ()),                            # modulus below 2
+])
+def test_finite_ring_constructor_refuses_terms_outside_the_normal_form(args):
+    with pytest.raises(RingError, match="not in normal form"):
+        FiniteGroupRingElement(*args)
+
+
+def test_finite_ring_constructor_accepts_the_normal_form():
+    e = FiniteGroupRingElement.from_dict(3, 2, {(5, 0): 7, (-1, 4): 2, (0, 0): 3})
+    assert e.terms == (((2, 0), 1), ((2, 1), 2))
+    assert FiniteGroupRingElement(3, 2, e.terms) == e
+    assert FiniteGroupRingElement(3, 2, ()) == FiniteGroupRingElement.zero(3, 2)
+
+
+def test_finite_ring_operators_skip_the_constructor_checks(monkeypatch):
+    a = FiniteGroupRingElement.from_dict(3, 2, {(1, 0): 1, (0, 2): 2})
+    b = FiniteGroupRingElement.from_dict(3, 2, {(1, 0): 2, (1, 1): 1})
+    calls = []
+    monkeypatch.setattr(FiniteGroupRingElement, "__post_init__", lambda self: calls.append(self))
+    results = [a + b, -a, a - b, a * b, a.translated((2, 1)),
+               FiniteGroupRingElement.from_dict(3, 2, {(4, 4): 5}),
+               FiniteGroupRingElement.zero(3, 2), FiniteGroupRingElement.one(3, 2),
+               FiniteGroupRingElement.monomial(3, 2, (1, 2))]
+    assert calls == []
+    monkeypatch.undo()
+    for e in results:  # and each result would pass them
+        assert FiniteGroupRingElement(e.modulus, e.rank, e.terms) == e
+
+
+@pytest.mark.parametrize("key", [((5, 1),), ((0, 1), (0, 1)), ((1, 0),), ((-1, 2),),
+                                 ((0.5, 1),)])
 def test_free_ring_refuses_a_key_that_is_not_a_reduced_word(key):
     with pytest.raises(WordError):
         FreeGroupRingElement.from_dict(XY, {key: 1})
@@ -531,8 +572,15 @@ def test_local_commutator_refuses_no_samples(samples):
 
 @pytest.mark.parametrize("powers", [(3, 1), (1, 3), (-1, 1), (1, -1)])
 def test_local_commutator_refuses_an_ideal_power_outside_0_to_k(powers):
-    with pytest.raises(ValueError, match="0 <= s_power, t_power <= k"):
+    with pytest.raises(ValueError, match="1 <= s_power, t_power <= k"):
         local_commutator_check(3, 2, *powers, samples=10, rng=random.Random(0))
+
+
+@pytest.mark.parametrize("powers", [(0, 1), (1, 0), (0, 0)])
+def test_local_commutator_refuses_an_ideal_power_of_zero(powers):
+    # S or T = R puts I+A or I+B in I + ST, so the check would be vacuous
+    with pytest.raises(ValueError, match="1 <= s_power, t_power <= k"):
+        local_commutator_check(3, 3, *powers, samples=10, rng=random.Random(0))
 
 
 @pytest.mark.parametrize("p", [1, 4, 9, 0, -3, 2 ** 41 + 1])
@@ -601,33 +649,26 @@ def mod_mat_inv3(a, mod):
 
 
 @st.composite
-def local_ring_matrices(draw):
-    """(p, k, A): a 3x3 matrix over Z/p^k, often I + p*B or with a row
-    that is a multiple of another, so both units and non-units of the
-    matrix ring come up."""
+def unipotent_cases(draw):
+    """(p, k, s, A): A a 3x3 matrix over the ideal (p^s) of Z/p^k,
+    entries in [0, p^k), for 1 <= s <= k."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     k = draw(st.integers(1, 4))
-    q = p ** k
-    entry = st.integers(0, q - 1)
-    a = [[draw(entry) for _ in range(3)] for _ in range(3)]
-    shape = draw(st.sampled_from(["any", "near identity", "dependent row"]))
-    if shape == "near identity":
-        a = [[(int(i == j) + p * v) % q for j, v in enumerate(row)] for i, row in enumerate(a)]
-    elif shape == "dependent row":
-        c = draw(entry)
-        a[2] = [c * v % q for v in a[0]]
-    return p, k, a
+    s = draw(st.integers(1, k))
+    entry = st.integers(0, p ** (k - s) - 1).map(lambda r: p ** s * r)
+    return p, k, s, [[draw(entry) for _ in range(3)] for _ in range(3)]
 
 
 @settings(max_examples=300)
-@given(local_ring_matrices())
-def test_solve_mod_inverse_matches_the_adjugate(case):
-    p, k, a = case
+@given(unipotent_cases())
+def test_series_inverse_matches_the_adjugate(case):
+    p, k, s, a = case
+    q = p ** k
     ident = [[int(i == j) for j in range(3)] for i in range(3)]
-    inv = solve_mod(a, ident, p, k)
-    assert inv == mod_mat_inv3(a, p ** k)
-    if inv is not None:
-        assert [[v % p ** k for v in row] for row in mat_mul(a, inv)] == ident
+    unit = [[int(i == j) + v for j, v in enumerate(row)] for i, row in enumerate(a)]
+    inv = magnus._series_inverse(a, s, k, q)
+    assert [[v % q for v in row] for row in mat_mul(unit, inv)] == ident
+    assert inv == mod_mat_inv3(unit, q)
 
 
 def local_commutator_mod_reduced(p, k, s_power, t_power, samples, rng):
@@ -658,8 +699,7 @@ def local_commutator_mod_reduced(p, k, s_power, t_power, samples, rng):
             "modulus": mod, "ideal_product": st_}
 
 
-@pytest.mark.parametrize("case", [(3, 2, 1, 1), (2, 3, 1, 2), (5, 3, 1, 1), (2, 4, 1, 1),
-                                  (3, 3, 0, 1)])
+@pytest.mark.parametrize("case", [(3, 2, 1, 1), (2, 3, 1, 2), (5, 3, 1, 1), (2, 4, 1, 1)])
 def test_local_commutator_matches_the_mod_reduced_check(case):
     for seed in range(3):
         ours = local_commutator_check(*case, samples=60, rng=random.Random(seed))

@@ -162,6 +162,21 @@ def test_boundary_constructors_still_validate():
         Word.from_syllables(XY, [(-1, 2)])
 
 
+@pytest.mark.parametrize("syllables", [
+    ((0.5, 1),),          # generator index not an int
+    ((0, 1.0),),          # exponent not an int
+    ((0, True),),         # a bool is no exponent
+    (0, 1),               # a bare pair, not a tuple of pairs
+    ((0, 1, 2),),         # a triple
+    ((0,),),              # a single
+    ([0, 1],),            # a list, which would not hash
+    ((0, 1), "y"),        # a string after a valid syllable
+])
+def test_word_refuses_a_syllable_that_is_not_a_pair_of_ints(syllables):
+    with pytest.raises(WordError, match="not a pair of ints"):
+        Word(XY, syllables)
+
+
 @given(words(), words())
 def test_products_and_inverses_are_valid_words(a, b):
     # results built without re-validation equal the validated constructor's
