@@ -38,6 +38,7 @@ arithmetic, not floating point: every rounding is trapped and raises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .intlinalg import PRIME_CAP, Factored, decimals, is_prime
 from .quotients import (
@@ -124,22 +125,29 @@ class NOracle:
             raise CongruenceError(
                 f"index {self.index} of N does not divide 36 n^4 = {36 * n ** 4}")
 
+    @cached_property
+    def intersection(self) -> SchreierSystem:
+        """The coset table of L = the intersection of the conjugates
+        t_i^-1 pi^-1(K) t_i, built on the first membership test: the
+        stabilizer of the tuple of the points (coset i, base point of K)
+        of pi's walk quotients of K (``SubgroupHom.walk_quotient``).
+        [F : L] divides [F : N], since N is L cut by F'F^6, so the coset
+        cap of N covers it."""
+        k = self.input.k_quotient
+        return build_schreier_system(*(self.pi.walk_quotient(k, c)
+                                       for c in range(self.delta.index)))
+
     def contains(self, w: Word) -> bool:
-        """Direct membership: exponent sums divisible by 6, and every
-        conjugate t_i w t_i^-1 mapping into K under the outer hom.  The
-        image of t_i w t_i^-1 is what w emits walked from coset i of
-        Delta, and K acts on it as it is emitted, so no conjugate and
-        no image word is built (``SubgroupHom.fixes_base``, one lookup
-        per letter in a walk table compiled once for K).  That table is
-        compiled from pi's move table and K's own permutations, not from
+        """Direct membership: exponent sums divisible by 6, and w in L,
+        by one walk of L's coset table (``intersection``).  L's table is
+        built from pi's move table and K's own permutations, not from
         ``induced_quotient``, whose actions the coset table of N is built
         from, so this route stays a second check of that table."""
         if w.alphabet != F2:
             raise WordError("word must be over (x, y)")
         if any(s % 6 for s in w.exponent_sums()):
             return False
-        k, fixes_base = self.input.k_quotient, self.pi.fixes_base
-        return all(fixes_base(k, w, c) for c in range(self.delta.index))
+        return self.intersection.contains(w)
 
 
 class MOracle:

@@ -33,15 +33,19 @@ letter and coset, the syllables that step emits, the syllables the
 out, of that image's inverse, or none.  One walk of the word through
 the move table and the coset table joins them, and one reduction ends
 it; no Schreier letter or word over the Schreier generators is built in
-between.  ``SubgroupHom.fixes_base`` walks a word from any coset c
-instead, and acts on a finite quotient q of the target as it goes: the
-tree paths t_c and t_c^-1 emit nothing, so the walk emits the image of
-t_c w t_c^-1, and an action needs no reduced word.  So the move table
-and q's permutations are compiled, once per quotient, into a walk table
-on the pairs (coset, point of q), and the walk costs one lookup per
-letter; nothing is built.  The walk table comes from the move table, not
-from ``induced_quotient``, so a membership test through it stays
-independent of the actions a coset table is built from.
+between.  ``SubgroupHom.fixes_base`` walks a word and acts on a finite
+quotient q of the target as it goes, since an action needs no reduced
+word: the move table and q's permutations are compiled, once per
+quotient, into a walk table on the pairs (coset, point of q), and the
+walk costs one lookup per letter; nothing is built.  The tree paths t_c
+and t_c^-1 emit nothing, so the walk from coset c emits the image of
+t_c w t_c^-1: ``SubgroupHom.walk_quotient`` gives the walk table as a
+finite quotient of the ambient group based at (c, base point of q),
+whose base-point stabilizer is t_c^-1 H t_c for H the preimage of q's,
+so one coset table of several of them decides membership in the
+intersection of conjugate preimages in one walk.  The walk table comes from the move
+table, not from ``induced_quotient``, so a membership test through it
+stays independent of the actions a coset table is built from.
 ``SchreierSystem.expand`` joins the cached syllables of the generator
 words and of their inverses in ``words.substitute``, which reduces
 only where one of them meets what came before it.  Every walk of a
@@ -468,16 +472,17 @@ class SubgroupHom:
     form.  When the target is a free
     group, kernel membership is free-word triviality; composing with a
     finite quotient of the target decides membership in preimages of
-    finite-index subgroups.  ``fixes_base`` decides that membership for
-    t_c w t_c^-1 without building a word: it walks w from coset c
-    through a walk table compiled from the move table and the
-    quotient's permutations, one lookup per letter, which moves the
-    coset and the quotient's point together.
+    finite-index subgroups.  ``fixes_base`` decides that membership
+    without building a word: it walks w through a walk table compiled
+    from the move table and the quotient's permutations, one lookup per
+    letter, which moves the coset and the quotient's point together;
+    ``walk_quotient`` gives that walk as a finite quotient of the
+    source's ambient group.
     """
 
     system: SchreierSystem
     hom: FreeHom
-    # the last quotient ``fixes_base`` was asked about, and its walk table
+    # the last quotient a walk table was compiled for, and that table
     _walk_of: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -531,13 +536,16 @@ class SubgroupHom:
         return Word._trusted(self.hom.codomain, _reduce(syllables))
 
     def _walk(self, quotient: FiniteQuotient) -> list[list[int]]:
-        """The walk table of ``fixes_base`` for a quotient q of the
-        target, compiled from the move table and q's permutations, and
-        kept for the last quotient asked about (by identity: a quotient
-        hashes all of its permutations).  State c * size + pt is coset c
-        of the system and point pt of q; ``walk[l][c * size + pt]`` is
+        """The walk table for a quotient q of the target, compiled from
+        the move table and q's permutations, and kept for the last
+        quotient asked about (by identity: a quotient hashes all of its
+        permutations).  State c * size + pt is coset c of the system and
+        point pt of q; ``walk[l][c * size + pt]`` is
         ``system.table[l][c] * size`` plus the point that what letter l
         emits at coset c takes pt to."""
+        codomain = self.hom.codomain
+        if quotient.alphabet is not codomain and quotient.alphabet != codomain:
+            raise SchreierError("target quotient over wrong alphabet")
         if self._walk_of is not None and self._walk_of[0] is quotient:
             return self._walk_of[1]
         size, act, points = quotient.size, quotient._tables, range(quotient.size)
@@ -551,28 +559,36 @@ class SubgroupHom:
         object.__setattr__(self, "_walk_of", (quotient, walk))
         return walk
 
-    def fixes_base(self, quotient: FiniteQuotient, w: Word, coset: int = 0) -> bool:
-        """Whether the image of t_c w t_c^-1 fixes the base point of a
-        quotient of the target, for t_c the transversal word of
-        ``coset``: one walk of w from that coset through the compiled
-        walk table (``_walk``), one lookup per letter.  The tree paths
-        t_c and t_c^-1 emit nothing, and the action needs no reduced
-        word, so no conjugate, list or word is built.  Raises if the walk
-        does not end at ``coset``, that is, if t_c w t_c^-1 is not in the
-        subgroup."""
+    def fixes_base(self, quotient: FiniteQuotient, w: Word) -> bool:
+        """Whether the image of a subgroup element fixes the base point
+        of a quotient of the target: one walk of w from coset 0 through
+        the compiled walk table (``_walk``), one lookup per letter, with
+        no image word built.  Raises if w is not in the subgroup."""
         system = self.system
         if w.alphabet is not system.alphabet and w.alphabet != system.alphabet:
             raise WordError("alphabet mismatch")
-        codomain = self.hom.codomain
-        if quotient.alphabet is not codomain and quotient.alphabet != codomain:
-            raise SchreierError("target quotient over wrong alphabet")
-        if not 0 <= coset < system.index:
+        walk, base = self._walk(quotient), quotient.base_point
+        state = _act(walk, base, w.syllables)
+        if state >= quotient.size:
+            raise SchreierError(f"word not in the subgroup: {w}")
+        return state == base
+
+    def walk_quotient(self, quotient: FiniteQuotient, coset: int) -> FiniteQuotient:
+        """The walk table of a quotient q of the target as a finite
+        quotient of the ambient group, on the pairs (coset, point of q)
+        numbered coset * size + point, based at (``coset``, q's base
+        point).  The tree paths t_c and t_c^-1 emit nothing, so its base
+        point's stabilizer is the set of w with t_c w t_c^-1 in the
+        subgroup and its image fixing q's base point: t_c^-1 H t_c, for
+        H the preimage of q's base-point stabilizer.  A word that takes
+        t_c outside the subgroup leaves the base coset, so it fixes
+        nothing."""
+        if not 0 <= coset < self.system.index:
             raise SchreierError(f"coset {coset} out of range")
-        size, base = quotient.size, quotient.base_point
-        end, point = divmod(_act(self._walk(quotient), coset * size + base, w.syllables), size)
-        if end != coset:
-            raise SchreierError(f"t_{coset} w t_{coset}^-1 not in the subgroup: w = {w}")
-        return point == base
+        walk = self._walk(quotient)
+        return FiniteQuotient(self.system.alphabet, len(walk[0]),
+                              tuple(tuple(row) for row in walk[::2]),
+                              coset * quotient.size + quotient.base_point)
 
     def in_kernel(self, w: Word) -> bool:
         return self(w).is_identity()

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fgcert import congruence
+from fgcert import congruence, quotients
 from fgcert.congruence import (
     DIGIT_CAP,
     Certificate,
@@ -61,6 +61,11 @@ def value_of(f: Factored) -> int:
 def c2_quotient():
     # K = preimage of the subgroup fixing 0 under a -> swap, b -> id
     return FiniteQuotient(ALPHA_BETA, 2, ((1, 0), (0, 1)))
+
+
+def data_k(n: int) -> FiniteQuotient:
+    """The benchmark's K of index n (seed 1), whose permutations generate S_n."""
+    return FiniteQuotient.from_json(json.loads((DATA / f"k-index{n}.json").read_text()))
 
 
 def test_input_validation():
@@ -176,17 +181,26 @@ def test_contains_matches_the_word_product_oracle(case):
 @settings(max_examples=200, deadline=None)
 @given(oracles_and_words())
 def test_pi_walked_from_each_coset_is_pi_of_the_conjugate(case):
-    """pi.fixes_base(K, w, c) decides pi(t_c w t_c^-1) in K, for every
-    coset c of Delta; off Delta both routes raise (Delta is normal)."""
+    """The base point of ``pi.walk_quotient(K, c)`` is fixed by w exactly
+    when pi(t_c w t_c^-1) is in K, for every coset c of Delta; off Delta
+    (which is normal) the conjugate has no image and the walk quotient
+    answers False, while ``pi.fixes_base`` raises for w itself."""
     oracle, w = case
     k, pi = oracle.input.k_quotient, oracle.pi
+    in_delta = oracle.delta.contains(w)
     for c, t in enumerate(oracle.transversal):
-        if oracle.delta.contains(w):
-            assert pi.fixes_base(k, w, c) == k.fixes_base(pi(t * w * t.inverse()))
+        walked = pi.walk_quotient(k, c).fixes_base(w)
+        if in_delta:
+            assert walked == k.fixes_base(pi(t * w * t.inverse()))
             continue
-        for route in (lambda: pi.fixes_base(k, w, c), lambda: pi(t * w * t.inverse())):
-            with pytest.raises(SchreierError, match="not in the subgroup"):
-                route()
+        assert not walked
+        with pytest.raises(SchreierError, match="not in the subgroup"):
+            pi(t * w * t.inverse())
+    if in_delta:
+        assert pi.fixes_base(k, w) == pi.walk_quotient(k, 0).fixes_base(w)
+    else:
+        with pytest.raises(SchreierError, match="not in the subgroup"):
+            pi.fixes_base(k, w)
 
 
 def test_contains_multiplies_no_words(monkeypatch):
@@ -212,6 +226,75 @@ def test_contains_multiplies_no_words(monkeypatch):
     assert not all(answers)
     contains_by_conjugates(oracle, members[0])
     assert len(calls) == 2 * oracle.delta.index
+
+
+def test_l_is_built_on_the_first_membership_test():
+    """Building N and certifying it leave L unbuilt, so the build and
+    certify steps pay nothing for it; the first membership test builds
+    it."""
+    inp = CongruenceInput(data_k(3), 5)
+    oracle = NOracle(inp)
+    certify(inp, oracle)
+    assert "intersection" not in vars(oracle)
+    assert oracle.contains(F2.identity())
+    assert "intersection" in vars(oracle)
+
+
+def test_contains_does_not_use_the_actions_n_is_built_from(monkeypatch):
+    """Once N is built, ``induced_quotient`` may raise and the direct test
+    still answers, and agrees with the word-product route and with N's
+    coset table: L's table comes from pi's move table and K's own
+    permutations."""
+    inp = CongruenceInput(data_k(4), 5)
+    oracle = NOracle(inp)
+
+    def refuse(*args):
+        raise AssertionError("induced_quotient called")
+
+    monkeypatch.setattr(quotients, "induced_quotient", refuse)
+    monkeypatch.setattr(congruence, "induced_quotient", refuse)
+    rng = random.Random(12)
+    sub = oracle.schreier.sub_alphabet
+    members = [oracle.schreier.expand(random_word(rng, sub, 5)) for _ in range(40)]
+    words = members + [w * commutator(random_word(rng, F2, 3), random_word(rng, F2, 3))
+                       for w in members]
+    answers = [oracle.contains(w) for w in words]
+    assert all(answers[:len(members)]) and not all(answers)
+    assert answers == [contains_by_conjugates(oracle, w) for w in words]
+    assert answers == [oracle.schreier.contains(w) for w in words]
+
+
+def subgroup_order_mod6_by_closure(classes) -> int:
+    """Order of the subgroup of (Z/6)^2 the classes generate."""
+    group = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        x, y = frontier.pop()
+        for a, b in classes:
+            z = ((x + a) % 6, (y + b) % 6)
+            if z not in group:
+                group.add(z)
+                frontier.append(z)
+    return len(group)
+
+
+@pytest.mark.parametrize("k", [data_k(2), data_k(3), data_k(4), c2_quotient()]
+                         + [seeded_k(n, seed) for n in (3, 4, 5) for seed in (0, 1)],
+                         ids=["k-index2", "k-index3", "k-index4", "c2"]
+                         + [f"seeded-{n}-{seed}" for n in (3, 4, 5) for seed in (0, 1)])
+def test_index_of_n_is_index_of_l_times_its_image_mod_6(k):
+    """N = F'F^6 cut with L, and F'F^6 is normal, so [F:N] = [F:L] times
+    the order of L's image in (Z/6)^2, which its Schreier generators'
+    exponent vectors generate: L lies in Delta, so the image lies in
+    2(Z/6)^2, of order 9, and is all of it here.  For these K of index
+    n >= 3, whose permutations generate S_n, [F:L] = 4 n^4."""
+    oracle = NOracle(CongruenceInput(k, 7))
+    l_table = oracle.intersection
+    image = subgroup_order_mod6_by_closure(generator_exponent_classes(l_table, 6))
+    assert oracle.index == l_table.index * image
+    assert image == 9
+    if k.size > 2:
+        assert l_table.index == 4 * k.size ** 4
 
 
 def test_m_membership():
@@ -368,11 +451,6 @@ def cyclic_k(n: int) -> FiniteQuotient:
     """K of index n with a an n-cycle and b trivial: [F:N] = 36 n^2."""
     return FiniteQuotient(ALPHA_BETA, n, (tuple((i + 1) % n for i in range(n)),
                                           tuple(range(n))))
-
-
-def data_k(n: int) -> FiniteQuotient:
-    """The benchmark's K of index n (seed 1), whose permutations generate S_n."""
-    return FiniteQuotient.from_json(json.loads((DATA / f"k-index{n}.json").read_text()))
 
 
 K_UP_TO_4 = [(trivial_quotient(ALPHA_BETA), 5), (trivial_quotient(ALPHA_BETA), 7),

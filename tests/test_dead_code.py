@@ -51,7 +51,7 @@ KEPT = {
     "NOracle.contains": "cli's congruence suite: oracle.contains(w)",
     "SchreierSystem.contains": "cli's congruence suite: oracle.schreier.contains(w)",
     "MOracle.contains": "perfbench schreier-queries: self.moracle.contains(w)",
-    "SubgroupHom.fixes_base": "NOracle.contains and cli's congruence checks: pi.fixes_base",
+    "SubgroupHom.fixes_base": "cli's congruence suite and certify command: pi.fixes_base",
     "FiniteQuotient.fixes_base": "perfbench certify-ladder samples: k.fixes_base(...)",
     "Certificate.to_json": "cli's congruence suite and certify command: cert.to_json()",
     "FiniteQuotient.to_json": "the inverse of from_json, so that one module decides "

@@ -347,19 +347,22 @@ def finite_quotients(draw, alpha: Alphabet, max_size: int = 5):
                 unique_by=lambda q: (q.size, q.perms, q.base_point)),
        syllable_lists(2, 12))
 def test_fixes_base_matches_the_conjugate_route(case, quotients, xy_syllables):
-    """Walking w from coset c against the word-product route, for a
-    random hom and for pi: ``fixes_base(q, w, c)`` is whether the image
-    of t_c w t_c^-1 fixes q's base point, and where t_c w t_c^-1 leaves
-    the subgroup both routes raise.  Each hom is asked about two
-    different quotients in turn, from every coset, so a walk table
-    compiled for one quotient must not answer for the other; for pi the
-    letter x, which moves every coset of the mod-2 kernel, must raise
-    from every coset."""
+    """The walk against the word-product route, for a random hom and for
+    pi.  ``fixes_base(q, w)`` is whether the image of a subgroup element
+    w fixes q's base point, and raises off the subgroup as the hom does.
+    The base point of ``walk_quotient(q, c)`` is fixed by w exactly when
+    t_c w t_c^-1 is in the subgroup and its image fixes q's base point;
+    off the subgroup it is not.  Each hom is asked about two different
+    quotients in turn, from every coset, so a walk table compiled for
+    one quotient must not answer for the other; for pi the letter x,
+    which moves every coset of the mod-2 kernel, fixes no walk
+    quotient's base point."""
     s, hom, u, w = case
     x = Word.from_syllables(XY, xy_syllables)
     pi = rank2_outer_hom(rank2_mod2_kernel())
     for h, v in ((hom, w), (pi, x)):
         system = h.system
+        walked = [[h.walk_quotient(q, c) for q in quotients] for c in range(system.index)]
         member = v * system.transversal[system.coset_of(v)].inverse()
         elements = [v, member, member ** 3]
         if h is hom:
@@ -367,18 +370,21 @@ def test_fixes_base_matches_the_conjugate_route(case, quotients, xy_syllables):
         else:
             elements.append(XY.generator(0))
         for y in elements:
+            for q in quotients:
+                if system.contains(y):
+                    assert h.fixes_base(q, y) == q.fixes_base(h(y))
+                else:
+                    with pytest.raises(SchreierError, match=re.escape(
+                            f"word not in the subgroup: {y}") + "$"):
+                        h.fixes_base(q, y)
             for c, t in enumerate(system.transversal):
                 conj = t * y * t.inverse()
-                if system.contains(conj):
-                    for q in quotients:
-                        assert h.fixes_base(q, y, c) == q.fixes_base(h(conj))
-                    continue
-                for q in quotients:
-                    with pytest.raises(SchreierError, match=re.escape(
-                            f"t_{c} w t_{c}^-1 not in the subgroup: w = {y}") + "$"):
-                        h.fixes_base(q, y, c)
-                with pytest.raises(SchreierError, match="not in the subgroup"):
-                    h(conj)
+                inside = system.contains(conj)
+                for q, walk in zip(quotients, walked[c]):
+                    assert walk.fixes_base(y) == (inside and q.fixes_base(h(conj)))
+                if not inside:
+                    with pytest.raises(SchreierError, match="not in the subgroup"):
+                        h(conj)
     # x moves every coset of the mod-2 kernel, so its walk never returns
     assert not any(pi.system.contains(t * XY.generator(0) * t.inverse())
                    for t in pi.system.transversal)
@@ -389,23 +395,27 @@ def test_fixes_base_refuses_a_wrong_alphabet_or_coset():
     k = abelian_quotient(ALPHA_BETA, (2, 3))
     x2 = parse_word("x^2", XY)
     # pi(t_c x^2 t_c^-1) is a or a^-1, of order 2 in Z/2 x Z/3
-    assert all(pi.fixes_base(k, x2 ** 2, c) and not pi.fixes_base(k, x2, c) for c in range(4))
+    assert pi.fixes_base(k, x2 ** 2) and not pi.fixes_base(k, x2)
+    assert all(pi.walk_quotient(k, c).fixes_base(x2 ** 2)
+               and not pi.walk_quotient(k, c).fixes_base(x2) for c in range(4))
     with pytest.raises(WordError, match="alphabet mismatch"):
         pi.fixes_base(k, parse_word("x^2", XYZ))  # the word
-    with pytest.raises(SchreierError, match="target quotient over wrong alphabet"):
-        pi.fixes_base(abelian_quotient(XY, (2, 3)), x2)  # the quotient: over the source
+    for route in (lambda q: pi.fixes_base(q, x2), lambda q: pi.walk_quotient(q, 0)):
+        with pytest.raises(SchreierError, match="target quotient over wrong alphabet"):
+            route(abelian_quotient(XY, (2, 3)))  # the quotient: over the source
     for c in (-1, 4):
         with pytest.raises(SchreierError, match=f"coset {c} out of range"):
-            pi.fixes_base(k, x2, c)
+            pi.walk_quotient(k, c)
 
 
 def test_a_target_quotient_over_the_wrong_alphabet_is_one_error():
-    """``fixes_base`` and ``induced_quotient`` raise the same error for a
-    quotient of the source where one of the target belongs; a word over
-    the wrong alphabet stays a ``WordError``."""
+    """``fixes_base``, ``walk_quotient`` and ``induced_quotient`` raise the
+    same error for a quotient of the source where one of the target
+    belongs; a word over the wrong alphabet stays a ``WordError``."""
     pi = rank2_outer_hom(rank2_mod2_kernel())
     wrong = trivial_quotient(alphabet("x", "y"))
     for route in (lambda: pi.fixes_base(wrong, parse_word("x^2", XY)),
+                  lambda: pi.walk_quotient(wrong, 0),
                   lambda: induced_quotient(pi, wrong)):
         with pytest.raises(SchreierError, match="^target quotient over wrong alphabet$"):
             route()
