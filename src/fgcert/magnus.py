@@ -118,22 +118,26 @@ def fox_coordinates(w: Word) -> tuple[FreeGroupRingElement, ...]:
     are reduced and have distinct lengths, and a suffix cannot occur
     with both signs (that needs x_i x_i^-1 in w), so every coefficient
     is +-1 and the terms come out in length order, the canonical order,
-    when the suffixes are walked from the right.
+    when the suffixes are walked from the right.  A suffix that starts
+    at a syllable boundary is a slice of w's syllables; only the
+    suffixes that start inside a run of two or more letters are built.
     """
     alpha = w.alphabet
     terms: list[list[tuple[Syllables, int]]] = [[] for _ in range(alpha.rank)]
     syllables = w.syllables
     for s in range(len(syllables) - 1, -1, -1):
         gen, exp = syllables[s]
-        tail = syllables[s + 1:]
-        append = terms[gen].append
-        if exp > 0:
-            append((tail, 1))
-            for k in range(1, exp):
-                append((((gen, k),) + tail, 1))
+        if exp == 1:
+            terms[gen].append((syllables[s + 1:], 1))
+        elif exp == -1:
+            terms[gen].append((syllables[s:], -1))
+        elif exp > 0:
+            tail = syllables[s + 1:]
+            terms[gen] += [(tail, 1)] + [(((gen, k),) + tail, 1) for k in range(1, exp)]
         else:
-            for k in range(-1, exp - 1, -1):
-                append((((gen, k),) + tail, -1))
+            tail = syllables[s + 1:]
+            terms[gen] += [(((gen, k),) + tail, -1) for k in range(-1, exp, -1)]
+            terms[gen].append((syllables[s:], -1))
     return tuple(FreeGroupRingElement(alpha, tuple(t)) for t in terms)
 
 
@@ -141,30 +145,45 @@ def fox_identity_holds(w: Word) -> bool:
     """Re-substitution oracle: check w - 1 = sum (x_i - 1) w_i exactly.
 
     Each term c*t of w_i contributes c at the group element x_i t and
-    -c at t.  These are counted in one dict keyed by syllable tuples,
-    and the identity holds exactly when the nonzero counts are w: +1
-    and 1: -1 (none at all for w = 1).  Since t is reduced, x_i t
-    differs from t only in its first syllable: that syllable's exponent
-    goes up by one when it is a power of x_i (and the syllable goes
-    when the exponent reaches 0), otherwise (x_i, 1) is put in front.
-    So no ring product, free reduction or sort is needed.
+    -c at t, so the identity says that two multisets of group elements
+    are equal: x_i t for each term with c > 0, t for each with c < 0,
+    and 1, against t for c > 0, x_i t for c < 0, and w, a term counted
+    |c| times.  Both are sorted lists of syllable tuples, so nothing is
+    hashed.  Since t is reduced, x_i t differs from t only in its first
+    syllable: that syllable's exponent goes up by one when it is a power
+    of x_i (and the syllable goes when the exponent reaches 0),
+    otherwise (x_i, 1) is put in front.  So no ring product or free
+    reduction is needed.
     """
     alpha = w.alphabet
-    count: dict[Syllables, int] = {}
+    units = alpha.unit_syllables
+    lhs: list[Syllables] = [()]
+    rhs: list[Syllables] = [w.syllables]
     for i, coordinate in enumerate(fox_coordinates(w)):
         if coordinate.alphabet != alpha:
             raise RingError("alphabet mismatch")
-        unit = (i, 1)
+        unit = (units[2 * i],)
         for s, c in coordinate.terms:
             if s and s[0][0] == i:
                 e = s[0][1] + 1
                 xt = ((i, e),) + s[1:] if e else s[1:]
             else:
-                xt = (unit,) + s
-            count[xt] = count.get(xt, 0) + c
-            count[s] = count.get(s, 0) - c
-    nonzero = {s: c for s, c in count.items() if c}
-    return nonzero == ({w.syllables: 1, (): -1} if w.syllables else {})
+                xt = unit + s
+            if c == 1:
+                lhs.append(xt)
+                rhs.append(s)
+            elif c == -1:
+                lhs.append(s)
+                rhs.append(xt)
+            elif c > 0:
+                lhs += [xt] * c
+                rhs += [s] * c
+            else:
+                lhs += [s] * -c
+                rhs += [xt] * -c
+    lhs.sort()
+    rhs.sort()
+    return lhs == rhs
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,12 @@ trying generators in index order, positive letter before negative; this
 fixes the transversal {1, x, y, xy} for the rank-2 mod-2 kernel and
 makes every golden value deterministic.  The BFS lists each Schreier
 generator when it meets the off-tree edge, so they come in (transversal
-position, generator) lexicographic order.
+position, generator) lexicographic order.  Several quotients are folded
+in from last to first: each stage is a BFS over the pairs (point of
+q_j, coset of the later quotients' orbit), keyed by one int, and only
+the last stage records the tree and the edges.  The orbit of the tuple
+of base points maps one to one onto the last stage's, with the same
+edges, so the BFS order is that of the tuples.
 
 The search runs on ints only.  Letter l = 2*gen + (sign < 0) indexes the
 per-letter tables of every quotient and of the coset table, the
@@ -58,7 +63,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import getitem
 from typing import Iterable, Sequence
 
 from .homs import FreeHom
@@ -197,10 +201,14 @@ def abelian_quotient(alpha: Alphabet, moduli: Sequence[int]) -> FiniteQuotient:
     """Regular action of the product of cyclic groups Z/m_i, generator i
     adding 1 to coordinate i.  Point v has coordinate i = (v // s_i) % m_i
     for the stride s_i = m_(i+1) * ... * m_last, so generator i adds s_i,
-    or subtracts (m_i - 1) * s_i where the coordinate wraps."""
+    or subtracts (m_i - 1) * s_i where the coordinate wraps.  Each
+    modulus must be an int >= 1 (not a float or a bool)."""
     if len(moduli) != alpha.rank:
         raise SchreierError("one modulus per generator required")
-    sizes = [int(m) for m in moduli]
+    for m in moduli:
+        if type(m) is not int or m < 1:
+            raise SchreierError(f"modulus {m!r} is not an int >= 1")
+    sizes = list(moduli)
     strides = [1] * len(sizes)
     for i in range(len(sizes) - 1, 0, -1):
         strides[i - 1] = strides[i] * sizes[i]
@@ -407,38 +415,87 @@ def build_schreier_system(*quotients: FiniteQuotient,
     quotients' base points: the intersection of their stabilizers.
 
     BFS order: cosets in discovery order, edges tried generator index
-    ascending with the positive letter before the negative one.  A state
-    is the tuple of the quotients' points.  Each Schreier generator is
-    listed as the BFS meets its edge: a positive letter that leads to a
-    coset already seen, unless it walks back the tree edge into the
-    coset it leaves.  So they come in (coset, generator) order.
+    ascending with the positive letter before the negative one.  Each
+    Schreier generator is listed as the BFS meets its edge: a positive
+    letter that leads to a coset already seen, unless it walks back the
+    tree edge into the coset it leaves.  So they come in (coset,
+    generator) order.
+
+    The quotients are folded in from last to first, starting from the
+    one-point action: each stage is a BFS over the pairs (point of q_j,
+    coset of the orbit of the later quotients' base points), keyed by
+    one int, and only the last stage records the tree and the edges.
+    By induction, stage j's orbit is that of the tuple of the base
+    points of q_j, ..., q_last, one pair per tuple, with the same edges,
+    so the last stage is the BFS of the tuples, coset for coset.  Each
+    earlier stage's orbit is an image of the last's, so none has more
+    cosets, and each is held to ``max_cosets``, which must be an int
+    >= 1.
     """
     if not quotients:
         raise SchreierError("at least one finite quotient required")
     alpha = quotients[0].alphabet
     if any(q.alphabet != alpha for q in quotients):
         raise SchreierError("quotients over different alphabets")
-    letters = range(2 * alpha.rank)
-    tables = [[q._tables[l] for q in quotients] for l in letters]
-    base = tuple(q.base_point for q in quotients)
-    coset_of_state = {base: 0}
-    states = [base]
-    parent, parent_letter = [-1], [-1]
-    table: list[list[int]] = [[] for _ in letters]
-    edge_coset, edge_gen = array("i"), array("B" if alpha.rank <= 256 else "i")
-    c = 0
-    while c < len(states):
-        state = states[c]
-        for l in letters:
-            nxt = tuple(map(getitem, tables[l], state))
-            c2 = coset_of_state.get(nxt)
+    if type(max_cosets) is not int or max_cosets < 1:
+        raise SchreierError(f"coset limit must be an int >= 1, got {max_cosets!r}")
+    size, table = 1, [[0] for _ in range(2 * alpha.rank)]
+    for q in reversed(quotients[1:]):
+        size, table = _orbit_table(q, size, table, max_cosets)
+    return _schreier_stage(quotients[0], size, table, max_cosets)
+
+
+def _coset_limit(max_cosets: int) -> SchreierError:
+    return SchreierError(f"coset limit exceeded ({max_cosets}); input too large")
+
+
+def _orbit_table(q: FiniteQuotient, size: int, table: list[list[int]],
+                 max_cosets: int) -> tuple[int, list[list[int]]]:
+    """One fold stage: the BFS over the pairs (a, b), a a point of q and
+    b a coset of ``table`` (``size`` cosets, based at 0), from (q's base
+    point, 0), keyed a * size + b.  Returns the orbit's size and its
+    per-letter table, cosets numbered in discovery order."""
+    key = {q.base_point * size: 0}
+    points, cosets = [q.base_point], [0]
+    new: list[list[int]] = [[] for _ in table]
+    steps = list(zip(q._tables, table, new))
+    for a, b in zip(points, cosets):  # both grow as the BFS goes
+        for step, move, row in steps:
+            a2, b2 = step[a], move[b]
+            k2 = a2 * size + b2
+            c2 = key.get(k2)
             if c2 is None:
-                c2 = len(states)
+                c2 = key[k2] = len(points)
                 if c2 >= max_cosets:
-                    raise SchreierError(
-                        f"coset limit exceeded ({max_cosets}); input too large")
-                coset_of_state[nxt] = c2
-                states.append(nxt)
+                    raise _coset_limit(max_cosets)
+                points.append(a2)
+                cosets.append(b2)
+            row.append(c2)
+    return len(points), new
+
+
+def _schreier_stage(q: FiniteQuotient, size: int, table: list[list[int]],
+                    max_cosets: int) -> SchreierSystem:
+    """The last fold stage, as ``_orbit_table``, recording the BFS tree
+    and each Schreier generator's edge as the BFS meets it."""
+    alpha = q.alphabet
+    key = {q.base_point * size: 0}
+    points, cosets = [q.base_point], [0]
+    parent, parent_letter = [-1], [-1]
+    new: list[list[int]] = [[] for _ in table]
+    edge_coset, edge_gen = array("i"), array("B" if alpha.rank <= 256 else "i")
+    steps = list(enumerate(zip(q._tables, table, new)))
+    for c, (a, b) in enumerate(zip(points, cosets)):
+        for l, (step, move, row) in steps:
+            a2, b2 = step[a], move[b]
+            k2 = a2 * size + b2
+            c2 = key.get(k2)
+            if c2 is None:
+                c2 = key[k2] = len(points)
+                if c2 >= max_cosets:
+                    raise _coset_limit(max_cosets)
+                points.append(a2)
+                cosets.append(b2)
                 parent.append(c)
                 parent_letter.append(l)
             elif not (l & 1 or (parent[c] == c2 and parent_letter[c] == l + 1)):
@@ -446,10 +503,9 @@ def build_schreier_system(*quotients: FiniteQuotient,
                 # own tree edge walked back: t_c x t_c'^-1 is nontrivial
                 edge_coset.append(c)
                 edge_gen.append(l >> 1)
-            table[l].append(c2)
-        c += 1
-    del states, coset_of_state  # freed before the scan arrays are made
-    return SchreierSystem(alpha, table, parent, parent_letter, edge_coset, edge_gen)
+            row.append(c2)
+    del points, cosets, key  # freed before the scan arrays are made
+    return SchreierSystem(alpha, new, parent, parent_letter, edge_coset, edge_gen)
 
 
 def kernel_subgroup(q: FiniteQuotient, max_cosets: int = MAX_COSETS) -> SchreierSystem:

@@ -171,14 +171,18 @@ def _corrupted(coords, kind, pick):
         terms[(i + 1) % len(terms)].append((t, c))
     elif kind == "term duplicated":
         terms[i].append((t, c))
-    else:  # a cancelling pair +-u, u = t times a generator
+    elif kind == "coefficient doubled":
+        terms[i][j] = (t, 2 * c)
+    else:  # a cancelling pair +-u or +-2u, u = t times a generator
         u = _reduce(t + ((pick % alpha.rank, 1),))
-        terms[i] += [(u, 1), (u, -1)]
+        k = 2 if kind == "cancelling +-2 pair added" else 1
+        terms[i] += [(u, k), (u, -k)]
     return tuple(FreeGroupRingElement(alpha, tuple(t)) for t in terms)
 
 
 CORRUPTIONS = {"sign flipped": False, "term dropped": False, "term moved": False,
-               "term duplicated": False, "cancelling pair added": True}
+               "term duplicated": False, "coefficient doubled": False,
+               "cancelling pair added": True, "cancelling +-2 pair added": True}
 
 
 @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))

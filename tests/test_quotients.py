@@ -92,6 +92,15 @@ def test_abelian_quotient_matches_the_coordinate_oracle(moduli):
     assert (q.size, q.perms) == abelian_perms_by_coordinates(moduli)
 
 
+@pytest.mark.parametrize("moduli, bad", [((2.5, 2), "2.5"), ((True, 3), "True"),
+                                         ((0, 2), "0"), ((-2, 2), "-2")])
+def test_abelian_quotient_refuses_a_modulus_that_is_not_an_int_of_at_least_1(moduli, bad):
+    """Unchecked, (2.5, 2) builds (Z/2)^2 and (True, 3) Z/1 x Z/3, while
+    0 and -2 fail later with messages about base points and permutations."""
+    with pytest.raises(SchreierError, match=rf"^modulus {re.escape(bad)} is not an int >= 1$"):
+        abelian_quotient(XY, moduli)
+
+
 def test_trivial_quotient():
     q = trivial_quotient(XY)
     assert q.size == 1
@@ -211,6 +220,21 @@ def test_rank3_kernel_generator_order():
 def test_coset_cap():
     with pytest.raises(SchreierError):
         build_schreier_system(abelian_quotient(XY, (10, 10)), max_cosets=50)
+
+
+@pytest.mark.parametrize("cap", [0, -5, 2.5, True])
+def test_a_coset_cap_that_is_not_an_int_of_at_least_1_is_refused(cap):
+    """The base coset is held to the cap too, so no cap below 1 can hold."""
+    with pytest.raises(SchreierError, match=r"^coset limit must be an int >= 1, got "):
+        build_schreier_system(trivial_quotient(XY), max_cosets=cap)
+
+
+def test_a_coset_cap_equal_to_the_index_builds():
+    assert build_schreier_system(trivial_quotient(XY), max_cosets=1).index == 1
+    q = abelian_quotient(XY, (2, 3))
+    assert build_schreier_system(q, q, max_cosets=6).index == 6
+    with pytest.raises(SchreierError, match=r"^coset limit exceeded \(5\); input too large$"):
+        build_schreier_system(q, q, max_cosets=5)
 
 
 @settings(max_examples=200)

@@ -19,6 +19,7 @@ the reference.
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,8 +43,10 @@ from fgcert.quotients import (
 from fgcert.words import Alphabet, Word, alphabet, random_word
 from word_letters import letters
 
+X = alphabet("x")
 XY = alphabet("x", "y")
 XYZ = alphabet("x", "y", "z")
+DATA = Path(__file__).parent / "data"
 
 
 def edges(system) -> list[tuple[int, int]]:
@@ -461,6 +464,56 @@ def test_coset_cap_on_product_action(monkeypatch):
                   lambda: reference_n(k, max_cosets=71)):
         with pytest.raises(SchreierError, match=r"coset limit exceeded \(71\); input too large"):
             build()
+
+
+def n_quotients(k: FiniteQuotient) -> list[FiniteQuotient]:
+    """The quotients NOracle builds N from: (Z/6)^2 and the four
+    conjugates of the preimage of K."""
+    pi = rank2_outer_hom(rank2_mod2_kernel())
+    preimage = induced_quotient(pi, k)
+    return [abelian_quotient(XY, (6, 6))] + [
+        replace(preimage, base_point=preimage.act_word(preimage.base_point, t))
+        for t in pi.system.transversal]
+
+
+def test_coset_cap_at_the_index_and_below_an_inner_fold_stage():
+    """[F:N] = 36 n^4 = 9,216 for the index-4 K; the four conjugates are
+    folded in first, and their stage has [F:L] = 4 n^4 = 1,024 cosets.
+    A cap below that stops the fold there, with the same message."""
+    k = FiniteQuotient.from_json(json.loads((DATA / "k-index4.json").read_text()))
+    quotients = n_quotients(k)
+    assert build_schreier_system(*quotients, max_cosets=9216).index == 9216
+    assert build_schreier_system(*quotients[1:], max_cosets=1024).index == 1024
+    for cap in (9215, 1023, 1):
+        with pytest.raises(SchreierError,
+                           match=rf"^coset limit exceeded \({cap}\); input too large$"):
+            build_schreier_system(*quotients, max_cosets=cap)
+
+
+@st.composite
+def fold_inputs(draw):
+    """1-4 quotients over an alphabet of rank 1-3, each of size 1-8 with
+    random permutations, so the actions need not be transitive, and a
+    random base point."""
+    alpha = draw(st.sampled_from((X, XY, XYZ)))
+    quotients = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(1, 8))
+        perms = tuple(tuple(draw(st.permutations(range(size)))) for _ in range(alpha.rank))
+        quotients.append(FiniteQuotient(alpha, size, perms, draw(st.integers(0, size - 1))))
+    return quotients
+
+
+@settings(max_examples=120, deadline=None)
+@given(fold_inputs(), st.integers(0, 2 ** 32))
+def test_folded_bfs_matches_the_reference_product(quotients, seed):
+    """The fold of the quotients from last to first gives the system of
+    the BFS over the tuples of their points."""
+    alpha = quotients[0].alphabet
+    rng = random.Random(seed)
+    words = [random_word(rng, alpha, 12) for _ in range(10)]
+    ref = reference_system(RefProduct([RefQuotient(q) for q in quotients]), alpha)
+    assert_same_system(build_schreier_system(*quotients), ref, words)
 
 
 def test_bad_build_arguments_are_rejected():
